@@ -17,7 +17,7 @@ namespace hydra {
 // written from one thread at a time — the fields are plain integers and
 // concurrent bumps lose updates. Parallel execution therefore never
 // shares an instance across workers: each worker of a fan-out
-// (exec/parallel_scanner.h) accumulates into its own local QueryCounters
+// (index/leaf_scanner.h) accumulates into its own local QueryCounters
 // and the coordinator folds them into the caller's with operator+= after
 // the workers have joined. Code that hands a counters pointer to another
 // thread must hand a distinct instance per thread and merge afterwards.

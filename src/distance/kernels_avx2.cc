@@ -144,7 +144,12 @@ void Avx2LutAccumulate(const double* lut, const uint32_t* cells, size_t count,
                                 static_cast<int>(cells[(i + 2) * stride]),
                                 static_cast<int>(cells[(i + 1) * stride]),
                                 static_cast<int>(cells[i * stride]));
-    __m256d vals = _mm256_i32gather_pd(lut, idx, sizeof(double));
+    // The masked gather with a zero source and every lane selected: the
+    // same loads as the unmasked form, without its undefined source
+    // operand (which gcc reports as maybe-uninitialized).
+    __m256d vals = _mm256_mask_i32gather_pd(
+        _mm256_setzero_pd(), lut, idx,
+        _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), sizeof(double));
     _mm256_storeu_pd(acc + i, _mm256_add_pd(_mm256_loadu_pd(acc + i), vals));
   }
   for (; i < count; ++i) {

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/options.h"
-#include "index/leaf_scanner.h"
 #include "storage/buffer_manager.h"
 
 namespace hydra {

@@ -14,8 +14,8 @@
 
 namespace hydra {
 
-// Work-stealing thread pool behind every parallel query path (see
-// exec/parallel_scanner.h). One deque per worker: a worker pops its own
+// Work-stealing thread pool behind every parallel query path (see the
+// fan-out of index/leaf_scanner.h). One deque per worker: a worker pops its own
 // queue from the front and, when empty, steals from the back of the other
 // queues, so a queue loaded with skewed work drains across the whole pool.
 //

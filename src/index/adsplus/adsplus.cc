@@ -195,10 +195,10 @@ double AdsPlusIndex::MinDistSq(const QueryContext& ctx, int32_t id) const {
   return encoder_->MinDistSqPaaToSax(ctx.paa, n.word, n.bits);
 }
 
-Status AdsPlusIndex::ScanLeaf(int32_t id,
-                              ParallelLeafScanner* scanner) const {
+void AdsPlusIndex::ScanLeaf(int32_t id, LeafScanner* scanner,
+                            std::span<const size_t> slots) const {
   if (nodes_[id].series_ids.size() > options_.query_leaf_capacity) {
-    RefineSubtree(id, scanner->counters());
+    RefineSubtree(id, scanner->counters(slots.empty() ? 0 : slots[0]));
   }
   // After refinement the node may be internal: scan the (refined) leaves
   // beneath it, nearest-first is unnecessary — the caller already ordered
@@ -214,18 +214,8 @@ Status AdsPlusIndex::ScanLeaf(int32_t id,
       stack.push_back(node.right);
       continue;
     }
-    HYDRA_RETURN_IF_ERROR(scanner->ScanIds(provider_, node.series_ids)
-                              .status());
+    if (!scanner->ScanIds(provider_, node.series_ids, slots).ok()) return;
   }
-  return Status::OK();
-}
-
-size_t AdsPlusIndex::PrefetchLeaf(int32_t id, ParallelLeafScanner* scanner,
-                                  size_t max_pages) const {
-  // An unrefined leaf keeps the same ids after refinement splits them
-  // across descendants, so announcing them before the ScanLeaf-triggered
-  // refinement is exactly the readahead the post-refinement scans want.
-  return scanner->PrefetchIds(provider_, nodes_[id].series_ids, max_pages);
 }
 
 Result<KnnAnswer> AdsPlusIndex::Search(std::span<const float> query,

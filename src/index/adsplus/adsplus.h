@@ -15,7 +15,7 @@
 
 namespace hydra {
 
-class ParallelLeafScanner;  // exec/parallel_scanner.h
+class LeafScanner;  // index/leaf_scanner.h
 
 // ADS+ (Zoumpatianos, Idreos & Palpanas 2016): the adaptive data series
 // index. Index construction is deliberately minimal — one summarization
@@ -70,7 +70,7 @@ class AdsPlusIndex : public Index {
                            const SearchParams& params,
                            QueryCounters* counters) const override;
 
-  // --- TreeKnnSearch interface ---
+  // --- Tree interface of index/tree_search.h ---
   struct QueryContext {
     std::vector<double> paa;
   };
@@ -79,12 +79,15 @@ class AdsPlusIndex : public Index {
   std::vector<int32_t> NodeChildren(int32_t id) const;
   double MinDistSq(const QueryContext& ctx, int32_t id) const;
   // Adaptive: refines the leaf to query_leaf_capacity before scanning.
-  Status ScanLeaf(int32_t id, ParallelLeafScanner* scanner) const;
-  // Readahead hint for a queued leaf (tree_search.h): announces up to
-  // max_pages pages of the leaf's (sorted) id runs to the provider's
-  // prefetcher. Returns pages announced.
-  size_t PrefetchLeaf(int32_t id, ParallelLeafScanner* scanner,
-                      size_t max_pages) const;
+  void ScanLeaf(int32_t id, LeafScanner* scanner,
+                std::span<const size_t> slots) const;
+  // A leaf's (sorted) ids, prefetched from provider() while queued. An
+  // unrefined leaf keeps the same ids after refinement splits them across
+  // descendants, so they are exactly the readahead its scans want.
+  std::span<const int64_t> LeafIds(int32_t id) const {
+    return nodes_[id].series_ids;
+  }
+  SeriesProvider* provider() const { return provider_; }
 
   size_t num_nodes() const { return nodes_.size(); }
   size_t num_leaves() const;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 
 namespace hydra {
 
@@ -10,7 +11,9 @@ bool AnswerSet::Offer(double dist_sq, int64_t id) {
     heap_.emplace(dist_sq, id);
     return true;
   }
-  if (dist_sq < heap_.top().first) {
+  // (distance, id) order: on an exact distance tie the smaller id wins,
+  // so every scan order keeps the same k answers.
+  if (std::make_pair(dist_sq, id) < heap_.top()) {
     heap_.pop();
     heap_.emplace(dist_sq, id);
     return true;

@@ -11,7 +11,9 @@ namespace hydra {
 
 // Bounded max-heap of the best k (squared distance, id) candidates; the
 // running result set of every k-NN algorithm here. kth() is the pruning
-// threshold (+inf until the heap fills).
+// threshold (+inf until the heap fills). Candidates are ordered by the
+// (distance, id) pair, so the k kept do not depend on the order they
+// were offered in: on an exact distance tie the smaller id wins.
 class AnswerSet {
  public:
   explicit AnswerSet(size_t k) : k_(k) {}
@@ -31,8 +33,8 @@ class AnswerSet {
   KnnAnswer Finish();
 
   // Removes and returns every (squared distance, id) entry in unspecified
-  // order, leaving the set empty. The parallel merge path
-  // (exec/parallel_scanner.h) drains per-worker sets with this.
+  // order, leaving the set empty. The scanner's fan-out merge
+  // (index/leaf_scanner.h) drains per-worker sets with this.
   std::vector<std::pair<double, int64_t>> TakeEntries();
 
  private:

@@ -5,8 +5,6 @@
 #include <limits>
 
 #include "common/rng.h"
-#include "index/batch_tree_search.h"
-#include "index/leaf_scanner.h"
 #include "index/tree_search.h"
 #include "storage/serialize.h"
 
@@ -123,10 +121,10 @@ void DSTreeIndex::SplitLeaf(const Dataset& data, int32_t node_id) {
   // QoS heuristic of the DSTree paper, computed on real data rather than
   // estimated.
   struct Candidate {
-    size_t start, end;        // feature range
-    bool on_std;
-    bool vertical;            // children refine the split segment
-    size_t segment;           // index in the leaf's segmentation
+    size_t start = 0, end = 0;  // feature range
+    bool on_std = false;
+    bool vertical = false;      // children refine the split segment
+    size_t segment = 0;         // index in the leaf's segmentation
     double threshold = 0.0;
     double score = std::numeric_limits<double>::infinity();
   };
@@ -272,16 +270,6 @@ double DSTreeIndex::MinDistSq(const QueryContext& ctx, int32_t id) const {
   return sum;
 }
 
-Status DSTreeIndex::ScanLeaf(int32_t id,
-                             ParallelLeafScanner* scanner) const {
-  return scanner->ScanIds(provider_, nodes_[id].series_ids).status();
-}
-
-size_t DSTreeIndex::PrefetchLeaf(int32_t id, ParallelLeafScanner* scanner,
-                                 size_t max_pages) const {
-  return scanner->PrefetchIds(provider_, nodes_[id].series_ids, max_pages);
-}
-
 DSTreeIndex::QueryContext DSTreeIndex::MakeQueryContext(
     std::span<const float> query) const {
   QueryContext ctx;
@@ -306,7 +294,7 @@ Result<KnnAnswer> DSTreeIndex::Search(std::span<const float> query,
 
 std::vector<Result<KnnAnswer>> DSTreeIndex::BatchSearch(
     std::span<const BatchQuery> batch) const {
-  return TreeIndexBatchSearch(*this, provider_, series_length_, batch);
+  return TreeBatchSearch(*this, batch);
 }
 
 Result<KnnAnswer> DSTreeIndex::RangeSearch(std::span<const float> query,

@@ -13,8 +13,6 @@
 
 namespace hydra {
 
-class ParallelLeafScanner;  // exec/parallel_scanner.h
-
 // DSTree (Wang et al. 2013) extended with the paper's ng / ε / δ-ε
 // approximate search modes (Algorithms 1 & 2). The tree indexes EAPCA
 // summaries with per-node adaptive segmentation; raw series are fetched
@@ -60,8 +58,8 @@ class DSTreeIndex : public Index {
 
   // Exact-mode members co-traverse the tree in one best-first walk with
   // shared lower-bound computation and one scan per leaf for the queries
-  // it survives (index/batch_tree_search.h); approximate-mode members run
-  // their own solo Search inside the batch.
+  // it survives (TreeBatchSearch, index/tree_search.h); approximate-mode
+  // members run their own solo Search inside the batch.
   std::vector<Result<KnnAnswer>> BatchSearch(
       std::span<const BatchQuery> batch) const override;
 
@@ -79,7 +77,8 @@ class DSTreeIndex : public Index {
   static Result<std::unique_ptr<DSTreeIndex>> Load(const std::string& path,
                                                    SeriesProvider* provider);
 
-  // --- TreeKnnSearch interface (public for the generic algorithm) ---
+  // --- Tree interface of index/tree_search.h (public for the generic
+  // algorithms) ---
   struct QueryContext {
     std::vector<double> prefix_sum;   // prefix sums of the query
     std::vector<double> prefix_sum2;  // prefix sums of squares
@@ -91,17 +90,12 @@ class DSTreeIndex : public Index {
   bool IsLeaf(int32_t id) const { return nodes_[id].is_leaf; }
   std::vector<int32_t> NodeChildren(int32_t id) const;
   double MinDistSq(const QueryContext& ctx, int32_t id) const;
-  Status ScanLeaf(int32_t id, ParallelLeafScanner* scanner) const;
-  // Readahead hint for a queued leaf (tree_search.h): announces up to
-  // max_pages pages of the leaf's (sorted) id runs to the provider's
-  // prefetcher. Returns pages announced.
-  size_t PrefetchLeaf(int32_t id, ParallelLeafScanner* scanner,
-                      size_t max_pages) const;
-  // A leaf's candidate ids (sorted ascending at build/load), for the
-  // batched co-traversal's shared leaf scans (batch_tree_search.h).
+  // A leaf's candidate ids (sorted ascending at build/load), scanned and
+  // prefetched from provider().
   std::span<const int64_t> LeafIds(int32_t id) const {
     return nodes_[id].series_ids;
   }
+  SeriesProvider* provider() const { return provider_; }
 
   // Introspection for tests and benches.
   size_t num_nodes() const { return nodes_.size(); }

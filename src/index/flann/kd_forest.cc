@@ -5,7 +5,7 @@
 #include <numeric>
 #include <queue>
 
-#include "exec/parallel_scanner.h"
+#include "index/leaf_scanner.h"
 
 namespace hydra {
 
@@ -95,7 +95,12 @@ void KdForest::Search(std::span<const float> query, size_t checks,
   std::priority_queue<Branch, std::vector<Branch>, std::greater<Branch>>
       branches;
   size_t visited = 0;
-  ParallelLeafScanner scanner(query, answers, counters, num_threads);
+  InMemoryProvider provider(data_);
+  LeafScanner scanner(query, answers, counters, num_threads);
+  // Every tree indexes every series, so leaves of different trees
+  // overlap: skip the ids this query has already evaluated.
+  std::vector<bool> evaluated(data_->size());
+  std::vector<int64_t> fresh;
 
   auto descend = [&](uint32_t t, int32_t start, double start_bound) {
     int32_t node_id = start;
@@ -110,9 +115,16 @@ void KdForest::Search(std::span<const float> query, size_t checks,
       node_id = near;
     }
     const Node& leaf = tree.nodes[node_id];
-    visited += scanner.ScanIds(
-        *data_, std::span<const int64_t>(tree.ids.data() + leaf.begin,
-                                         leaf.end - leaf.begin));
+    fresh.clear();
+    for (uint32_t i = leaf.begin; i < leaf.end; ++i) {
+      const int64_t id = tree.ids[i];
+      if (!evaluated[static_cast<size_t>(id)]) {
+        evaluated[static_cast<size_t>(id)] = true;
+        fresh.push_back(id);
+      }
+    }
+    scanner.ScanIds(&provider, fresh);
+    visited += fresh.size();
     if (counters != nullptr) ++counters->leaves_visited;
   };
 

@@ -29,9 +29,10 @@ class KdForest {
  public:
   KdForest(const Dataset& data, const KdForestOptions& options);
 
-  // Adds the best candidates found within `checks` visited points.
-  // Leaf scans shard across num_threads workers (exec/parallel_scanner.h);
-  // 1 = serial.
+  // Adds the best candidates found within `checks` visited points. A
+  // series reached through several trees is evaluated (and counted
+  // against `checks`) once. Leaf scans shard across num_threads workers
+  // (index/leaf_scanner.h); 1 = serial.
   void Search(std::span<const float> query, size_t checks,
               AnswerSet* answers, QueryCounters* counters,
               size_t num_threads = 1) const;

@@ -5,7 +5,7 @@
 #include <queue>
 
 #include "distance/euclidean.h"
-#include "exec/parallel_scanner.h"
+#include "index/leaf_scanner.h"
 #include "transform/kmeans.h"
 
 namespace hydra {
@@ -87,18 +87,22 @@ void KmeansTree::Search(std::span<const float> query, size_t checks,
   std::priority_queue<Branch, std::vector<Branch>, std::greater<Branch>>
       branches;
   size_t visited = 0;
-  ParallelLeafScanner scanner(query, answers, counters, num_threads);
+  InMemoryProvider provider(data_);
+  LeafScanner scanner(query, answers, counters, num_threads);
 
   auto descend = [&](int32_t start) {
     int32_t node_id = start;
     while (!nodes_[node_id].children.empty()) {
       const Node& node = nodes_[node_id];
       double best = std::numeric_limits<double>::infinity();
-      int32_t best_child = node.children.front();
+      int32_t best_child = -1;
       for (int32_t child : node.children) {
         double d = SquaredEuclidean(query, nodes_[child].centroid);
         if (counters != nullptr) ++counters->lb_distances;
-        if (d < best) {
+        if (best_child < 0 || d < best) {
+          // A closer sibling displaces the best so far: queue that one
+          // too, or its subtree would never be explored.
+          if (best_child >= 0) branches.push({best, best_child});
           best = d;
           best_child = child;
         } else {
@@ -108,7 +112,8 @@ void KmeansTree::Search(std::span<const float> query, size_t checks,
       node_id = best_child;
     }
     const Node& leaf = nodes_[node_id];
-    visited += scanner.ScanIds(*data_, leaf.ids);
+    scanner.ScanIds(&provider, leaf.ids);
+    visited += leaf.ids.size();
     if (counters != nullptr) ++counters->leaves_visited;
   };
 

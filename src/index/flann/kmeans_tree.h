@@ -28,7 +28,7 @@ class KmeansTree {
  public:
   KmeansTree(const Dataset& data, const KmeansTreeOptions& options);
 
-  // Leaf scans shard across num_threads workers (exec/parallel_scanner.h);
+  // Leaf scans shard across num_threads workers (index/leaf_scanner.h);
   // 1 = serial.
   void Search(std::span<const float> query, size_t checks,
               AnswerSet* answers, QueryCounters* counters,

@@ -7,7 +7,6 @@
 
 #include "distance/euclidean.h"
 #include "index/answer_set.h"
-#include "index/leaf_scanner.h"
 
 namespace hydra {
 

@@ -9,7 +9,6 @@
 #include "common/rng.h"
 #include "distance/euclidean.h"
 #include "index/answer_set.h"
-#include "index/leaf_scanner.h"
 #include "transform/kmeans.h"
 
 namespace hydra {

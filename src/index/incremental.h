@@ -9,14 +9,16 @@
 #include <vector>
 
 #include "common/counters.h"
-#include "exec/parallel_scanner.h"
 #include "index/answer_set.h"
 #include "index/index.h"
+#include "index/leaf_scanner.h"
+#include "index/tree_search.h"
 
 namespace hydra {
 
 // Incremental and progressive k-NN over the same tree interface used by
-// TreeKnnSearch — the paper's two "future research directions" (§5):
+// TreeSearch (index/tree_search.h) — the paper's two "future research
+// directions" (§5):
 //
 //  * Incremental search returns neighbors one at a time, in distance
 //    order, instead of all k at once ("the current approaches return the
@@ -112,14 +114,14 @@ class IncrementalKnnStream {
 
   void ScanLeaf(decltype(Entry{}.node) node) {
     // Collect the leaf's series as object entries via a throwaway
-    // AnswerSet sized to the leaf (ScanLeaf's interface is heap-based).
+    // AnswerSet sized to the leaf (the scanner's interface is heap-based).
     // Incremental streams hand out one neighbor at a time, so leaf scans
     // stay serial (num_threads = 1).
     AnswerSet scratch(std::numeric_limits<size_t>::max() / 2);
-    ParallelLeafScanner scratch_scanner(query_, &scratch, counters_, 1);
-    Status st = tree_.ScanLeaf(node, &scratch_scanner);
-    if (!st.ok()) {
-      status_ = std::move(st);
+    LeafScanner scratch_scanner(query_, &scratch, counters_);
+    ScanTreeLeaf(tree_, node, &scratch_scanner);
+    if (!scratch_scanner.alive(0)) {
+      status_ = scratch_scanner.status(0);
       return;
     }
     if (counters_ != nullptr) ++counters_->leaves_visited;

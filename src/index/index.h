@@ -42,9 +42,8 @@ struct SearchParams {
   // many workers of the process-wide pool (src/exec/). 1 = fully serial,
   // preserving the pre-exec behavior bit for bit. Results are a function
   // of num_threads alone — never of pool size or scheduling — and exact
-  // search returns answers identical to num_threads = 1, up to id choice
-  // on exact distance ties at the k-th boundary (the counter
-  // full/abandoned split may also shift; see exec/parallel_scanner.h).
+  // search returns answers identical to num_threads = 1 (the counter
+  // full/abandoned split may shift; see index/leaf_scanner.h).
   size_t num_threads = 1;
   // Inter-query parallelism: how many whole queries the serving engine
   // (exec/query_scheduler.h) overlaps on the shared pool. Search() itself
@@ -55,9 +54,9 @@ struct SearchParams {
   // Cap on the pinned pages this query may hold concurrently on a shared
   // bounded buffer pool (0 = provider default). The serving engine sets
   // it to MaxConcurrentPins() / concurrency so overlapping queries can
-  // never starve each other of pins; the scan layers clamp their
-  // provider-backed fan-outs to it (exec/parallel_scanner.h). Affects
-  // only shard counts, never answers.
+  // never starve each other of pins; the scanner clamps its
+  // provider-backed fan-outs to it (index/leaf_scanner.h). Affects only
+  // shard counts, never answers.
   uint64_t pin_budget = 0;
   // Asynchronous readahead depth in buffer-pool pages: the scan layers
   // announce this many pages of their upcoming id stream to the
@@ -76,7 +75,7 @@ struct SearchParams {
   static constexpr size_t kPrefetchOff = static_cast<size_t>(-1);
   // Per-query wall-clock budget in milliseconds (0 = none). When set and
   // no `cancel` token is supplied, the search layers arm a deadline token
-  // themselves (index/leaf_scanner.h ResolveCancellation); the serving
+  // themselves (ResolveCancellation below); the serving
   // engine instead measures the budget from Submit time, so queue wait
   // counts against it. On expiry the query abandons work at its next
   // cancellation point and returns Status::DeadlineExceeded — never a
@@ -90,6 +89,25 @@ struct SearchParams {
   // the Search() call itself.
   std::shared_ptr<CancellationToken> cancel;
 };
+
+// The process-default prefetch depth from HYDRA_PREFETCH (pages of
+// lookahead; unset/invalid = 0 = off), parsed once. SearchParams::
+// prefetch_depth = 0 falls back to this, so the env knob turns the whole
+// scan path's readahead on without touching call sites.
+size_t DefaultPrefetchDepth();
+
+// The effective lookahead of a query: its explicit prefetch_depth, or
+// the HYDRA_PREFETCH default when unset (0).
+size_t ResolvePrefetchDepth(const SearchParams& params);
+
+// The effective cancellation token of a query: its explicit token, or a
+// fresh deadline token when only deadline_ms is set (measured from this
+// call — the serving engine passes an explicit token instead so queue
+// wait counts against the budget), or null when the query is not
+// cancellable. Every index Search() resolves through this one helper so
+// the deadline knob behaves identically across methods.
+std::shared_ptr<CancellationToken> ResolveCancellation(
+    const SearchParams& params);
 
 // Capability flags for the taxonomy table (paper Table 1 / Fig. 1).
 struct IndexCapabilities {
@@ -160,19 +178,30 @@ class Index {
   // Result per member in batch order. The contract mirrors Q separate
   // Search() calls exactly: every member's answer is what its own
   // Search(query, params, counters) would return (bit-identical for exact
-  // search, up to id choice on exact distance ties at the k-th boundary),
-  // and a member that fails — typed I/O error, expired deadline, fired
-  // cancel token — fails alone with its own Status while the rest of the
-  // batch completes. The base implementation IS the per-query loop;
-  // indexes that set capabilities().batched_queries override it to share
-  // page fetches, SIMD kernel passes, and lower-bound computation across
-  // the batch (see index/batch_scanner.h). Only I/O and cache locality
-  // are shared, never arithmetic, which is what makes the equivalence
-  // provable (tests/batch_search_test.cc holds every covered index to
-  // it).
+  // search), and a member that fails — typed I/O error, expired deadline,
+  // fired cancel token — fails alone with its own Status while the rest
+  // of the batch completes. The base implementation IS the per-query
+  // loop; indexes that set capabilities().batched_queries override it to
+  // share page fetches, SIMD kernel passes, and lower-bound computation
+  // across the batch (one LeafScanner slot per member,
+  // index/leaf_scanner.h). Only I/O and cache locality are shared, never
+  // arithmetic, which is what makes the equivalence provable
+  // (tests/batch_search_test.cc holds every covered index to it).
   virtual std::vector<Result<KnnAnswer>> BatchSearch(
       std::span<const BatchQuery> batch) const;
 };
+
+// The shared opening of the BatchSearch overrides. Fails each invalid
+// member alone with the status its own Search returns (k = 0, a query of
+// the wrong length); runs through its own Search every valid member that
+// cannot share — an approximate one when `exact_only` — and a lone member
+// that could (a batch of one is a Search, and keeps its intra-query
+// fan-out). Returns the members left to run together: none, or at least
+// two. `results` gets one entry per member.
+std::vector<size_t> SplitBatch(const Index& index,
+                               std::span<const BatchQuery> batch,
+                               size_t series_length, bool exact_only,
+                               std::vector<Result<KnnAnswer>>* results);
 
 }  // namespace hydra
 

@@ -4,8 +4,6 @@
 #include <limits>
 
 #include "common/rng.h"
-#include "index/batch_tree_search.h"
-#include "index/leaf_scanner.h"
 #include "index/tree_search.h"
 #include "storage/serialize.h"
 
@@ -185,15 +183,6 @@ double IsaxIndex::MinDistSq(const QueryContext& ctx, int32_t id) const {
   return encoder_->MinDistSqPaaToSax(ctx.paa, n.word, n.bits);
 }
 
-Status IsaxIndex::ScanLeaf(int32_t id, ParallelLeafScanner* scanner) const {
-  return scanner->ScanIds(provider_, nodes_[id].series_ids).status();
-}
-
-size_t IsaxIndex::PrefetchLeaf(int32_t id, ParallelLeafScanner* scanner,
-                               size_t max_pages) const {
-  return scanner->PrefetchIds(provider_, nodes_[id].series_ids, max_pages);
-}
-
 Result<KnnAnswer> IsaxIndex::Search(std::span<const float> query,
                                     const SearchParams& params,
                                     QueryCounters* counters) const {
@@ -212,7 +201,7 @@ Result<KnnAnswer> IsaxIndex::Search(std::span<const float> query,
 
 std::vector<Result<KnnAnswer>> IsaxIndex::BatchSearch(
     std::span<const BatchQuery> batch) const {
-  return TreeIndexBatchSearch(*this, provider_, series_length_, batch);
+  return TreeBatchSearch(*this, batch);
 }
 
 Result<KnnAnswer> IsaxIndex::RangeSearch(std::span<const float> query,

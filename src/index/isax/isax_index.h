@@ -15,7 +15,6 @@
 
 namespace hydra {
 
-class ParallelLeafScanner;  // exec/parallel_scanner.h
 
 // iSAX2+ (Camerra et al. 2014) extended with the paper's ng / ε / δ-ε
 // search modes. Series are encoded once at full cardinality (bulk
@@ -57,8 +56,8 @@ class IsaxIndex : public Index {
 
   // Exact-mode members co-traverse the tree in one best-first walk with
   // shared lower-bound computation and one scan per leaf for the queries
-  // it survives (index/batch_tree_search.h); approximate-mode members run
-  // their own solo Search inside the batch.
+  // it survives (TreeBatchSearch, index/tree_search.h); approximate-mode
+  // members run their own solo Search inside the batch.
   std::vector<Result<KnnAnswer>> BatchSearch(
       std::span<const BatchQuery> batch) const override;
 
@@ -73,7 +72,7 @@ class IsaxIndex : public Index {
   static Result<std::unique_ptr<IsaxIndex>> Load(const std::string& path,
                                                  SeriesProvider* provider);
 
-  // --- TreeKnnSearch interface ---
+  // --- Tree interface of index/tree_search.h ---
   struct QueryContext {
     std::vector<double> paa;
   };
@@ -88,17 +87,12 @@ class IsaxIndex : public Index {
   bool IsLeaf(int32_t id) const { return nodes_[id].is_leaf; }
   std::vector<int32_t> NodeChildren(int32_t id) const;
   double MinDistSq(const QueryContext& ctx, int32_t id) const;
-  Status ScanLeaf(int32_t id, ParallelLeafScanner* scanner) const;
-  // Readahead hint for a queued leaf (tree_search.h): announces up to
-  // max_pages pages of the leaf's (sorted) id runs to the provider's
-  // prefetcher. Returns pages announced.
-  size_t PrefetchLeaf(int32_t id, ParallelLeafScanner* scanner,
-                      size_t max_pages) const;
-  // A leaf's candidate ids (sorted ascending at build/load), for the
-  // batched co-traversal's shared leaf scans (batch_tree_search.h).
+  // A leaf's candidate ids (sorted ascending at build/load), scanned and
+  // prefetched from provider().
   std::span<const int64_t> LeafIds(int32_t id) const {
     return nodes_[id].series_ids;
   }
+  SeriesProvider* provider() const { return provider_; }
 
   size_t num_nodes() const { return nodes_.size(); }
   size_t num_leaves() const;

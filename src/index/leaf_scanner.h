@@ -1,166 +1,258 @@
 #ifndef HYDRA_INDEX_LEAF_SCANNER_H_
 #define HYDRA_INDEX_LEAF_SCANNER_H_
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
+#include <algorithm>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/cancellation.h"
 #include "common/counters.h"
 #include "common/status.h"
-#include "core/dataset.h"
 #include "distance/simd_dispatch.h"
+#include "exec/shared_bound.h"
+#include "exec/thread_pool.h"
 #include "index/answer_set.h"
 #include "storage/buffer_manager.h"
 
 namespace hydra {
 
-// The one leaf/candidate evaluation loop shared by every index: fetches
-// raw series, runs the dispatched early-abandoning distance kernel
-// against the current k-th answer, offers results to the AnswerSet, and
-// keeps the counter bookkeeping honest (completed evaluations land in
-// full_distances, abandoned ones in abandoned_distances — never both).
+// The one candidate-evaluation engine every index scans through. It holds
+// one SLOT per query — the query, its AnswerSet, its QueryCounters, its
+// cancellation token and a sticky Status — and runs one loop over a
+// candidate stream (a provider's id list or id range, or an in-memory
+// block): walk the stream run by run, check cancellation, pin, announce
+// readahead, run the distance kernel, offer the results. A scan of one
+// slot with num_threads > 1 shards that loop across workers; a scan of
+// several slots runs it once for all of them, so each pinned page is
+// fetched once and fed to every query's kernel while it is cache-hot.
 //
-// Contiguously stored candidates (sequential scans, buffer-pool pages)
-// go through the SIMD batch kernel in chunks, refreshing the abandon
-// threshold between chunks. Results are identical to evaluating the
-// candidates one by one in order: a chunk only ever sees a *looser*
-// (older) threshold, so candidates it completes instead of abandoning
-// still lose to AnswerSet::Offer, and completed distances are the same
-// numbers either way.
+// Evaluation: chunks of kChunk candidates go through the multi-query
+// kernel row (squared_euclidean_multi), which evaluates every pair with
+// the single-query early-abandon kernel at that query's own threshold,
+// refreshed from its own answer set per chunk; a lone candidate of a lone
+// query calls that kernel directly. Results equal evaluating candidates
+// one by one in order: a chunk only sees a looser (older) threshold, and
+// completed distances are the same numbers either way. A completed
+// evaluation counts in full_distances, an abandoned one in
+// abandoned_distances, never both. AnswerSet orders by (distance, id), so
+// the k answers kept do not depend on candidate order, ties included.
 //
-// Provider-backed fetches go through the pin-handle API
-// (SeriesProvider::PinSeries/PinRun): each candidate or run is pinned for
-// exactly the duration of its evaluation, so the scanned span stays valid
-// even while other threads' scans churn a bounded buffer pool. At most
-// one pin is held per scanner at any time.
+// Fan-out (one slot, num_threads > 1): the stream is cut into num_threads
+// contiguous shards — by num_threads alone, never by pool size or timing
+// — and the calling thread runs shard 0. Each worker scans into its own
+// AnswerSet and QueryCounters and abandons at min(own k-th, shared
+// bound); both merge into the slot after the join, so no QueryCounters is
+// written concurrently and parallelism never escapes the call. Answers
+// equal num_threads = 1 (same ids, bit-identical distances; proof in
+// docs/ARCHITECTURE.md); only the full/abandoned split may move. Streams
+// shorter than kMinParallelCandidates, and providers without
+// SupportsConcurrentReads(), scan serially; a provider-backed fan-out is
+// clamped to MaxConcurrentPins() and to the query's pin budget
+// (SearchParams::pin_budget), so every worker can hold its one pin.
 //
-// Readahead: with prefetch_depth > 0 (pages of lookahead), the scanner
-// announces the NEXT portion of its id stream to the provider
-// (SeriesProvider::Prefetch) right after pinning — and before evaluating
-// — the current run, so the background prefetch workers overlap the next
-// page's read with the current page's distance kernels. ScanIds
-// additionally coalesces consecutive ids into contiguous runs (tree
-// indexes sort their leaf ids at build time to expose them), which both
-// rides the SIMD batch kernel and turns the leaf's I/O footprint into
-// sequential readahead windows. Prefetch is a pure cache hint: answers
-// are identical at every depth, including 0 (off).
+// Pins: a scan, or each worker, holds at most one pin (PinSeriesChecked /
+// PinRunChecked), for exactly one run's evaluation, and releases it
+// before returning — also on failure, so an abandoned query leaves no
+// residue on a shared pool.
 //
-// Failure semantics: provider-backed scans surface the provider's typed
-// Status (DataCorruption, IoError, Unavailable — PinSeriesChecked /
-// PinRunChecked) the moment a fetch fails, and check the optional
-// CancellationToken at every run/page boundary, returning
-// DeadlineExceeded/Cancelled with partial work discarded. Either way the
-// held pin is released before returning, so an abandoned query leaves no
-// residue on a shared pool. Announced prefetches carry the token too,
-// so the background workers drop a dead query's readahead.
+// Readahead: with prefetch_depth > 0 (pages), each fetch announces the
+// next pages of the stream to SeriesProvider::Prefetch before its kernels
+// run, re-announcing once half the window is consumed (not per run:
+// scattered id lists would pay a queue-lock round trip per candidate).
+// Consecutive ids coalesce into runs (tree leaves are sorted at build
+// time to expose them), riding the batch kernel and sequential
+// readahead. Prefetch is a pure cache hint: answers are identical at
+// every depth.
+//
+// Failure: every slot fails alone. A fired token, checked per run and
+// per pinned page, fails its slot with DeadlineExceeded/Cancelled; a
+// failed fetch fails the slots scanning that stream with the provider's
+// typed Status (DataCorruption, IoError, Unavailable) — a skipped
+// candidate could be a true neighbor. In a fan-out the first failure
+// wins and the other workers stop at their next run or page. A failed
+// slot is sticky: later scans skip it. Candidates evaluated before a
+// failure stay offered; the caller abandons the query.
+//
+// Attribution: distance counters are charged to each slot from its own
+// abandon flags; shared physical I/O (hits, misses, bytes, random I/Os,
+// prefetch, retries) to the first live slot of the scan, so per-query
+// sums equal the pool's atomic totals.
 class LeafScanner {
  public:
+  // A scanner without slots: AddQuery registers each query of a batch.
+  // `prefetch_depth` is the readahead lookahead in pages (0 = off).
+  explicit LeafScanner(size_t prefetch_depth = 0);
+
+  // A scanner with one slot. num_threads > 1 shards its scans across
+  // `pool` (default ThreadPool::Global()); `pin_budget` caps the shards of
+  // a provider-backed fan-out (0 = no per-query cap); `cancel` is the
+  // query's token (null = not cancellable).
   LeafScanner(std::span<const float> query, AnswerSet* answers,
-              QueryCounters* counters, size_t prefetch_depth = 0,
-              std::shared_ptr<CancellationToken> cancel = nullptr)
-      : query_(query),
-        answers_(answers),
-        counters_(counters),
-        prefetch_depth_(prefetch_depth),
-        cancel_(std::move(cancel)),
-        kernels_(ActiveKernels()) {}
+              QueryCounters* counters, size_t num_threads = 1,
+              uint64_t pin_budget = 0, size_t prefetch_depth = 0,
+              std::shared_ptr<CancellationToken> cancel = nullptr,
+              ThreadPool* pool = nullptr);
 
-  // Evaluates one candidate already in memory.
-  void Scan(std::span<const float> series, int64_t id);
+  LeafScanner(const LeafScanner&) = delete;
+  LeafScanner& operator=(const LeafScanner&) = delete;
 
-  // Fetches one id from the provider; false if the fetch failed (the
-  // candidate is skipped, nothing else changes).
-  bool ScanFrom(SeriesProvider* provider, int64_t id);
+  // Registers one query; returns its slot index. `answers`/`counters`
+  // must outlive the scanner (counters may be null).
+  size_t AddQuery(std::span<const float> query, AnswerSet* answers,
+                  QueryCounters* counters,
+                  std::shared_ptr<CancellationToken> cancel = nullptr);
 
-  // Evaluates every id; the provider's typed Status as soon as a fetch
-  // fails (a buffer pool exhausted by concurrent queries, a read error
-  // that survived its retries, a checksum mismatch) — a silently skipped
-  // candidate could be a true neighbor, so the failure must surface
-  // instead of degrading exactness. Candidates evaluated before the
-  // failure have already been offered to the answer set; the caller
-  // abandons the query, not the answers. Returns ids.size() on success.
+  bool alive(size_t slot) const { return slots_[slot].status.ok(); }
+  const Status& status(size_t slot) const { return slots_[slot].status; }
+  QueryCounters* counters(size_t slot) const { return slots_[slot].counters; }
+  // +inf until the slot's answer set holds k answers.
+  double KthDistanceSq(size_t slot) const {
+    return slots_[slot].answers->KthDistanceSq();
+  }
+  // The slot's answers, or its failure.
+  Result<KnnAnswer> Finish(size_t slot) {
+    if (!alive(slot)) return slots_[slot].status;
+    return slots_[slot].answers->Finish();
+  }
+  // Cancellation point for traversal loops: fails every live slot whose
+  // token has fired.
+  void CheckCancellations() {
+    for (Slot& slot : slots_) slot.Live();
+  }
+
+  // The scans. Each serves the live members of `slots` (slot indices;
+  // empty = every slot) and returns the candidates walked — or, when no
+  // served slot survives, the first served slot's status.
   Result<size_t> ScanIds(SeriesProvider* provider,
-                         std::span<const int64_t> ids);
-
-  // Dataset-backed variant for indexes that hold the data directly
-  // (cannot fail: no I/O).
-  size_t ScanIds(const Dataset& data, std::span<const int64_t> ids);
-
-  // Evaluates `count` candidates laid out at block + c * stride whose ids
-  // are first_id, first_id + 1, ...; feeds the batch kernel chunk-wise.
-  // Returns `count`.
-  size_t ScanContiguous(const float* block, size_t count, size_t stride,
-                        int64_t first_id);
-
-  // Fetches maximal contiguous runs of [first, first + count) from the
-  // provider (SeriesProvider::GetSeriesRun) and batch-evaluates them.
-  // The provider's typed Status when a fetch fails (same contract as
-  // ScanIds); `count` on success.
+                         std::span<const int64_t> ids,
+                         std::span<const size_t> slots = {});
   Result<size_t> ScanRange(SeriesProvider* provider, uint64_t first,
-                           uint64_t count);
+                           uint64_t count, std::span<const size_t> slots = {});
+  // In memory: `count` series at block + c * stride with ids first_id,
+  // first_id + 1, ... (0 when no served slot survives).
+  size_t ScanContiguous(const float* block, size_t count, size_t stride,
+                        int64_t first_id, std::span<const size_t> slots = {});
+
+  // Ordered refinement of slot 0 for the candidate-list methods (VA+file,
+  // SRS): reproduces the serial loop
+  //
+  //   for i in [0, count):
+  //     if (!before(i)) stop;
+  //     evaluate id_at(i), offer to the answer set;
+  //     if (!after(i)) stop;
+  //
+  // exactly — `before`/`after` observe the answer set with candidates
+  // 0..i-1 (resp. 0..i) applied, so adaptive stopping rules (lower-bound
+  // cutoffs, chi-squared termination, δ-radius stops) decide on the same
+  // state as at num_threads = 1 — while a fan-out evaluates the upcoming
+  // kRefineGrain candidates per worker speculatively. Speculative
+  // evaluations past a stop point are discarded and uncounted: logical
+  // counters (series_accessed, distance splits) reflect committed
+  // candidates only, while physical I/O (bytes_read, random_ios, pool
+  // attribution) is charged as incurred. `id_at` maps a position to its
+  // series id (typically a view into the caller's sorted lower-bound
+  // order, so no id array is materialized); it must be pure and safe to
+  // call from any worker. Returns the committed count, or the typed
+  // status of a committed candidate's failed fetch or a fired token.
+  Result<size_t> RefineOrdered(SeriesProvider* provider, size_t count,
+                               const std::function<int64_t(size_t)>& id_at,
+                               const std::function<bool(size_t)>& before,
+                               const std::function<bool(size_t)>& after);
 
   // Announces (at most) the first `max_pages` pages covering the id list
-  // to the provider's prefetcher; returns the pages announced. Used by
-  // the tree search to warm the best-priority queued leaves while the
-  // current leaf scans. No-op (0) unless the provider supports prefetch.
+  // to the provider's prefetcher, charged to the first live slot; returns
+  // the pages announced (0 unless the provider prefetches). The tree
+  // search warms the best queued leaves with it while one scans.
   size_t PrefetchIds(SeriesProvider* provider, std::span<const int64_t> ids,
                      size_t max_pages);
 
   size_t prefetch_depth() const { return prefetch_depth_; }
 
-  // End (exclusive) of the maximal run of consecutive ids starting at
-  // `start` — the unit that batches and prefetches as one contiguous
-  // stretch. Shared by the serial and parallel scan loops.
-  static size_t RunEnd(std::span<const int64_t> ids, size_t start);
-
-  // Announces the runs of ids[from..) to `provider`'s prefetcher until
-  // `max_pages` pages are covered, charging `counters` (a worker's own
-  // instance during fan-outs); returns the pages announced. The one
-  // implementation of the run/page arithmetic both scanners use.
-  // `cancel` travels with each announced page so a dead query's queued
-  // readahead is skipped, not loaded.
-  static size_t AnnounceRuns(SeriesProvider* provider,
-                             std::span<const int64_t> ids, size_t from,
-                             size_t max_pages, uint64_t series_per_page,
-                             QueryCounters* counters,
-                             std::shared_ptr<CancellationToken> cancel =
-                                 nullptr);
-
  private:
-  // Candidates per batch-kernel call; bounds threshold staleness while
-  // keeping per-call overhead negligible.
+  // Candidates per kernel call: bounds threshold staleness while keeping
+  // per-call overhead negligible.
   static constexpr size_t kChunk = 64;
+  // Below this many candidates a fan-out costs more than it saves.
+  static constexpr size_t kMinParallelCandidates = 64;
+  // Candidates per worker per speculative refinement block.
+  static constexpr size_t kRefineGrain = 16;
 
-  std::span<const float> query_;
-  AnswerSet* answers_;
-  QueryCounters* counters_;
+  struct Slot {
+    std::span<const float> query;
+    AnswerSet* answers;
+    QueryCounters* counters;  // may be null
+    std::shared_ptr<CancellationToken> cancel;
+    Status status = {};            // sticky; non-OK = slot dead
+    SharedBound* bound = nullptr;  // a fan-out worker's peers' k-th
+
+    // Cancellation point: fails the slot once its token has fired.
+    bool Live() {
+      if (status.ok() && cancel != nullptr) {
+        Status fired = cancel->Check();
+        if (!fired.ok()) status = std::move(fired);
+      }
+      return status.ok();
+    }
+    // The abandon threshold: the slot's k-th distance, tightened by its
+    // peers' in a fan-out. Both upper-bound the final k-th distance.
+    double Threshold() const {
+      const double kth = answers->KthDistanceSq();
+      return bound == nullptr ? kth : std::min(kth, bound->Load());
+    }
+    // Charges `count` evaluations (`completed` of them run to completion)
+    // and offers the distances within the threshold `t` the kernel ran
+    // at: only completed exact distances qualify, abandoned partial sums
+    // exceed `t`. A fan-out worker then publishes its tightened k-th.
+    void Settle(const double* dist, size_t count, size_t completed,
+                int64_t first_id, double t);
+  };
+  // Kernel scratch of one walker (the scanner itself, or one fan-out
+  // worker), reused across chunks.
+  struct Scratch {
+    std::vector<const float*> queries;
+    std::vector<double> thresholds;
+    std::vector<double> out;
+    std::vector<uint8_t> abandoned;
+  };
+  struct Stream;
+
+  // Walks `s` for `slots`, serially or as a fan-out.
+  Result<size_t> Run(const Stream& s, std::span<const size_t> slots);
+  // The one candidate loop, for the live slots of `lane`; stops early
+  // once `stop` (a failed peer worker) is raised.
+  void Walk(const Stream& s, std::span<Slot*> lane, Scratch& scratch,
+            const std::atomic<bool>* stop) const;
+  // Shards `s` across workers for slot 0 and merges their answers.
+  void FanOut(const Stream& s, size_t shards);
+  // Fan-out width for `s`: 1 = serial (see the class comment's clamps).
+  size_t Shards(const Stream& s) const;
+  // The kernel step: evaluates `count` candidates at block + c * stride,
+  // ids from first_id, for every slot of `lane`.
+  void Evaluate(std::span<Slot* const> lane, Scratch& scratch,
+                const float* block, size_t count, size_t stride,
+                int64_t first_id) const;
+  // Announces the stream from position `from` on, up to `max_pages`
+  // pages, charged to `leader`; returns the pages announced.
+  size_t Announce(const Stream& s, size_t from, size_t max_pages,
+                  const Slot& leader) const;
+
+  std::vector<Slot> slots_;
+  size_t num_threads_ = 1;
+  uint64_t pin_budget_ = 0;
   size_t prefetch_depth_;
-  std::shared_ptr<CancellationToken> cancel_;  // null = not cancellable
+  ThreadPool* pool_ = nullptr;
   const DistanceKernels& kernels_;
-  std::vector<double> batch_out_;  // scratch reused across chunks
+  // Reused by the scanner's own walks: the lane of a multi-slot scan (a
+  // one-slot scan walks `solo_` and builds nothing) and kernel scratch.
+  std::vector<Slot*> lane_;
+  Slot* solo_ = nullptr;
+  Scratch scratch_;
 };
-
-// The process-default prefetch depth from HYDRA_PREFETCH (pages of
-// lookahead; unset/invalid = 0 = off), parsed once. SearchParams::
-// prefetch_depth = 0 falls back to this, so the env knob turns the whole
-// scan path's readahead on without touching call sites.
-size_t DefaultPrefetchDepth();
-
-// The effective lookahead of a query: its explicit prefetch_depth, or
-// the HYDRA_PREFETCH default when unset (0).
-struct SearchParams;  // index/index.h
-size_t ResolvePrefetchDepth(const SearchParams& params);
-
-// The effective cancellation token of a query: its explicit token, or a
-// fresh deadline token when only deadline_ms is set (measured from this
-// call — the serving engine passes an explicit token instead so queue
-// wait counts against the budget), or null when the query is not
-// cancellable. Every index Search() resolves through this one helper so
-// the deadline knob behaves identically across methods.
-std::shared_ptr<CancellationToken> ResolveCancellation(
-    const SearchParams& params);
 
 }  // namespace hydra
 

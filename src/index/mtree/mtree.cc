@@ -7,7 +7,6 @@
 
 #include "common/rng.h"
 #include "distance/euclidean.h"
-#include "index/leaf_scanner.h"
 
 namespace hydra {
 

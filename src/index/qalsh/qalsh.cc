@@ -6,7 +6,7 @@
 
 #include "common/rng.h"
 #include "index/answer_set.h"
-#include "exec/parallel_scanner.h"
+#include "index/leaf_scanner.h"
 
 namespace hydra {
 
@@ -124,9 +124,9 @@ Result<KnnAnswer> QalshIndex::Search(std::span<const float> query,
   // which the scanner fans across workers. Distances never influence the
   // sweeps, only the per-round δ-ε termination check below, so answers
   // are identical to num_threads = 1.
-  ParallelLeafScanner scanner(query, &answers, counters, params.num_threads,
-                              params.pin_budget, ResolvePrefetchDepth(params),
-                              ResolveCancellation(params));
+  LeafScanner scanner(query, &answers, counters, params.num_threads,
+                      params.pin_budget, ResolvePrefetchDepth(params),
+                      ResolveCancellation(params));
   std::vector<int64_t> round_ids;
   auto refine = [&](int64_t id) -> Status {
     if (probed >= budget || refined[id]) return Status::OK();

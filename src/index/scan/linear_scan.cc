@@ -1,11 +1,9 @@
 #include "index/scan/linear_scan.h"
 
 #include <algorithm>
-#include <memory>
 
-#include "exec/parallel_scanner.h"
 #include "index/answer_set.h"
-#include "index/batch_scanner.h"
+#include "index/leaf_scanner.h"
 
 namespace hydra {
 
@@ -17,46 +15,25 @@ Result<KnnAnswer> LinearScanIndex::Search(std::span<const float> query,
     return Status::InvalidArgument("query length mismatch");
   }
   AnswerSet answers(params.k);
-  const uint64_t n = provider_->num_series();
   // The whole file is one ascending id range: each worker pulls maximal
   // contiguous runs of its shard (the full dataset in memory, page-sized
   // runs from the buffer manager) and feeds the SIMD batch kernel. This
   // is the partition-parallel scaling primitive — with num_threads = 1 it
   // is exactly the serial batched scan.
-  ParallelLeafScanner scanner(query, &answers, counters, params.num_threads,
-                              params.pin_budget, ResolvePrefetchDepth(params),
-                              ResolveCancellation(params));
-  HYDRA_ASSIGN_OR_RETURN(size_t scanned, scanner.ScanRange(provider_, 0, n));
-  if (scanned != n) {
-    return Status::IoError("series fetch failed");
-  }
-  return answers.Finish();
+  LeafScanner scanner(query, &answers, counters, params.num_threads,
+                      params.pin_budget, ResolvePrefetchDepth(params),
+                      ResolveCancellation(params));
+  scanner.ScanRange(provider_, 0, provider_->num_series());
+  return scanner.Finish(0);
 }
 
 std::vector<Result<KnnAnswer>> LinearScanIndex::BatchSearch(
     std::span<const BatchQuery> batch) const {
-  std::vector<Result<KnnAnswer>> results(batch.size(),
-                                         Status::Internal("unset"));
-  // Members with invalid parameters fail alone, before the shared scan.
-  std::vector<size_t> members;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i].params.k == 0) {
-      results[i] = Status::InvalidArgument("k must be > 0");
-    } else if (batch[i].query.size() != provider_->series_length()) {
-      results[i] = Status::InvalidArgument("query length mismatch");
-    } else {
-      members.push_back(i);
-    }
-  }
-  if (members.size() <= 1) {
-    // Nothing to amortize; the per-query path keeps its intra-query
-    // fan-out (num_threads) for the lone member.
-    for (size_t i : members) {
-      results[i] =
-          Search(batch[i].query, batch[i].params, batch[i].counters);
-    }
-    return results;
-  }
+  std::vector<Result<KnnAnswer>> results;
+  const std::vector<size_t> members =
+      SplitBatch(*this, batch, provider_->series_length(),
+                 /*exact_only=*/false, &results);
+  if (members.empty()) return results;
   // The shared scan walks the collection once for every member. Its
   // readahead window is a cache hint, so the largest requested depth
   // serves the whole batch.
@@ -65,23 +42,16 @@ std::vector<Result<KnnAnswer>> LinearScanIndex::BatchSearch(
     prefetch_depth =
         std::max(prefetch_depth, ResolvePrefetchDepth(batch[i].params));
   }
-  BatchLeafScanner scanner(prefetch_depth);
-  std::vector<std::unique_ptr<AnswerSet>> answers;
-  std::vector<size_t> slots;
+  LeafScanner scanner(prefetch_depth);
+  std::vector<AnswerSet> answers;
   answers.reserve(members.size());
   for (size_t i : members) {
-    answers.push_back(std::make_unique<AnswerSet>(batch[i].params.k));
-    slots.push_back(scanner.AddQuery(batch[i].query, answers.back().get(),
-                                     batch[i].counters,
-                                     ResolveCancellation(batch[i].params)));
+    scanner.AddQuery(batch[i].query, &answers.emplace_back(batch[i].params.k),
+                     batch[i].counters, ResolveCancellation(batch[i].params));
   }
-  scanner.ScanRange(provider_, 0, provider_->num_series(), slots);
+  scanner.ScanRange(provider_, 0, provider_->num_series());
   for (size_t m = 0; m < members.size(); ++m) {
-    if (scanner.alive(slots[m])) {
-      results[members[m]] = answers[m]->Finish();
-    } else {
-      results[members[m]] = scanner.status(slots[m]);
-    }
+    results[members[m]] = scanner.Finish(m);
   }
   return results;
 }

@@ -32,10 +32,10 @@ class LinearScanIndex : public Index {
 
   // Shared full scan: the whole collection is walked ONCE, each pinned
   // page evaluated for every batch member through the multi-query kernel
-  // (index/batch_scanner.h). Per-member answers match solo Search bit for
-  // bit — the batched scan pins the same page runs in the same order and
-  // refreshes each query's abandon threshold at the same chunk
-  // granularity as the serial scanner.
+  // (one LeafScanner slot per member, index/leaf_scanner.h). Per-member
+  // answers match solo Search bit for bit — the batched scan pins the same
+  // page runs in the same order and refreshes each query's abandon
+  // threshold at the same chunk granularity as a solo scan.
   std::vector<Result<KnnAnswer>> BatchSearch(
       std::span<const BatchQuery> batch) const override;
 

@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "common/rng.h"
-#include "index/leaf_scanner.h"
 #include "index/leaf_sort.h"
 #include "index/tree_search.h"
 
@@ -184,15 +183,6 @@ void SfaIndex::SortLeafByIds(Node* node) const {
     SortLeafPayloadByIds(&node->series_ids, &node->leaf_words,
                          dft_->num_features());
   }
-}
-
-Status SfaIndex::ScanLeaf(int32_t id, ParallelLeafScanner* scanner) const {
-  return scanner->ScanIds(provider_, nodes_[id].series_ids).status();
-}
-
-size_t SfaIndex::PrefetchLeaf(int32_t id, ParallelLeafScanner* scanner,
-                              size_t max_pages) const {
-  return scanner->PrefetchIds(provider_, nodes_[id].series_ids, max_pages);
 }
 
 Result<KnnAnswer> SfaIndex::Search(std::span<const float> query,

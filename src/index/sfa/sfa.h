@@ -13,7 +13,6 @@
 
 namespace hydra {
 
-class ParallelLeafScanner;  // exec/parallel_scanner.h
 
 // SFA trie (Schäfer & Högqvist 2012): the Symbolic Fourier Approximation
 // index, listed in the paper's taxonomy alongside the SAX-family methods.
@@ -61,7 +60,7 @@ class SfaIndex : public Index {
                            const SearchParams& params,
                            QueryCounters* counters) const override;
 
-  // --- TreeKnnSearch interface ---
+  // --- Tree interface of index/tree_search.h ---
   struct QueryContext {
     std::vector<double> features;
   };
@@ -74,12 +73,12 @@ class SfaIndex : public Index {
     return nodes_[id].children;
   }
   double MinDistSq(const QueryContext& ctx, int32_t id) const;
-  Status ScanLeaf(int32_t id, ParallelLeafScanner* scanner) const;
-  // Readahead hint for a queued leaf (tree_search.h): announces up to
-  // max_pages pages of the leaf's (sorted) id runs to the provider's
-  // prefetcher. Returns pages announced.
-  size_t PrefetchLeaf(int32_t id, ParallelLeafScanner* scanner,
-                      size_t max_pages) const;
+  // A leaf's candidate ids (sorted ascending at build), scanned and
+  // prefetched from provider().
+  std::span<const int64_t> LeafIds(int32_t id) const {
+    return nodes_[id].series_ids;
+  }
+  SeriesProvider* provider() const { return provider_; }
 
   size_t num_nodes() const { return nodes_.size(); }
   size_t num_leaves() const;

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "exec/thread_pool.h"
-#include "index/leaf_scanner.h"
 #include "storage/series_file.h"
 
 namespace hydra {

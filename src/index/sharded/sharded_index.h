@@ -42,10 +42,10 @@ struct ShardedIndexOptions {
 // pair as the unsharded index would — partitioning copies raw series bits
 // and early abandonment never alters a surviving candidate's sum — so the
 // merged top-k carries bit-identical distances, merged in true-distance
-// space ordered by (distance, global id). As everywhere in this repo,
-// answers are unique up to id choice on exact distance ties at the k-th
-// boundary; shard counts can only shift WHICH tied id is kept, never a
-// distance value.
+// space ordered by (distance, global id). Every AnswerSet orders by
+// (distance, id) and local ids map to global ids in order within a
+// shard, so exact distance ties keep the same (smallest) ids at every
+// shard count.
 //
 // Failure semantics: shards fail independently (per-shard pools and
 // files). A failed shard degrades the query to its typed Status — never

@@ -6,7 +6,7 @@
 #include "common/rng.h"
 #include "distance/euclidean.h"
 #include "index/answer_set.h"
-#include "exec/parallel_scanner.h"
+#include "index/leaf_scanner.h"
 
 namespace hydra {
 
@@ -81,9 +81,9 @@ Result<KnnAnswer> SrsIndex::Search(std::span<const float> query,
   // next block of candidates is evaluated speculatively in parallel, so
   // answers match num_threads = 1.
   AnswerSet answers(params.k);
-  ParallelLeafScanner scanner(query, &answers, counters, params.num_threads,
-                              params.pin_budget, /*prefetch_depth=*/0,
-                              ResolveCancellation(params));
+  LeafScanner scanner(query, &answers, counters, params.num_threads,
+                      params.pin_budget, /*prefetch_depth=*/0,
+                      ResolveCancellation(params));
   Result<size_t> probed = scanner.RefineOrdered(
       provider_, order.size(),
       /*id_at=*/[&](size_t i) { return order[i].second; },

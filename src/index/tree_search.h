@@ -10,214 +10,324 @@
 #include <vector>
 
 #include "common/counters.h"
-#include "exec/parallel_scanner.h"
 #include "index/answer_set.h"
 #include "index/index.h"
+#include "index/leaf_scanner.h"
 
 namespace hydra {
 
-// Index-invariant best-first k-NN over a hierarchical index, implementing
-// the paper's Algorithm 1 (exact), its ng-approximate restriction (visit
-// at most nprobe leaves), and Algorithm 2 (δ-ε-approximate: prune against
-// bsf/(1+ε) and stop early once bsf <= (1+ε)·r_δ). One code path serves
-// all modes: exact is δ = 1, ε = 0; ng-approximate is the same loop with
-// a leaf budget instead of guarantee-based pruning relaxation.
-//
-// `Tree` must provide:
-//   using NodeId = int64_t (or convertible);
-//   std::vector<NodeId> SearchRoots() const;
+// The index-invariant tree algorithms: best-first k-NN (TreeSearch and
+// its entry points) and r-range search (TreeRangeSearch). `Tree` must
+// provide:
+//   std::vector<NodeId> SearchRoots() const;    // NodeId: an integer type
 //   bool IsLeaf(NodeId) const;
 //   std::vector<NodeId> NodeChildren(NodeId) const;
-//   double MinDistSq(const Ctx&, NodeId) const;         // admissible LB²
-//   Status ScanLeaf(NodeId, ParallelLeafScanner*) const;
+//   double MinDistSq(const Ctx&, NodeId) const;  // admissible LB²
+// and its leaves, as
+//   std::span<const int64_t> LeafIds(NodeId) const;  // sorted ascending
+//   SeriesProvider* provider() const;
+// which the driver scans (and, with prefetch on, announces while queued),
+// or through a hook that feeds the scanner itself and wins when present
+// (ADS+ refines the leaf first):
+//   void ScanLeaf(NodeId, LeafScanner*, std::span<const size_t> slots) const;
+// `Ctx` is the per-query precomputation (query PAA, prefix sums, ...).
+
+// Scans leaf `node` for `slots` of `scanner` (empty = every slot); a
+// failed scan leaves each failed slot's typed status in the scanner.
+template <typename Tree, typename NodeId>
+void ScanTreeLeaf(const Tree& tree, NodeId node, LeafScanner* scanner,
+                  std::span<const size_t> slots = {}) {
+  if constexpr (requires { tree.ScanLeaf(node, scanner, slots); }) {
+    tree.ScanLeaf(node, scanner, slots);
+  } else {
+    scanner->ScanIds(tree.provider(), tree.LeafIds(node), slots);
+  }
+}
+
+// One query of a tree search: its context, its stopping rules and the
+// driver's bookkeeping. Exact is δ = 1, ε = 0; ng-approximate visits at
+// most nprobe leaves; δ-ε prunes against bsf/(1+ε) and stops once
+// bsf <= (1+ε)·r_δ (paper Algorithm 2).
+template <typename Ctx>
+struct TreeQuery {
+  TreeQuery(const Ctx& query_ctx, const SearchParams& params,
+            double delta_radius)
+      : ctx(&query_ctx), delta_stop(params.mode == SearchMode::kDeltaEpsilon) {
+    const double one_plus_eps = delta_stop ? 1.0 + params.epsilon : 1.0;
+    prune_shrink = 1.0 / (one_plus_eps * one_plus_eps);
+    stop_sq = (one_plus_eps * delta_radius) * (one_plus_eps * delta_radius);
+    if (params.mode == SearchMode::kNgApproximate) {
+      leaf_budget = params.nprobe == 0 ? 1 : params.nprobe;
+    }
+  }
+
+  const Ctx* ctx;
+  bool delta_stop;      // δ-ε: stop once the k-th distance² <= stop_sq
+  double prune_shrink;  // 1/(1+ε)²
+  double stop_sq;       // ((1+ε)·r_δ)²
+  size_t leaf_budget = std::numeric_limits<size_t>::max();
+  size_t leaves = 0;          // leaves scanned so far
+  int64_t descent_leaf = -1;  // the leaf of the initial descent
+  bool done = false;          // a stopping rule fired
+};
+
+// Best-first k-NN over a hierarchical index for any number of queries:
+// the paper's Algorithm 1 (exact), its ng-approximate restriction and
+// Algorithm 2 (δ-ε) in one loop. Slot q of `scanner` is query q; its
+// answers and typed failure stay in the scanner.
 //
-// ScanLeaf receives the query-lifetime scanner (bound to the query, the
-// answer set and the counters) and feeds it the leaf's candidate ids; the
-// scanner fans them across workers when SearchParams::num_threads > 1 and
-// merges before returning, so the best-first loop always observes an
-// up-to-date k-th distance between leaves. A non-OK ScanLeaf status (an
-// exhausted buffer pool, a real read error) aborts the search and
-// propagates — a leaf silently dropped could hold a true neighbor, so
-// degraded answers are never returned as if they were exact.
+// One query runs the paper's loop exactly. Several share one heap walk:
+// an entry is keyed by the smallest lower bound among the queries it is
+// queued for, a node's bounds are computed for every query taking part
+// while its summarization is cache-hot (each charged to its query), and a
+// leaf is scanned once for the queries whose own bound does not prune it.
+// That changes each query's visit order, which cannot change an exact
+// answer: a query only takes part where its own admissible bound passes
+// its own k-th distance, completed distances are exact, and a true
+// neighbor is never abandoned or pruned (bound <= true distance <=
+// running k-th). The approximate modes are order-sensitive by design, so
+// TreeBatchSearch runs them alone.
 //
-// Optionally, `Tree` may also provide
-//   size_t PrefetchLeaf(NodeId, ParallelLeafScanner*, size_t max_pages);
-// (detected at compile time): with SearchParams::prefetch_depth > 0, the
-// search announces the best-priority leaves still waiting in the
-// priority queue to the provider's background prefetcher while the
-// current leaf scans, so the likely-next leaves' pages are already
-// resident when the loop reaches them. The hint never changes which
-// leaves are visited or what any scan returns — prefetch only warms the
-// cache — so answers are identical at every depth.
-//
-// `Ctx` is whatever per-query precomputation the index needs (query PAA,
-// prefix sums, ...), built by the caller.
+// A failed scan (exhausted pool, read error) or a fired token fails its
+// query alone — a dropped leaf could hold a true neighbor, so degraded
+// answers are never returned as exact; the others keep traversing.
+// Cancellation is also checked per node pop, so an expired deadline stops
+// the loop even when every remaining node is pruned. With prefetch on,
+// the best leaves still queued (up to prefetch_depth pages) are announced
+// while the current leaf scans; the hint never changes what is visited.
+template <typename Tree, typename Ctx>
+void TreeSearch(const Tree& tree, std::span<TreeQuery<Ctx>> queries,
+                LeafScanner* scanner) {
+  using NodeId =
+      typename std::decay_t<decltype(tree.SearchRoots())>::value_type;
+  struct Entry {
+    double key;     // the smallest LB² among the queries it is queued for
+    NodeId node;
+    size_t lbs_at;  // offset of its per-query LB² in `lbs`
+    bool operator>(const Entry& o) const { return key > o.key; }
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const size_t nq = queries.size();
+  // Each queued entry's LB² per query, +inf where it is not queued. One
+  // query needs only the key, so a solo search stores nothing here.
+  std::vector<double> lbs;
+  auto lb = [&](const Entry& e, size_t q) {
+    return nq == 1 ? e.key : lbs[e.lbs_at + q];
+  };
+  auto bound = [&](size_t q) {
+    return scanner->KthDistanceSq(q) * queries[q].prune_shrink;
+  };
+  auto open = [&](size_t q) {
+    const TreeQuery<Ctx>& tq = queries[q];
+    return !tq.done && tq.leaves < tq.leaf_budget && scanner->alive(q);
+  };
+  auto charge = [&](size_t q, uint64_t QueryCounters::*field) {
+    if (QueryCounters* c = scanner->counters(q)) ++(c->*field);
+  };
+  // A min-heap on a plain vector, not std::priority_queue: the readahead
+  // PEEKS at the best pending entries, whose shallow prefix of the array
+  // is biased toward small bounds — all a cache hint needs.
+  std::vector<Entry> heap;
+  std::vector<size_t> who;  // the queries taking part in the current node
+  // Queues `node` for the queries of `who` whose LB² passes their bound.
+  auto push = [&](NodeId node) {
+    Entry e{kInf, node, lbs.size()};
+    if (nq > 1) lbs.resize(lbs.size() + nq, kInf);
+    bool wanted = false;
+    for (size_t q : who) {
+      const double d = tree.MinDistSq(*queries[q].ctx, node);
+      charge(q, &QueryCounters::lb_distances);
+      if (d > bound(q)) continue;
+      charge(q, &QueryCounters::nodes_pushed);
+      if (nq > 1) lbs[e.lbs_at + q] = d;
+      e.key = std::min(e.key, d);
+      wanted = true;
+    }
+    if (!wanted) {
+      lbs.resize(e.lbs_at);
+      return;
+    }
+    heap.push_back(e);
+    std::push_heap(heap.begin(), heap.end(), std::greater<Entry>{});
+  };
+  // Scans a leaf for `who`, counting the visit for the queries left alive.
+  auto visit = [&](NodeId leaf) {
+    ScanTreeLeaf(tree, leaf, scanner, std::span<const size_t>(who));
+    for (size_t q : who) {
+      if (!scanner->alive(q)) continue;
+      charge(q, &QueryCounters::leaves_visited);
+      ++queries[q].leaves;
+    }
+  };
+  // Announces the best queued leaves so their reads overlap the current
+  // scan. `announced` keeps a leaf lingering near the heap top from being
+  // re-announced (its pages re-probed) on every pop — the heap-side analog
+  // of the scanner's half-window re-announce throttle.
+  std::unordered_set<int64_t> announced;
+  auto prefetch_queued_leaves = [&] {
+    if constexpr (requires { tree.LeafIds(heap[0].node); }) {
+      size_t budget = scanner->prefetch_depth();
+      const size_t window = std::min(heap.size(), 4 * budget);
+      for (size_t i = 0; i < window && budget > 0; ++i) {
+        bool wanted = false;  // else it will be pruned anyway
+        for (size_t q = 0; q < nq; ++q) {
+          wanted |= open(q) && lb(heap[i], q) <= bound(q);
+        }
+        if (!wanted || !tree.IsLeaf(heap[i].node) ||
+            !announced.insert(static_cast<int64_t>(heap[i].node)).second) {
+          continue;
+        }
+        budget -= std::min(budget,
+                           scanner->PrefetchIds(tree.provider(),
+                                                tree.LeafIds(heap[i].node),
+                                                budget));
+      }
+    }
+  };
+
+  for (size_t q = 0; q < nq; ++q) {
+    if (open(q)) who.push_back(q);
+  }
+  for (NodeId root : tree.SearchRoots()) push(root);
+
+  // Initial descent (Algorithm 1, line 6): each query greedily follows
+  // the min-LB child from its best queued entry (for one query, the heap
+  // top) down to one leaf, scanned first for a baseline bsf — once per
+  // leaf, for every query that descended to it.
+  if (!heap.empty()) {
+    scanner->CheckCancellations();
+    for (size_t q = 0; q < nq; ++q) {
+      if (!open(q)) continue;
+      size_t start = 0;
+      for (size_t i = 1; i < heap.size(); ++i) {
+        if (lb(heap[i], q) < lb(heap[start], q)) start = i;
+      }
+      NodeId node = heap[start].node;
+      while (!tree.IsLeaf(node)) {
+        double best = kInf;
+        NodeId best_child = NodeId{-1};
+        for (NodeId child : tree.NodeChildren(node)) {
+          const double d = tree.MinDistSq(*queries[q].ctx, child);
+          charge(q, &QueryCounters::lb_distances);
+          if (d < best) {
+            best = d;
+            best_child = child;
+          }
+        }
+        if (best_child == NodeId{-1}) break;  // childless internal node
+        node = best_child;
+      }
+      if (tree.IsLeaf(node)) {
+        queries[q].descent_leaf = static_cast<int64_t>(node);
+      }
+    }
+    for (size_t q = 0; q < nq; ++q) {
+      const int64_t leaf = queries[q].descent_leaf;
+      if (leaf < 0 || queries[q].leaves > 0 || !open(q)) continue;
+      who.clear();
+      for (size_t r = q; r < nq; ++r) {
+        if (queries[r].descent_leaf == leaf && open(r)) who.push_back(r);
+      }
+      visit(static_cast<NodeId>(leaf));
+    }
+  }
+
+  while (!heap.empty()) {
+    bool searching = false;
+    for (size_t q = 0; q < nq; ++q) searching |= open(q);
+    if (!searching) break;
+    scanner->CheckCancellations();  // cancellation point per node pop
+    std::pop_heap(heap.begin(), heap.end(), std::greater<Entry>{});
+    const Entry top = heap.back();
+    heap.pop_back();
+    who.clear();
+    for (size_t q = 0; q < nq; ++q) {
+      if (!open(q)) continue;
+      // Algorithm 2 line 10: a query is done once the closest unexplored
+      // region cannot improve its ε-relaxed bsf (every queued entry's LB²
+      // for it is at least top.key).
+      if (top.key > bound(q)) {
+        queries[q].done = true;
+      } else if (lb(top, q) <= bound(q) &&
+                 static_cast<int64_t>(top.node) != queries[q].descent_leaf) {
+        // The descent leaf was scanned before the loop — checked before
+        // IsLeaf, since ADS+ may have refined it into an internal node
+        // whose re-expansion would rescan its series.
+        who.push_back(q);
+      }
+    }
+    if (who.empty()) continue;
+    if (tree.IsLeaf(top.node)) {
+      prefetch_queued_leaves();
+      visit(top.node);
+      for (size_t q : who) {
+        // Algorithm 2 line 16: the δ-radius stopping condition (the k-th
+        // distance is +inf until the answer set fills).
+        if (queries[q].delta_stop &&
+            scanner->KthDistanceSq(q) <= queries[q].stop_sq) {
+          queries[q].done = true;
+        }
+      }
+    } else {
+      for (NodeId child : tree.NodeChildren(top.node)) push(child);
+    }
+  }
+}
+
+// One query through TreeSearch: a search is a run with one slot, whose
+// leaf scans shard across SearchParams::num_threads workers.
 template <typename Tree, typename Ctx>
 Result<KnnAnswer> TreeKnnSearch(const Tree& tree, const Ctx& ctx,
                                 std::span<const float> query,
                                 const SearchParams& params,
                                 double delta_radius,
                                 QueryCounters* counters) {
-  struct Entry {
-    double lb_sq;
-    typename std::decay_t<decltype(tree.SearchRoots())>::value_type node;
-    bool operator>(const Entry& o) const { return lb_sq > o.lb_sq; }
-  };
-  using NodeId = decltype(Entry::node);
-
   AnswerSet answers(params.k);
-  const bool ng = params.mode == SearchMode::kNgApproximate;
-  const double one_plus_eps =
-      params.mode == SearchMode::kDeltaEpsilon ? 1.0 + params.epsilon : 1.0;
-  const double prune_shrink = 1.0 / (one_plus_eps * one_plus_eps);
-  // Early-stop threshold from the δ-radius: ((1+ε)·r_δ)².
-  const double stop_sq = params.mode == SearchMode::kDeltaEpsilon
-                             ? (one_plus_eps * delta_radius) *
-                                   (one_plus_eps * delta_radius)
-                             : 0.0;
-  const size_t leaf_budget =
-      ng ? (params.nprobe == 0 ? 1 : params.nprobe)
-         : std::numeric_limits<size_t>::max();
-
-  const size_t prefetch_depth = ResolvePrefetchDepth(params);
-  // One token per query, threaded through every scan and prefetch this
-  // search issues: leaf scans check it at page boundaries, and the loop
-  // below checks it at node pops, so a deadline or external Cancel()
-  // surfaces within one leaf-chunk of work.
-  std::shared_ptr<CancellationToken> cancel = ResolveCancellation(params);
-  ParallelLeafScanner scanner(query, &answers, counters, params.num_threads,
-                              params.pin_budget, prefetch_depth, cancel);
-  // Min-heap on a plain vector (std::push_heap/pop_heap) instead of
-  // std::priority_queue: the readahead below needs to PEEK at the
-  // best-priority pending entries, which priority_queue hides. heap[0] is
-  // the minimum; the shallow prefix of the array is biased toward small
-  // lower bounds, which is all a cache hint needs.
-  std::vector<Entry> heap;
-  auto heap_push = [&heap](Entry e) {
-    heap.push_back(e);
-    std::push_heap(heap.begin(), heap.end(), std::greater<Entry>{});
-  };
-  auto heap_pop = [&heap] {
-    std::pop_heap(heap.begin(), heap.end(), std::greater<Entry>{});
-    Entry top = heap.back();
-    heap.pop_back();
-    return top;
-  };
-  for (NodeId root : tree.SearchRoots()) {
-    double lb = tree.MinDistSq(ctx, root);
-    if (counters != nullptr) {
-      ++counters->lb_distances;
-      ++counters->nodes_pushed;
-    }
-    heap_push({lb, root});
-  }
-
-  // Announces the most promising leaves still queued (up to
-  // prefetch_depth pages' worth) so their reads overlap the scan of the
-  // node currently being processed. Purely advisory: never touches the
-  // answer state. `announced` remembers what earlier iterations already
-  // handed the prefetcher, so a leaf that lingers near the top of the
-  // heap is not re-announced (and its pages' residency re-probed) on
-  // every pop — the heap-side analog of the scanners' half-window
-  // re-announce throttle.
-  std::unordered_set<int64_t> announced;
-  auto prefetch_queued_leaves = [&] {
-    if constexpr (requires {
-                    tree.PrefetchLeaf(heap[0].node, &scanner, size_t{1});
-                  }) {
-      if (prefetch_depth == 0 || heap.empty()) return;
-      size_t budget = prefetch_depth;
-      // Scan a shallow prefix of the heap array; entries there are the
-      // best candidates without paying for a full ordering.
-      const size_t window = std::min(heap.size(), 4 * prefetch_depth);
-      const double prune_sq = answers.KthDistanceSq() * prune_shrink;
-      for (size_t i = 0; i < window && budget > 0; ++i) {
-        if (heap[i].lb_sq > prune_sq) continue;  // will be pruned anyway
-        if (!tree.IsLeaf(heap[i].node)) continue;
-        const int64_t key = static_cast<int64_t>(heap[i].node);
-        if (!announced.insert(key).second) continue;  // already announced
-        const size_t announced_pages =
-            tree.PrefetchLeaf(heap[i].node, &scanner, budget);
-        budget -= std::min(budget, announced_pages);
-      }
-    }
-  };
-
-  // Initial ng-approximate descent (paper Algorithm 1, line 6): greedily
-  // follow the min-LB child to one leaf to obtain a baseline bsf.
-  size_t leaves_visited = 0;
-  NodeId descent_leaf = NodeId{-1};
-  if (!heap.empty()) {
-    if (cancel != nullptr) {
-      HYDRA_RETURN_IF_ERROR(cancel->Check());
-    }
-    NodeId node = heap[0].node;
-    while (!tree.IsLeaf(node)) {
-      double best = std::numeric_limits<double>::infinity();
-      NodeId best_child = NodeId{-1};
-      for (NodeId child : tree.NodeChildren(node)) {
-        double lb = tree.MinDistSq(ctx, child);
-        if (counters != nullptr) ++counters->lb_distances;
-        if (lb < best) {
-          best = lb;
-          best_child = child;
-        }
-      }
-      if (best_child == NodeId{-1}) break;  // childless internal node
-      node = best_child;
-    }
-    if (tree.IsLeaf(node)) {
-      HYDRA_RETURN_IF_ERROR(tree.ScanLeaf(node, &scanner));
-      if (counters != nullptr) ++counters->leaves_visited;
-      ++leaves_visited;
-      descent_leaf = node;
-    }
-  }
-
-  while (!heap.empty() && leaves_visited < leaf_budget) {
-    // Cancellation point: once per node pop, so an expired deadline stops
-    // the best-first loop even when every remaining node is pruned
-    // without touching the (token-checking) scan path.
-    if (cancel != nullptr) {
-      HYDRA_RETURN_IF_ERROR(cancel->Check());
-    }
-    Entry top = heap_pop();
-    // Algorithm 2 line 10: stop when the closest unexplored region cannot
-    // improve the (ε-relaxed) bsf.
-    if (top.lb_sq > answers.KthDistanceSq() * prune_shrink) break;
-    // The descent leaf was fully scanned before the loop. Checked before
-    // IsLeaf: an adaptive index (ADS+) may have refined it into an
-    // internal node since, and re-expanding it would rescan its series.
-    if (top.node == descent_leaf) continue;
-    if (tree.IsLeaf(top.node)) {
-      // Warm the likely-next leaves while this one scans: their reads
-      // proceed in the background through the pool's prefetch workers.
-      prefetch_queued_leaves();
-      HYDRA_RETURN_IF_ERROR(tree.ScanLeaf(top.node, &scanner));
-      if (counters != nullptr) ++counters->leaves_visited;
-      ++leaves_visited;
-      // Algorithm 2 line 16: the δ-radius stopping condition.
-      if (params.mode == SearchMode::kDeltaEpsilon && answers.full() &&
-          answers.KthDistanceSq() <= stop_sq) {
-        break;
-      }
-    } else {
-      for (NodeId child : tree.NodeChildren(top.node)) {
-        double lb = tree.MinDistSq(ctx, child);
-        if (counters != nullptr) ++counters->lb_distances;
-        if (lb <= answers.KthDistanceSq() * prune_shrink) {
-          heap_push({lb, child});
-          if (counters != nullptr) ++counters->nodes_pushed;
-        }
-      }
-    }
-  }
-  return answers.Finish();
+  LeafScanner scanner(query, &answers, counters, params.num_threads,
+                      params.pin_budget, ResolvePrefetchDepth(params),
+                      ResolveCancellation(params));
+  TreeQuery<Ctx> one(ctx, params, delta_radius);
+  TreeSearch(tree, std::span<TreeQuery<Ctx>>(&one, 1), &scanner);
+  return scanner.Finish(0);
 }
 
-}  // namespace hydra
-
-namespace hydra {
+// The BatchSearch of the tree indexes (iSAX2+, DSTree): the exact members
+// run together through one TreeSearch; every other member runs as its own
+// search (SplitBatch). `TreeIndex` is a LeafIds tree with MakeQueryContext.
+template <typename TreeIndex>
+std::vector<Result<KnnAnswer>> TreeBatchSearch(
+    const TreeIndex& index, std::span<const BatchQuery> batch) {
+  std::vector<Result<KnnAnswer>> results;
+  const std::vector<size_t> exact =
+      SplitBatch(index, batch, index.provider()->series_length(),
+                 /*exact_only=*/true, &results);
+  if (exact.empty()) return results;
+  // Readahead is a cache hint, so the largest requested depth serves all.
+  size_t prefetch_depth = 0;
+  for (size_t i : exact) {
+    prefetch_depth =
+        std::max(prefetch_depth, ResolvePrefetchDepth(batch[i].params));
+  }
+  using Ctx = decltype(index.MakeQueryContext(batch.front().query));
+  LeafScanner scanner(prefetch_depth);
+  std::vector<AnswerSet> answers;
+  std::vector<Ctx> ctxs;
+  answers.reserve(exact.size());
+  ctxs.reserve(exact.size());
+  std::vector<TreeQuery<Ctx>> queries;
+  for (size_t i : exact) {
+    scanner.AddQuery(batch[i].query, &answers.emplace_back(batch[i].params.k),
+                     batch[i].counters, ResolveCancellation(batch[i].params));
+    queries.emplace_back(ctxs.emplace_back(index.MakeQueryContext(
+                             batch[i].query)),
+                         batch[i].params, 0.0);
+  }
+  TreeSearch(index, std::span<TreeQuery<Ctx>>(queries), &scanner);
+  for (size_t m = 0; m < exact.size(); ++m) {
+    results[exact[m]] = scanner.Finish(m);
+  }
+  return results;
+}
 
 // Index-invariant r-range search (paper Definition 2): returns the series
 // within distance `radius` of the query, ids sorted by distance.
@@ -233,7 +343,6 @@ Result<KnnAnswer> TreeRangeSearch(const Tree& tree, const Ctx& ctx,
                                   double epsilon, QueryCounters* counters) {
   using NodeId =
       typename std::decay_t<decltype(tree.SearchRoots())>::value_type;
-  const double radius_sq = radius * radius;
   const double prune_sq =
       (radius / (1.0 + epsilon)) * (radius / (1.0 + epsilon));
 
@@ -245,7 +354,7 @@ Result<KnnAnswer> TreeRangeSearch(const Tree& tree, const Ctx& ctx,
   // effectively unbounded k the k-th-distance bound never tightens, so a
   // fan-out would only pay merge costs.
   AnswerSet collector(std::numeric_limits<size_t>::max() / 2);
-  ParallelLeafScanner scanner(query, &collector, counters, 1);
+  LeafScanner scanner(query, &collector, counters);
   while (!stack.empty()) {
     NodeId node = stack.back();
     stack.pop_back();
@@ -253,7 +362,8 @@ Result<KnnAnswer> TreeRangeSearch(const Tree& tree, const Ctx& ctx,
     if (counters != nullptr) ++counters->lb_distances;
     if (lb > prune_sq) continue;
     if (tree.IsLeaf(node)) {
-      HYDRA_RETURN_IF_ERROR(tree.ScanLeaf(node, &scanner));
+      ScanTreeLeaf(tree, node, &scanner);
+      if (!scanner.alive(0)) return scanner.status(0);
       if (counters != nullptr) ++counters->leaves_visited;
     } else {
       for (NodeId child : tree.NodeChildren(node)) stack.push_back(child);

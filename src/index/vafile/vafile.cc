@@ -8,7 +8,7 @@
 #include "common/rng.h"
 #include "distance/simd_dispatch.h"
 #include "index/answer_set.h"
-#include "exec/parallel_scanner.h"
+#include "index/leaf_scanner.h"
 
 namespace hydra {
 
@@ -212,9 +212,9 @@ Result<KnnAnswer> VaFileIndex::RefineCandidates(std::span<const float> query,
   // workers while committing — and deciding the cutoffs below — in
   // exactly the serial order, so answers match num_threads = 1.
   AnswerSet answers(params.k);
-  ParallelLeafScanner scanner(query, &answers, counters, params.num_threads,
-                              params.pin_budget, /*prefetch_depth=*/0,
-                              ResolveCancellation(params));
+  LeafScanner scanner(query, &answers, counters, params.num_threads,
+                      params.pin_budget, /*prefetch_depth=*/0,
+                      ResolveCancellation(params));
   Result<size_t> probed = scanner.RefineOrdered(
       provider_, order.size(),
       /*id_at=*/[&](size_t i) { return order[i].second; },
@@ -234,25 +234,10 @@ Result<KnnAnswer> VaFileIndex::RefineCandidates(std::span<const float> query,
 
 std::vector<Result<KnnAnswer>> VaFileIndex::BatchSearch(
     std::span<const BatchQuery> batch) const {
-  std::vector<Result<KnnAnswer>> results(batch.size(),
-                                         Status::Internal("unset"));
-  std::vector<size_t> members;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i].params.k == 0) {
-      results[i] = Status::InvalidArgument("k must be > 0");
-    } else if (batch[i].query.size() != series_length_) {
-      results[i] = Status::InvalidArgument("query length mismatch");
-    } else {
-      members.push_back(i);
-    }
-  }
-  if (members.size() <= 1) {
-    for (size_t i : members) {
-      results[i] =
-          Search(batch[i].query, batch[i].params, batch[i].counters);
-    }
-    return results;
-  }
+  std::vector<Result<KnnAnswer>> results;
+  const std::vector<size_t> members = SplitBatch(
+      *this, batch, series_length_, /*exact_only=*/false, &results);
+  if (members.empty()) return results;
   // Phase 1 batched (every mode: the LUT scan is mode-independent), then
   // phase 2 per member — ordered refinement already commits in serial
   // order per query, and a member that fails mid-refinement fails alone.

@@ -162,7 +162,7 @@ class SeriesProvider {
   // the backing storage holds contiguously, capped at `max_count` (the
   // span covers a whole number of series: span.size() / series_length()
   // of them, at least 1). Lets batched scans (index/leaf_scanner.h) feed
-  // the SIMD batch kernel without copying. Default: one series.
+  // the SIMD kernel row without copying. Default: one series.
   virtual std::span<const float> GetSeriesRun(uint64_t first,
                                               uint64_t max_count,
                                               QueryCounters* counters) {
@@ -172,8 +172,8 @@ class SeriesProvider {
 
   // Pin-handle fetches: same addressing as GetSeries/GetSeriesRun but the
   // returned span is guaranteed valid for the handle's lifetime, across
-  // other threads' fetches and eviction. The scan layers (LeafScanner,
-  // ParallelLeafScanner) fetch exclusively through these. The defaults
+  // other threads' fetches and eviction. The scan engine (LeafScanner,
+  // index/leaf_scanner.h) fetches exclusively through these. The defaults
   // wrap Get* in an unpinned handle, which is correct for providers whose
   // spans already outlive calls (in-memory) and for providers only ever
   // read serially.
@@ -251,7 +251,7 @@ class SeriesProvider {
 
   // True when Pin* may be called from several threads at once (and the
   // pinned spans honor the PinnedRun lifetime contract). Parallel scans
-  // (exec/parallel_scanner.h) require this; providers that answer false
+  // (index/leaf_scanner.h) require this; providers that answer false
   // are scanned serially even when SearchParams::num_threads > 1. Both
   // providers here now answer true: InMemoryProvider trivially, and
   // BufferManager through page pinning (pinned frames are shared-owned

@@ -50,7 +50,8 @@ FaultConfig FaultConfig::FromEnv() {
   return config;
 }
 
-FaultInjector::Decision FaultInjector::Decide(uint64_t first, uint64_t count,
+FaultInjector::Decision FaultInjector::Decide(uint64_t first,
+                                              uint64_t /*count*/,
                                               uint64_t payload_floats) {
   Decision d;
   if (!config_.enabled()) return d;

@@ -79,9 +79,9 @@ class FaultInjector {
   const FaultConfig& config() const { return config_; }
 
   // Decides the fate of a read attempt covering series
-  // [first, first + count). Thread-safe; each call consumes one attempt
-  // number, so a fixed sequence of read attempts maps to a fixed
-  // sequence of verdicts.
+  // [first, first + count). Location-keyed verdicts depend on `first`
+  // alone. Thread-safe; each call consumes one attempt number, so a fixed
+  // sequence of read attempts maps to a fixed sequence of verdicts.
   Decision Decide(uint64_t first, uint64_t count, uint64_t payload_floats);
 
   // Applies `d`'s corruption to a payload of `len` floats: flips one bit

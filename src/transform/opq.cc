@@ -6,26 +6,6 @@
 namespace hydra {
 namespace matrix_internal {
 
-namespace {
-
-// C = A · B for row-major n×n matrices.
-std::vector<double> MatMul(const std::vector<double>& a,
-                           const std::vector<double>& b, size_t n) {
-  std::vector<double> c(n * n, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t k = 0; k < n; ++k) {
-      double aik = a[i * n + k];
-      if (aik == 0.0) continue;
-      for (size_t j = 0; j < n; ++j) {
-        c[i * n + j] += aik * b[k * n + j];
-      }
-    }
-  }
-  return c;
-}
-
-}  // namespace
-
 void JacobiSvd(const std::vector<double>& a, size_t n, std::vector<double>* u,
                std::vector<double>* s, std::vector<double>* vt) {
   // One-sided Jacobi: orthogonalize the columns of W (initialized to A) by

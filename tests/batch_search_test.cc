@@ -28,7 +28,6 @@
 #include "core/generators.h"
 #include "core/ground_truth.h"
 #include "index/answer_set.h"
-#include "index/batch_scanner.h"
 #include "index/dstree/dstree.h"
 #include "index/isax/isax_index.h"
 #include "index/leaf_scanner.h"
@@ -511,7 +510,7 @@ TEST(BatchScannerIsolation, FetchFailureKillsOnlyParticipatingSlots) {
   FailingProvider provider(&mem);
   Dataset queries = MakeNoiseQueries(data, 3, 0.2, rng);
 
-  BatchLeafScanner scanner;
+  LeafScanner scanner;
   std::vector<AnswerSet> answers;
   answers.reserve(3);
   std::vector<QueryCounters> counters(3);
@@ -558,7 +557,7 @@ TEST(BatchScannerIsolation, FiredTokenKillsOnlyItsSlot) {
   InMemoryProvider provider(&data);
   Dataset queries = MakeNoiseQueries(data, 2, 0.2, rng);
 
-  BatchLeafScanner scanner;
+  LeafScanner scanner;
   AnswerSet a0(3), a1(3);
   QueryCounters c0, c1;
   auto token = std::make_shared<CancellationToken>();

@@ -334,7 +334,8 @@ TEST_F(BufferPoolTest, DepthZeroHitMissCountsMatchSeed) {
   ASSERT_NE(bm2, nullptr);
   AnswerSet answers(4);
   QueryCounters c2;
-  LeafScanner scanner(data_.series(0), &answers, &c2, /*prefetch_depth=*/0);
+  LeafScanner scanner(data_.series(0), &answers, &c2, /*num_threads=*/1,
+                      /*pin_budget=*/0, /*prefetch_depth=*/0);
   auto scanned = scanner.ScanRange(bm2.get(), 0, 32);
   ASSERT_TRUE(scanned.ok());
   // ScanRange pins page-sized runs: one fetch per page, all misses.

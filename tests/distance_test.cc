@@ -409,7 +409,8 @@ TEST(LeafScanner, ContiguousMatchesPerIdScan) {
     QueryCounters cs;
     LeafScanner ss(qs.series(q), &single, &cs);
     for (size_t i = 0; i < ds.size(); ++i) {
-      ss.Scan(ds.series(i), static_cast<int64_t>(i));
+      ss.ScanContiguous(ds.series(i).data(), 1, ds.length(),
+                        static_cast<int64_t>(i));
     }
 
     KnnAnswer a = batched.Finish();

@@ -14,8 +14,8 @@
 
 #include "common/rng.h"
 #include "core/generators.h"
-#include "exec/parallel_scanner.h"
 #include "index/answer_set.h"
+#include "index/leaf_scanner.h"
 #include "storage/buffer_manager.h"
 #include "storage/fault_injector.h"
 #include "storage/series_file.h"
@@ -331,7 +331,7 @@ TEST_F(FaultInjectionTest, FailedParallelScanLeavesZeroPins) {
   for (size_t threads : {1u, 4u}) {
     AnswerSet answers(5);
     QueryCounters counters;
-    ParallelLeafScanner scanner(query, &answers, &counters, threads);
+    LeafScanner scanner(query, &answers, &counters, threads);
     Result<size_t> scanned = scanner.ScanIds(pool.bm.get(), ids);
     ASSERT_FALSE(scanned.ok()) << "threads=" << threads;
     EXPECT_EQ(scanned.status().code(), StatusCode::kIoError)
@@ -352,7 +352,7 @@ TEST_F(FaultInjectionTest, FailedRangeScanLeavesZeroPins) {
   for (size_t threads : {1u, 4u}) {
     AnswerSet answers(5);
     QueryCounters counters;
-    ParallelLeafScanner scanner(query, &answers, &counters, threads);
+    LeafScanner scanner(query, &answers, &counters, threads);
     Result<size_t> scanned = scanner.ScanRange(pool.bm.get(), 0, 256);
     ASSERT_FALSE(scanned.ok()) << "threads=" << threads;
     EXPECT_EQ(pool.bm->PinnedPages(), 0u) << "threads=" << threads;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "common/rng.h"
 #include "core/generators.h"
 #include "core/ground_truth.h"
@@ -108,6 +110,35 @@ TEST_P(FlannAlgoTest, RecallImprovesWithChecks) {
   };
   EXPECT_LE(recall_at(16), recall_at(512) + 0.05);
   EXPECT_GT(recall_at(512), 0.5);
+}
+
+// Each answer holds k distinct ids (a series reached through several
+// trees or branches is evaluated once), and recall over those ids is high
+// at a generous checks budget.
+TEST_P(FlannAlgoTest, DistinctAnswersReachRecallAt512Checks) {
+  Dataset ds = MakeData(800, 32);
+  FlannOptions opts;
+  opts.algorithm = GetParam();
+  auto index = FlannIndex::Build(ds, opts);
+  ASSERT_TRUE(index.ok());
+  Rng rng(3);
+  Dataset queries = MakeSiftAnalog(20, 32, rng);
+  auto truth = ExactKnnWorkload(ds, queries, 10);
+  SearchParams params;
+  params.mode = SearchMode::kNgApproximate;
+  params.k = 10;
+  params.nprobe = 512;
+  double sum = 0.0;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    auto ans = index.value()->Search(queries.series(q), params, nullptr);
+    ASSERT_TRUE(ans.ok());
+    std::set<int64_t> distinct(ans.value().ids.begin(),
+                               ans.value().ids.end());
+    EXPECT_EQ(ans.value().size(), 10u) << "query " << q;
+    EXPECT_EQ(distinct.size(), ans.value().size()) << "query " << q;
+    sum += RecallAt(truth[q], ans.value(), 10);
+  }
+  EXPECT_GE(sum / static_cast<double>(queries.size()), 0.85);
 }
 
 TEST_P(FlannAlgoTest, ChecksBudgetLimitsWork) {

@@ -7,6 +7,7 @@
 // the page-pinning BufferManager, the regime the paper cares most about.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <vector>
@@ -14,12 +15,12 @@
 #include "common/rng.h"
 #include "core/generators.h"
 #include "core/ground_truth.h"
-#include "exec/parallel_scanner.h"
 #include "index/adsplus/adsplus.h"
 #include "index/answer_set.h"
 #include "index/dstree/dstree.h"
 #include "index/flann/flann.h"
 #include "index/isax/isax_index.h"
+#include "index/leaf_scanner.h"
 #include "index/qalsh/qalsh.h"
 #include "index/scan/linear_scan.h"
 #include "index/sfa/sfa.h"
@@ -278,14 +279,14 @@ TEST(ParallelLeafScannerTest, ScanContiguousMatchesSerial) {
 
   AnswerSet serial_answers(10);
   QueryCounters serial_counters;
-  ParallelLeafScanner serial(query, &serial_answers, &serial_counters, 1);
+  LeafScanner serial(query, &serial_answers, &serial_counters, 1);
   EXPECT_EQ(serial.ScanContiguous(w.data.data(), n, w.data.length(), 0), n);
   KnnAnswer serial_ans = serial_answers.Finish();
 
   for (size_t threads : kThreadCounts) {
     AnswerSet answers(10);
     QueryCounters counters;
-    ParallelLeafScanner scanner(query, &answers, &counters, threads);
+    LeafScanner scanner(query, &answers, &counters, threads);
     EXPECT_EQ(scanner.ScanContiguous(w.data.data(), n, w.data.length(), 0), n);
     KnnAnswer ans = answers.Finish();
     ExpectIdentical(serial_ans, ans,
@@ -304,7 +305,7 @@ TEST(ParallelLeafScannerTest, RefineOrderedStopsExactlyWhereSerialDoes) {
   constexpr size_t kStopAfter = 777;
   auto run = [&](size_t threads) {
     AnswerSet answers(5);
-    ParallelLeafScanner scanner(query, &answers, nullptr, threads);
+    LeafScanner scanner(query, &answers, nullptr, threads);
     Result<size_t> committed = scanner.RefineOrdered(
         &w.provider, w.data.size(), identity,
         /*before=*/[](size_t) { return true; },
@@ -317,6 +318,31 @@ TEST(ParallelLeafScannerTest, RefineOrderedStopsExactlyWhereSerialDoes) {
   for (size_t threads : kThreadCounts) {
     ExpectIdentical(serial, run(threads),
                     "RefineOrdered threads=" + std::to_string(threads));
+  }
+}
+
+// An exact distance tie at the k-th place keeps the smaller id whatever
+// order the candidates arrive in: serially (the larger id is offered
+// first) and through a 4-thread fan-out.
+TEST(ParallelLeafScannerTest, ExactTieKeepsSmallerIdInAnyScanOrder) {
+  Rng rng(5);
+  Dataset data = MakeRandomWalk(256, 32, rng);
+  const std::vector<float> query(data.series(200).begin(),
+                                 data.series(200).end());
+  std::copy(query.begin(), query.end(), data.mutable_series(3).begin());
+  InMemoryProvider provider(&data);
+  std::vector<int64_t> descending(data.size());
+  for (size_t i = 0; i < descending.size(); ++i) {
+    descending[i] = static_cast<int64_t>(data.size() - 1 - i);
+  }
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    AnswerSet answers(1);
+    LeafScanner scanner(query, &answers, nullptr, threads);
+    ASSERT_TRUE(scanner.ScanIds(&provider, descending).ok());
+    KnnAnswer ans = answers.Finish();
+    ASSERT_EQ(ans.size(), 1u);
+    EXPECT_EQ(ans.ids[0], 3) << "threads=" << threads;
+    EXPECT_EQ(ans.distances[0], 0.0) << "threads=" << threads;
   }
 }
 
@@ -577,11 +603,141 @@ TEST(ParallelSearchOnDisk, PrefetchedScanReportsReadaheadCounters) {
   EXPECT_LE(w.bm->prefetch_useful(), w.bm->prefetch_issued());
 }
 
+// --- Path-independent work: the execution path (fan-out, readahead, a
+// one-member batch) may change how a query runs, never what it computes.
+// Each path must match a serial, prefetch-off Search in its answers AND in
+// the logical work counters: the distances evaluated (full + abandoned;
+// the split may move with stale fan-out thresholds), lower bounds,
+// series fetched, leaves opened and queue pushes. ---
+
+struct PathRun {
+  KnnAnswer answer;
+  QueryCounters counters;
+};
+
+PathRun RunPath(const Index& index, std::span<const float> query,
+                SearchParams params, size_t threads, size_t depth,
+                bool batch) {
+  params.num_threads = threads;
+  params.prefetch_depth = depth == 0 ? SearchParams::kPrefetchOff : depth;
+  PathRun run;
+  Result<KnnAnswer> ans = Status::Internal("unset");
+  if (batch) {
+    BatchQuery member{query, params, &run.counters};
+    std::vector<Result<KnnAnswer>> results =
+        index.BatchSearch(std::span<const BatchQuery>(&member, 1));
+    ans = std::move(results.at(0));
+  } else {
+    ans = index.Search(query, params, &run.counters);
+  }
+  EXPECT_TRUE(ans.ok()) << index.name() << ": " << ans.status().ToString();
+  if (ans.ok()) run.answer = std::move(ans).value();
+  return run;
+}
+
+void CheckPathIndependentWork(const Index& index, const Dataset& queries,
+                              const std::string& where) {
+  std::vector<std::pair<std::string, SearchParams>> modes;
+  const IndexCapabilities caps = index.capabilities();
+  if (caps.exact) modes.push_back({"exact", Exact(10)});
+  if (caps.ng_approximate) modes.push_back({"ng", Ng(10, 4)});
+  if (caps.delta_epsilon_approximate) {
+    modes.push_back({"delta-eps", DeltaEps(10, 0.5, 0.9)});
+  }
+  struct Path {
+    const char* name;
+    size_t threads;
+    size_t depth;
+    bool batch;
+  };
+  constexpr Path kPaths[] = {{"threads=4", 4, 0, false},
+                             {"prefetch=8", 1, 8, false},
+                             {"threads=4 prefetch=8", 4, 8, false},
+                             {"one-member batch", 1, 0, true}};
+  for (const auto& [mode, params] : modes) {
+    for (size_t q = 0; q < queries.size(); ++q) {
+      PathRun serial = RunPath(index, queries.series(q), params, 1, 0, false);
+      for (const Path& path : kPaths) {
+        PathRun run = RunPath(index, queries.series(q), params, path.threads,
+                              path.depth, path.batch);
+        const std::string label = index.name() + " " + where + " " + mode +
+                                  " " + path.name + ", query " +
+                                  std::to_string(q);
+        ExpectIdentical(serial.answer, run.answer, label);
+        const QueryCounters& a = serial.counters;
+        const QueryCounters& b = run.counters;
+        EXPECT_EQ(a.full_distances + a.abandoned_distances,
+                  b.full_distances + b.abandoned_distances)
+            << label;
+        EXPECT_EQ(a.lb_distances, b.lb_distances) << label;
+        EXPECT_EQ(a.series_accessed, b.series_accessed) << label;
+        EXPECT_EQ(a.leaves_visited, b.leaves_visited) << label;
+        EXPECT_EQ(a.nodes_pushed, b.nodes_pushed) << label;
+      }
+    }
+  }
+}
+
+void CheckPathIndependentWorkForAll(const Dataset& data,
+                                    const Dataset& queries,
+                                    SeriesProvider* provider,
+                                    const std::string& where) {
+  LinearScanIndex scan(provider);
+  CheckPathIndependentWork(scan, queries, where);
+
+  IsaxOptions isax_opts;
+  isax_opts.leaf_capacity = 256;
+  isax_opts.histogram_pairs = 2000;
+  auto isax = IsaxIndex::Build(data, provider, isax_opts);
+  ASSERT_TRUE(isax.ok());
+  CheckPathIndependentWork(*isax.value(), queries, where);
+
+  DSTreeOptions dstree_opts;
+  dstree_opts.leaf_capacity = 256;
+  dstree_opts.histogram_pairs = 2000;
+  auto dstree = DSTreeIndex::Build(data, provider, dstree_opts);
+  ASSERT_TRUE(dstree.ok());
+  CheckPathIndependentWork(*dstree.value(), queries, where);
+
+  SfaOptions sfa_opts;
+  sfa_opts.leaf_capacity = 256;
+  sfa_opts.histogram_pairs = 2000;
+  auto sfa = SfaIndex::Build(data, provider, sfa_opts);
+  ASSERT_TRUE(sfa.ok());
+  CheckPathIndependentWork(*sfa.value(), queries, where);
+
+  VaFileOptions vafile_opts;
+  vafile_opts.histogram_pairs = 2000;
+  auto vafile = VaFileIndex::Build(data, provider, vafile_opts);
+  ASSERT_TRUE(vafile.ok());
+  CheckPathIndependentWork(*vafile.value(), queries, where);
+
+  auto qalsh = QalshIndex::Build(data, provider, QalshOptions{});
+  ASSERT_TRUE(qalsh.ok());
+  CheckPathIndependentWork(*qalsh.value(), queries, where);
+
+  auto srs = SrsIndex::Build(data, provider, SrsOptions{});
+  ASSERT_TRUE(srs.ok());
+  CheckPathIndependentWork(*srs.value(), queries, where);
+}
+
+TEST(PathIndependentWork, InMemory) {
+  Workload w;
+  CheckPathIndependentWorkForAll(w.data, w.queries, &w.provider, "in-memory");
+}
+
+TEST(PathIndependentWork, OnPool) {
+  DiskWorkload w(/*capacity_pages=*/32, /*n=*/3000, /*len=*/64,
+                 /*num_queries=*/6);
+  ASSERT_NE(w.bm, nullptr);
+  CheckPathIndependentWorkForAll(w.data, w.queries, w.provider(), "on-pool");
+}
+
 TEST(ParallelLeafScannerTest, RefineOrderedBudgetZeroCommitsNothing) {
   Workload w;
   const auto query = w.queries.series(0);
   AnswerSet answers(5);
-  ParallelLeafScanner scanner(query, &answers, nullptr, 4);
+  LeafScanner scanner(query, &answers, nullptr, 4);
   Result<size_t> committed = scanner.RefineOrdered(
       &w.provider, w.data.size(),
       [](size_t i) { return static_cast<int64_t>(i); },

@@ -714,7 +714,8 @@ TEST(Serving, ExhaustedPoolSurfacesTypedUnavailable) {
   ASSERT_FALSE(scanned.ok());
   EXPECT_EQ(scanned.status().code(), StatusCode::kUnavailable);
 
-  Result<size_t> ranged = scanner.ScanRange(w.bm.get(), 40, 8);
+  LeafScanner range_scanner(w.queries.series(0), &answers, &counters);
+  Result<size_t> ranged = range_scanner.ScanRange(w.bm.get(), 40, 8);
   ASSERT_FALSE(ranged.ok());
   EXPECT_EQ(ranged.status().code(), StatusCode::kUnavailable);
 

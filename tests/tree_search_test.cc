@@ -54,14 +54,14 @@ class MockTree {
     if (ctx.query > hi) d = ctx.query - hi;
     return d * d;
   }
-  Status ScanLeaf(int32_t id, ParallelLeafScanner* scanner) const {
+  void ScanLeaf(int32_t id, LeafScanner* scanner,
+                std::span<const size_t> slots) const {
     for (int64_t member : leaf_members_.at(id)) {
       // Each member is a length-1 series; the scanner computes
       // (query[0] - value)^2 through the dispatched kernel.
       float v = static_cast<float>(values_[member]);
-      scanner->Scan(std::span<const float>(&v, 1), member);
+      scanner->ScanContiguous(&v, 1, 1, member, slots);
     }
-    return Status::OK();
   }
 
   const std::vector<double>& values() const { return values_; }
