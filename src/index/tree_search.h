@@ -318,9 +318,8 @@ std::vector<Result<KnnAnswer>> TreeBatchSearch(
   for (size_t i : exact) {
     scanner.AddQuery(batch[i].query, &answers.emplace_back(batch[i].params.k),
                      batch[i].counters, ResolveCancellation(batch[i].params));
-    queries.emplace_back(ctxs.emplace_back(index.MakeQueryContext(
-                             batch[i].query)),
-                         batch[i].params, 0.0);
+    const Ctx& ctx = ctxs.emplace_back(index.MakeQueryContext(batch[i].query));
+    queries.emplace_back(ctx, batch[i].params, 0.0);
   }
   TreeSearch(index, std::span<TreeQuery<Ctx>>(queries), &scanner);
   for (size_t m = 0; m < exact.size(); ++m) {
