@@ -196,6 +196,27 @@ inline BuiltIndex BuildFlann(const Dataset& data) {
           t.ElapsedSeconds()};
 }
 
+// The prefetch-depth rows of one disk-resident index (bench_fig4_ondisk
+// and bench_thread_scaling), each depth once per pool temperature: cold
+// rows drop `pool` before every query, warm rows follow one untimed
+// pass. Each temperature's depth-0 row (readahead forced off) is the
+// baseline of its speedup and match_serial columns.
+inline std::vector<RunResult> PrefetchRows(const Index& index,
+                                           const Dataset& queries,
+                                           const std::vector<KnnAnswer>& truth,
+                                           const SearchParams& params,
+                                           BufferManager* pool) {
+  const std::vector<SweepPoint> points = DepthSweep(params, {0, 4, 16});
+  std::vector<RunResult> rows = RunSweep(index, queries, truth, points, pool);
+  for (RunResult& r : rows) r.setting += ";cold";
+  SerialAnswers(index, queries, points.front().params);
+  for (RunResult& r : RunSweep(index, queries, truth, points)) {
+    r.setting += ";warm";
+    rows.push_back(std::move(r));
+  }
+  return rows;
+}
+
 inline void PrintFigure(const std::string& title, const Table& table) {
   std::printf("\n=== %s ===\n%s", title.c_str(),
               table.ToAlignedText().c_str());

@@ -4,6 +4,7 @@
 // budget, so raw-series refinement pays real (counted) I/O. HNSW, QALSH
 // and Flann are excluded, as in the paper (in-memory only).
 
+#include <cstdlib>
 #include <filesystem>
 
 #include "bench/bench_common.h"
@@ -90,9 +91,9 @@ void RunThreadScaling(const std::filesystem::path& dir) {
   for (auto build : {&BuildDSTree, &BuildIsax}) {
     BuiltIndex built = build(ds.data, provider);
     if (built.index == nullptr) continue;
-    auto points = RunThreadSweep(*built.index, ds.queries, truth, params,
-                                 {1, 2, 4, 8});
-    Table table = ThreadSweepTable(points, ds.data.size());
+    Table table = SerialTable(RunSweep(*built.index, ds.queries, truth,
+                                       ThreadSweep(params, {1, 2, 4, 8})),
+                              ds.data.size());
     std::printf("\n%s\n", table.ToAlignedText().c_str());
   }
 }
@@ -106,15 +107,19 @@ void RunThreadScaling(const std::filesystem::path& dir) {
 //
 // On dev/CI machines the bench file sits in the page cache, where a
 // "read" costs nanoseconds and there is no latency to hide — so this
-// section emulates device latency via HYDRA_SIM_IO_DELAY_US
-// (storage/series_file.h), defaulting it to 150us per page read when the
-// caller has not set it (export HYDRA_SIM_IO_DELAY_US=0 to measure raw
-// page-cache behavior). The depth>=4 rows beating depth=0 is the
-// pipeline's acceptance bar.
+// section emulates device latency with the fault injector's latency
+// channel (storage/fault_injector.h): every read of a pool opened from
+// here on sleeps 150us, unless the caller exported its own
+// HYDRA_FAULT_LATENCY_RATE / HYDRA_FAULT_LATENCY_US (export
+// HYDRA_FAULT_LATENCY_RATE=0 to measure raw page-cache behavior). The
+// depth>=4 rows beating depth=0 is the pipeline's acceptance bar.
 void RunPrefetchPipeline(const std::filesystem::path& dir) {
-  ::setenv("HYDRA_SIM_IO_DELAY_US", "150", /*overwrite=*/0);
-  std::printf("# HYDRA_SIM_IO_DELAY_US=%s (emulated per-read latency)\n",
-              std::getenv("HYDRA_SIM_IO_DELAY_US"));
+  ::setenv("HYDRA_FAULT_LATENCY_RATE", "1", /*overwrite=*/0);
+  ::setenv("HYDRA_FAULT_LATENCY_US", "150", /*overwrite=*/0);
+  std::printf("# HYDRA_FAULT_LATENCY_RATE=%s HYDRA_FAULT_LATENCY_US=%s "
+              "(emulated per-read latency)\n",
+              std::getenv("HYDRA_FAULT_LATENCY_RATE"),
+              std::getenv("HYDRA_FAULT_LATENCY_US"));
   const size_t n = 8000;
   NamedDataset ds = MakeBenchDataset("rand", n, 128, /*num_queries=*/10);
   const size_t k = 100;
@@ -129,24 +134,16 @@ void RunPrefetchPipeline(const std::filesystem::path& dir) {
   SearchParams params;
   params.mode = SearchMode::kExact;
   params.k = k;
-  const std::vector<size_t> depths = PrefetchDepthsFromEnv();
-
-  {
-    LinearScanIndex scan(pool);
-    auto points = RunPrefetchSweep(scan, ds.queries, truth, params, depths,
-                                   pool);
-    Table table = PrefetchSweepTable(points, ds.data.size());
+  auto print = [&](const Index& index) {
+    Table table = SerialTable(
+        PrefetchRows(index, ds.queries, truth, params, pool), ds.data.size());
     std::printf("\n%s\n", table.ToAlignedText().c_str());
     std::printf("# csv\n%s", table.ToCsv().c_str());
-  }
+  };
+  print(LinearScanIndex(pool));
   for (auto build : {&BuildDSTree, &BuildIsax}) {
     BuiltIndex built = build(ds.data, pool);
-    if (built.index == nullptr) continue;
-    auto points = RunPrefetchSweep(*built.index, ds.queries, truth, params,
-                                   depths, pool);
-    Table table = PrefetchSweepTable(points, ds.data.size());
-    std::printf("\n%s\n", table.ToAlignedText().c_str());
-    std::printf("# csv\n%s", table.ToCsv().c_str());
+    if (built.index != nullptr) print(*built.index);
   }
   std::printf(
       "# pool: prefetch_issued=%llu prefetch_useful=%llu\n",

@@ -3,90 +3,68 @@
 // buffer-pool capacity for the disk-resident methods the paper leans on
 // (DSTree, iSAX2+, VA+file), all serving from ONE page-pinning pool —
 // the regime where admission control and the per-query pin-budget split
-// actually matter. Each table row reports wall-clock QPS, p50/p95/p99
-// serving latency, the throughput speedup over sequential serving, the
-// pool hit rate (per-query attribution summed), and a match_serial
+// actually matter. Every row comes from the served runner
+// (harness/experiment.h: RunLoad → LoadTable) and reports wall-clock
+// QPS, p50/p95/p99 serving latency, the speedup over its baseline row,
+// the pool hit rate (per-query attribution summed), and a match_serial
 // column that must read "yes" everywhere: answers are identical to the
-// one-query-at-a-time protocol at every concurrency level. Like
-// bench_thread_scaling this is a plain binary — the harness IS the
-// measurement protocol.
+// one-query-at-a-time protocol at every load. Like bench_thread_scaling
+// this is a plain binary — the harness IS the measurement protocol.
 //
 // Usage: bench_serving [--smoke]
-//   --smoke: tiny configuration for CI (the serving-stress lane uploads
-//   its table as a build artifact); also settable via HYDRA_SMOKE=1.
+//   --smoke: tiny configuration for CI (the bench-smoke lane uploads its
+//   tables as a build artifact). It also emulates a disk: unless the
+//   caller exported its own HYDRA_FAULT_LATENCY_RATE /
+//   HYDRA_FAULT_LATENCY_US, every page read sleeps 150us (the fault
+//   injector's latency channel, storage/fault_injector.h), so page
+//   fetches have a visible cost for batching to amortize even on a fast
+//   CI disk.
 //
-// Knobs (environment):
-//   HYDRA_SERVING_N           dataset size              (default 50000)
-//   HYDRA_SERVING_LEN         series length             (default 128)
-//   HYDRA_SERVING_QUERIES     workload size             (default 40)
-//   HYDRA_SERVING_K           neighbors                 (default 10)
-//   HYDRA_SERVING_THREADS     intra-query num_threads   (default 1)
-//   HYDRA_CONCURRENCY         comma list of levels      (default 1,2,4,8)
-//   HYDRA_SERVING_PAGE_SERIES series per page           (default 16)
-//   HYDRA_SERVING_CAPACITIES  comma list of pool pages  (default
-//                             "64,512": a thrashing pool and a
-//                             comfortable one)
-//   HYDRA_PREFETCH            readahead depth in pages (unset = off);
-//                             the serving session splits the pool's
-//                             prefetch budget across in-flight queries,
-//                             and the prefetch_hit column reports the
-//                             pool-wide readahead usefulness
-//   HYDRA_SERVING_DISTINCT    distinct queries in the workload (default:
-//                             all distinct; smoke default 4): the
-//                             workload tiles this many distinct queries
-//                             up to HYDRA_SERVING_QUERIES, modeling the
-//                             duplicate-heavy streams (dashboards,
-//                             repeated template queries) that batching
-//                             amortizes best
-//   HYDRA_BATCH_WINDOW        coalescing window for the batched
-//                             comparison columns (default 4 HERE — the
-//                             bench exists to measure batching; 1
-//                             disables the comparison). Each row then
-//                             carries b_qps / b_p99_ms / b_gain /
-//                             batches next to the unbatched numbers.
-//   HYDRA_SIM_IO_DELAY_US     emulated per-read disk latency
-//                             (storage/series_file.h); --smoke defaults
-//                             it to 150 so page fetches have a visible
-//                             cost for batching to amortize even on a
-//                             fast CI disk
-//   HYDRA_OFFERED_QPS         comma list of absolute offered arrival
-//                             rates for the open-loop section (default:
-//                             fractions {0.5,0.8,1.0,1.2} of each
-//                             method's measured closed-loop capacity)
-//   HYDRA_SHARDS              comma list of shard counts for the sharded
-//                             serving section (default 1,4 smoke;
-//                             1,2,4,8 full)
+// The sizes are fixed (kFull / kSmoke). HYDRA_PREFETCH (the
+// engine's default readahead depth) still applies: the serving session
+// splits the pool's prefetch budget across in-flight queries, and the
+// prefetch_hit column reports the pool-wide readahead usefulness. The
+// smoke workload tiles 4 distinct queries up to 16, modeling the
+// duplicate-heavy streams (dashboards, repeated template queries) that
+// batching amortizes best; the full workload is all distinct.
 //
 // Throughput context: whole queries are independent units, so on >= N
 // idle cores the speedup column should approach the concurrency level
 // until the pool (capacity sweep) or the disk becomes the bottleneck; on
 // a loaded or small machine the answer columns still prove determinism.
 //
-// Four sections per run:
-//   1. closed-loop concurrency x pool-capacity sweep (as before), with
-//      every build routed through the Index factory (index/factory.h);
+// Five sections per run:
+//   1. closed-loop concurrency x pool-capacity sweep, with every build
+//      routed through the Index factory (index/factory.h). Rows with
+//      setting "concurrency=C;window=4" re-serve level C with the
+//      coalescing window armed; their speedup is against the unbatched
+//      row at the same level (the batching gain);
 //   2. an OPEN-LOOP offered-load sweep: a fixed arrival schedule drives
 //      each method at rates below/at/above its measured capacity, and
 //      the table reports tail latency vs offered load with latencies
 //      charged from each query's SCHEDULED arrival (coordinated
 //      omission included, the honest open-loop number);
-//   3. a sharded scatter-gather sweep (index/sharded/sharded_index.h):
-//      the same workload against S disk-resident shards, whose answers
-//      must stay bit-identical to the unsharded serial protocol at
-//      every shard count x concurrency;
-//   4. a LOOPBACK open-loop sweep: the same generator driving a
+//   3. a LOOPBACK open-loop sweep: the same generator driving a
 //      HydraClient against a HydraServer on 127.0.0.1 (src/net/) — the
 //      identical measurement code via the ServingBackend seam, so the
 //      delta against section 2 is the wire cost (framing + TCP + one
 //      extra thread hop), tail latencies included;
-//   5. a REPLICATED availability sweep: HYDRA_REPLICAS servers over the
-//      same collection (each with its own buffer pool) behind a
+//   4. a sharded scatter-gather sweep (index/sharded/sharded_index.h):
+//      the same workload against S disk-resident shards, whose answers
+//      must stay bit-identical to the unsharded serial protocol at
+//      every shard count x concurrency;
+//   5. a REPLICATED availability sweep: two servers over the same
+//      collection (each with its own buffer pool) behind a
 //      ReplicaSetBackend. Three scenarios — healthy baseline, one
-//      replica's storage degraded via HYDRA_FAULT_LATENCY_* (hedging
-//      masks the slow replica), and a replica killed + restarted
-//      mid-load (failover masks the dead one) — reporting the
-//      answered-OK-within-deadline fraction and tail latency, with
-//      every OK answer still bit-identical to the serial reference.
+//      replica's storage slowed to 5 ms per read (hedging masks the slow
+//      replica), and a replica killed + restarted mid-load (failover
+//      masks the dead one) — reporting the answered-OK-within-deadline
+//      fraction and tail latency, with every OK answer still
+//      bit-identical to the serial reference.
+//
+// Exit status 1 when any match_serial is NO, any row outside section 5
+// has avg_recall below 1 (all search here is exact), or any row
+// resolved fewer queries than it submitted (done != n).
 
 #include <algorithm>
 #include <chrono>
@@ -101,7 +79,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/options.h"
 #include "common/rng.h"
 #include "core/generators.h"
 #include "core/ground_truth.h"
@@ -117,66 +94,94 @@
 
 namespace {
 
-using hydra::EnvCount;
+using hydra::LoadResult;
+
+// One configuration of the bench: the full run or the CI smoke run.
+struct Sizes {
+  size_t n;
+  size_t len;
+  size_t queries;
+  size_t distinct;                 // distinct queries tiled up to `queries`
+  std::vector<size_t> levels;      // closed-loop concurrency levels
+  std::vector<size_t> capacities;  // pool pages
+  std::vector<size_t> shards;      // shard counts of section 4
+};
+
+const Sizes kFull{50000, 128, 40, 40, {1, 2, 4, 8}, {64, 512}, {1, 2, 4, 8}};
+const Sizes kSmoke{3000, 64, 16, 4, {1, 4}, {64}, {1, 4}};
+constexpr size_t kK = 10;
+constexpr size_t kPageSeries = 16;
+constexpr size_t kBatchWindow = 4;
+constexpr size_t kReplicas = 2;
+
+// Prints one section and its CSV form; false when a row breaks the
+// contract (see the header comment). Availability rows may fail queries
+// typed, so their recall is not gated.
+bool Report(const std::string& heading, const std::string& method,
+            std::vector<LoadResult> rows, bool failures_allowed = false) {
+  for (LoadResult& r : rows) r.method = method;
+  hydra::Table table = hydra::LoadTable(rows);
+  std::printf("\n## %s\n%s\n", heading.c_str(),
+              table.ToAlignedText().c_str());
+  std::printf("# csv\n%s", table.ToCsv().c_str());
+  bool ok = true;
+  for (const LoadResult& r : rows) {
+    if (!r.matches_serial || r.completions != r.num_queries ||
+        (!failures_allowed && r.accuracy.avg_recall < 1.0)) {
+      std::fprintf(stderr,
+                   "VIOLATION: %s %s: match=%d done=%zu/%zu recall=%.4f\n",
+                   heading.c_str(), r.setting.c_str(),
+                   r.matches_serial ? 1 : 0, r.completions, r.num_queries,
+                   r.accuracy.avg_recall);
+      ok = false;
+    }
+  }
+  return ok;
+}
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = std::getenv("HYDRA_SMOKE") != nullptr;
+  bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
   // Smoke runs on CI machines whose page cache makes real reads nearly
   // free; emulate a disk so the batched-vs-unbatched comparison measures
-  // fetch amortization, not memcpy. Overridable, never overwritten.
-  if (smoke) ::setenv("HYDRA_SIM_IO_DELAY_US", "150", /*overwrite=*/0);
-
-  const size_t n = EnvCount("HYDRA_SERVING_N", smoke ? 3000 : 50000);
-  const size_t len = EnvCount("HYDRA_SERVING_LEN", smoke ? 64 : 128);
-  const size_t num_queries =
-      EnvCount("HYDRA_SERVING_QUERIES", smoke ? 16 : 40);
-  const size_t k = EnvCount("HYDRA_SERVING_K", 10);
-  const size_t num_threads = EnvCount("HYDRA_SERVING_THREADS", 1);
-  const size_t page_series = EnvCount("HYDRA_SERVING_PAGE_SERIES", 16);
-  const std::vector<size_t> levels =
-      smoke ? hydra::ParseCountList(std::getenv("HYDRA_CONCURRENCY"),
-                                    {1, 4})
-            : hydra::ConcurrencyLevelsFromEnv();
-  const std::vector<size_t> capacities = hydra::ParseCountList(
-      std::getenv("HYDRA_SERVING_CAPACITIES"),
-      smoke ? std::vector<size_t>{64} : std::vector<size_t>{64, 512});
-  const size_t distinct = std::min(
-      num_queries,
-      EnvCount("HYDRA_SERVING_DISTINCT", smoke ? 4 : num_queries));
-  const size_t batch_window = EnvCount("HYDRA_BATCH_WINDOW", 4);
+  // fetch amortization, not memcpy. Read at every pool open, so every
+  // pool below is delayed. Overridable, never overwritten.
+  if (smoke) {
+    ::setenv("HYDRA_FAULT_LATENCY_RATE", "1", /*overwrite=*/0);
+    ::setenv("HYDRA_FAULT_LATENCY_US", "150", /*overwrite=*/0);
+  }
+  const Sizes& size = smoke ? kSmoke : kFull;
 
   std::printf("# serving sweep: n=%zu len=%zu queries=%zu distinct=%zu "
-              "k=%zu num_threads=%zu page_series=%zu batch_window=%zu%s\n",
-              n, len, num_queries, distinct, k, num_threads, page_series,
-              batch_window, smoke ? " (smoke)" : "");
+              "k=%zu num_threads=1 page_series=%zu batch_window=%zu%s\n",
+              size.n, size.len, size.queries, size.distinct, kK,
+              kPageSeries, kBatchWindow, smoke ? " (smoke)" : "");
 
   hydra::Rng rng(20260730);
-  hydra::Dataset data = hydra::MakeRandomWalk(n, len, rng);
+  hydra::Dataset data = hydra::MakeRandomWalk(size.n, size.len, rng);
   hydra::ZNormalizeDataset(data);
   // Duplicate-heavy workload: `distinct` noise queries tiled round-robin
   // up to the workload size. Repeats visit the same leaves/pages, which
   // is exactly the locality a coalescing window turns into shared
   // fetches and multi-query kernel passes.
   hydra::Dataset distinct_queries =
-      hydra::MakeNoiseQueries(data, distinct, 0.1, rng);
-  hydra::Dataset queries(num_queries, len);
-  for (size_t q = 0; q < num_queries; ++q) {
-    std::span<const float> src = distinct_queries.series(q % distinct);
+      hydra::MakeNoiseQueries(data, size.distinct, 0.1, rng);
+  hydra::Dataset queries(size.queries, size.len);
+  for (size_t q = 0; q < size.queries; ++q) {
+    std::span<const float> src = distinct_queries.series(q % size.distinct);
     std::span<float> dst = queries.mutable_series(q);
     std::copy(src.begin(), src.end(), dst.begin());
   }
-  std::vector<hydra::KnnAnswer> ground_truth =
-      hydra::ExactKnnWorkload(data, queries, k);
+  const std::vector<hydra::KnnAnswer> truth =
+      hydra::ExactKnnWorkload(data, queries, kK);
 
   hydra::SearchParams params;
   params.mode = hydra::SearchMode::kExact;
-  params.k = k;
-  params.num_threads = num_threads;
+  params.k = kK;
 
   namespace fs = std::filesystem;
   fs::path dir = fs::temp_directory_path() / "hydra_bench_serving";
@@ -192,106 +197,150 @@ int main(int argc, char** argv) {
   // The sequential scan is where shared page passes pay off most — every
   // query touches every page, so a batch of Q turns Q full sweeps into
   // one; it is the batching headline row.
-  std::vector<std::string> methods = {"scan", "dstree", "isax", "vafile"};
+  const std::vector<std::string> methods = {"scan", "dstree", "isax",
+                                            "vafile"};
   hydra::BuildOptions build_base;
   build_base.leaf_capacity = 256;
   build_base.histogram_pairs = 2000;
+  auto build = [&](const std::string& method, hydra::BufferManager* pool) {
+    hydra::BuildOptions options = build_base;
+    options.method = method;
+    auto built = hydra::BuildIndex(data, pool, options);
+    if (!built.ok()) {
+      std::fprintf(stderr, "%s: build failed: %s\n", method.c_str(),
+                   built.status().ToString().c_str());
+      std::exit(1);
+    }
+    return std::move(built).value();
+  };
+  auto open_pool = [&](size_t capacity) {
+    auto bm = hydra::BufferManager::Open(path, kPageSeries, capacity);
+    if (!bm.ok()) {
+      std::fprintf(stderr, "open failed: %s\n",
+                   bm.status().ToString().c_str());
+      std::exit(1);
+    }
+    return std::move(bm).value();
+  };
 
-  int status = 0;
-  // Closed-loop QPS at the highest concurrency, per method — the
-  // measured capacity the open-loop section offers load against.
+  // Closed-loop rows of one index: one untimed serial pass (the warm-up,
+  // so every row measures steady-state serving from a comparably warmed
+  // pool, and the reference answers), the concurrency-1 baseline, each
+  // level against it, and — where the index batches — each level again
+  // with the coalescing window, against the unbatched row of its level.
+  // `capacity_qps` keeps the best unbatched QPS, `best_gain` the best
+  // batching gain.
+  auto closed_loop = [&](const hydra::Index& index,
+                         hydra::SeriesProvider* provider,
+                         double* capacity_qps, double* best_gain) {
+    const hydra::ServingBackendFactory factory =
+        hydra::LocalBackendFactory(index, provider);
+    const std::vector<hydra::KnnAnswer> reference =
+        hydra::SerialAnswers(index, queries, params);
+    const bool batching = index.capabilities().batched_queries &&
+                          index.capabilities().concurrent_queries;
+    const LoadResult base =
+        hydra::RunLoad(factory, queries, truth, params, reference, {});
+    std::vector<LoadResult> rows;
+    for (size_t level : size.levels) {
+      rows.push_back(level == 1 ? base
+                                : hydra::RunLoad(factory, queries, truth,
+                                                 params, reference,
+                                                 {.concurrency = level}));
+      hydra::CompareToBaseline(base, &rows.back());
+      *capacity_qps = std::max(*capacity_qps, rows.back().qps);
+      if (!batching) continue;
+      LoadResult batched = hydra::RunLoad(
+          factory, queries, truth, params, reference,
+          {.concurrency = level, .batch_window = kBatchWindow});
+      hydra::CompareToBaseline(rows.back(), &batched);
+      *best_gain = std::max(*best_gain, batched.speedup);
+      rows.push_back(std::move(batched));
+    }
+    return rows;
+  };
+
+  bool ok = true;
+  // Closed-loop QPS at the best level, per method — the measured
+  // capacity the open-loop sections offer load against.
   std::vector<double> capacity_qps(methods.size(), 0.0);
-  for (size_t capacity : capacities) {
+  for (size_t capacity : size.capacities) {
     for (size_t mi = 0; mi < methods.size(); ++mi) {
-      const std::string& method = methods[mi];
-      auto bm = hydra::BufferManager::Open(path, page_series, capacity);
-      if (!bm.ok()) {
-        std::fprintf(stderr, "open failed: %s\n",
-                     bm.status().ToString().c_str());
-        return 1;
-      }
-      hydra::BuildOptions build = build_base;
-      build.method = method;
-      auto built = hydra::BuildIndex(data, bm.value().get(), build);
-      if (!built.ok()) {
-        std::fprintf(stderr, "%s: build failed: %s\n", method.c_str(),
-                     built.status().ToString().c_str());
-        return 1;
-      }
-      std::unique_ptr<hydra::Index> index = std::move(built).value();
-      std::vector<hydra::ServingSweepPoint> points = hydra::RunServingSweep(
-          *index, queries, ground_truth, params, levels, bm.value().get(),
-          batch_window);
-      hydra::Table table = hydra::ServingSweepTable(points);
-      std::printf("\n## %s, pool %zu pages x %zu series\n%s\n",
-                  method.c_str(), capacity, page_series,
-                  table.ToAlignedText().c_str());
-      std::printf("# csv\n%s", table.ToCsv().c_str());
+      std::unique_ptr<hydra::BufferManager> bm = open_pool(capacity);
+      std::unique_ptr<hydra::Index> index = build(methods[mi], bm.get());
       double best_gain = 0.0;
-      for (const hydra::ServingSweepPoint& p : points) {
-        if (!p.matches_serial || p.result.accuracy.avg_recall < 1.0) {
-          std::fprintf(stderr,
-                       "DETERMINISM VIOLATION: %s capacity=%zu "
-                       "concurrency=%zu\n",
-                       method.c_str(), capacity, p.concurrency);
-          status = 1;
-        }
-        best_gain = std::max(best_gain, p.batched_gain);
-        capacity_qps[mi] = std::max(capacity_qps[mi], p.qps);
-      }
-      if (batch_window > 1) {
-        // The batching headline per method: best coalescing QPS gain
-        // across the concurrency levels (duplicate-heavy workloads over
-        // a slow disk should clear 1.3x on the scan row).
-        std::printf("# batched_gain %s capacity=%zu window=%zu "
-                    "best=%.2fx\n",
-                    method.c_str(), capacity, batch_window, best_gain);
-      }
+      std::vector<LoadResult> rows =
+          closed_loop(*index, bm.get(), &capacity_qps[mi], &best_gain);
+      ok &= Report(methods[mi] + ", pool " + std::to_string(capacity) +
+                       " pages x " + std::to_string(kPageSeries) + " series",
+                   index->name(), std::move(rows));
+      // The batching headline per method: best coalescing QPS gain
+      // across the concurrency levels (duplicate-heavy workloads over a
+      // slow disk should clear 1.3x on the scan row).
+      std::printf("# batched_gain %s capacity=%zu window=%zu best=%.2fx\n",
+                  methods[mi].c_str(), capacity, kBatchWindow, best_gain);
     }
   }
 
-  // ---- Open-loop offered-load sweep -------------------------------
+  // ---- Open-loop offered-load sweeps, in process and over loopback ----
   // A fixed arrival schedule (query i due at t0 + i/rate) drives each
   // method at rates bracketing its measured closed-loop capacity. The
   // p50/p95/p99 columns are charged from the SCHEDULED arrival, so the
   // knee past capacity shows up as unbounded queueing delay — the
-  // classic open-loop hockey stick a closed loop can never exhibit.
-  {
-    const size_t openloop_concurrency = levels.back();
-    const size_t openloop_capacity = capacities.back();
+  // classic open-loop hockey stick a closed loop can never exhibit. The
+  // loopback rows put a HydraServer on 127.0.0.1 behind the same seam:
+  // same schedule, same determinism column (answers are moved, never
+  // recomputed, so they must match the serial reference bit for bit);
+  // the latency columns then include framing, TCP, and the server's
+  // reader/pump threads.
+  const size_t open_concurrency = size.levels.back();
+  const size_t open_capacity = size.capacities.back();
+  for (bool loopback : {false, true}) {
     for (size_t mi = 0; mi < methods.size(); ++mi) {
       const std::string& method = methods[mi];
-      std::vector<double> rates;
-      const double cap = capacity_qps[mi];
-      if (cap > 0.0) {
-        for (double f : {0.5, 0.8, 1.0, 1.2}) rates.push_back(f * cap);
-      }
-      rates = hydra::ParseRateList(std::getenv("HYDRA_OFFERED_QPS"), rates);
-      if (rates.empty()) continue;
-      auto bm =
-          hydra::BufferManager::Open(path, page_series, openloop_capacity);
-      if (!bm.ok()) return 1;
-      hydra::BuildOptions build = build_base;
-      build.method = method;
-      auto built = hydra::BuildIndex(data, bm.value().get(), build);
-      if (!built.ok()) return 1;
-      std::unique_ptr<hydra::Index> index = std::move(built).value();
-      std::vector<hydra::OpenLoopPoint> points = hydra::RunOpenLoopSweep(
-          *index, queries, params, rates, openloop_concurrency,
-          bm.value().get(), num_queries);
-      hydra::Table table = hydra::OpenLoopTable(points, method);
-      std::printf("\n## open-loop %s, concurrency %zu, pool %zu pages\n%s\n",
-                  method.c_str(), openloop_concurrency, openloop_capacity,
-                  table.ToAlignedText().c_str());
-      std::printf("# csv\n%s", table.ToCsv().c_str());
-      for (const hydra::OpenLoopPoint& p : points) {
-        if (!p.matches_serial) {
-          std::fprintf(stderr, "DETERMINISM VIOLATION: open-loop %s "
-                               "rate=%.1f\n",
-                       method.c_str(), p.offered_qps);
-          status = 1;
+      if (capacity_qps[mi] <= 0.0) continue;
+      std::unique_ptr<hydra::BufferManager> bm = open_pool(open_capacity);
+      std::unique_ptr<hydra::Index> index = build(method, bm.get());
+      const std::vector<hydra::KnnAnswer> reference =
+          hydra::SerialAnswers(*index, queries, params);
+      hydra::ServingBackendFactory factory =
+          hydra::LocalBackendFactory(*index, bm.get());
+      std::unique_ptr<hydra::HydraServer> server;
+      if (loopback) {
+        hydra::ServerOptions server_options;
+        // The per-connection session shape is fixed at Start, so it is
+        // configured here to what the runner will ask for (the factory's
+        // options cannot reach across the wire).
+        server_options.serving.concurrency = open_concurrency;
+        server_options.serving.queue_capacity =
+            size.queries + open_concurrency;
+        auto started =
+            hydra::HydraServer::Start(*index, bm.get(), server_options);
+        if (!started.ok()) {
+          std::fprintf(stderr, "server start failed: %s\n",
+                       started.status().ToString().c_str());
+          return 1;
         }
+        server = std::move(started).value();
+        factory = [port = server->port()](const hydra::ServingOptions&)
+            -> std::unique_ptr<hydra::ServingBackend> {
+          auto client = hydra::HydraClient::Connect("127.0.0.1", port);
+          if (!client.ok()) return nullptr;
+          return std::move(client).value();
+        };
       }
+      std::vector<LoadResult> rows;
+      for (double f : {0.5, 0.8, 1.0, 1.2}) {
+        rows.push_back(hydra::RunLoad(
+            factory, queries, truth, params, reference,
+            {.concurrency = open_concurrency, .rate = f * capacity_qps[mi]}));
+      }
+      ok &= Report(std::string(loopback ? "loopback " : "") + "open-loop " +
+                       method + ", concurrency " +
+                       std::to_string(open_concurrency) + ", pool " +
+                       std::to_string(open_capacity) + " pages",
+                   loopback ? method + "@loopback" : method, std::move(rows));
+      if (server != nullptr) server->Stop();
     }
   }
 
@@ -300,160 +349,55 @@ int main(int argc, char** argv) {
   // file + pool), merged answers checked against the SAME unsharded
   // ground truth: the match_serial/recall columns prove the scatter-
   // gather merge is bit-identical to one index at every topology.
-  {
-    const std::vector<size_t> shard_counts = hydra::ParseCountList(
-        std::getenv("HYDRA_SHARDS"),
-        smoke ? std::vector<size_t>{1, 4} : std::vector<size_t>{1, 2, 4, 8});
-    for (size_t shards : shard_counts) {
-      hydra::ShardedIndexOptions topo;
-      topo.num_shards = shards;
-      topo.build = build_base;
-      topo.build.method = "scan";
-      topo.build.page_series = page_series;
-      topo.storage_dir = (dir / ("shards-" + std::to_string(shards))).string();
-      fs::create_directories(topo.storage_dir);
-      auto sharded = hydra::ShardedIndex::Build(data, topo);
-      if (!sharded.ok()) {
-        std::fprintf(stderr, "sharded build failed: %s\n",
-                     sharded.status().ToString().c_str());
-        return 1;
-      }
-      std::vector<hydra::ServingSweepPoint> points = hydra::RunServingSweep(
-          *sharded.value(), queries, ground_truth, params, levels, nullptr,
-          batch_window);
-      hydra::Table table = hydra::ServingSweepTable(points);
-      std::printf("\n## %s (disk shards)\n%s\n",
-                  sharded.value()->name().c_str(),
-                  table.ToAlignedText().c_str());
-      std::printf("# csv\n%s", table.ToCsv().c_str());
-      for (const hydra::ServingSweepPoint& p : points) {
-        if (!p.matches_serial || p.result.accuracy.avg_recall < 1.0) {
-          std::fprintf(stderr,
-                       "DETERMINISM VIOLATION: sharded x%zu concurrency=%zu\n",
-                       shards, p.concurrency);
-          status = 1;
-        }
-      }
+  for (size_t shards : size.shards) {
+    hydra::ShardedIndexOptions topo;
+    topo.num_shards = shards;
+    topo.build = build_base;
+    topo.build.method = "scan";
+    topo.build.page_series = kPageSeries;
+    topo.storage_dir = (dir / ("shards-" + std::to_string(shards))).string();
+    fs::create_directories(topo.storage_dir);
+    auto sharded = hydra::ShardedIndex::Build(data, topo);
+    if (!sharded.ok()) {
+      std::fprintf(stderr, "sharded build failed: %s\n",
+                   sharded.status().ToString().c_str());
+      return 1;
     }
-  }
-
-  // ---- Loopback (wire) open-loop sweep ----------------------------
-  // Section 2 again, but the backend behind the seam is a HydraClient
-  // talking to a HydraServer over 127.0.0.1. Same arrival schedule,
-  // same determinism column (answers are moved, never recomputed, so
-  // they must match the serial reference bit for bit); the latency
-  // columns now include framing, TCP, and the server's reader/pump
-  // threads — the honest cost of putting the scheduler behind a socket.
-  {
-    const size_t loopback_concurrency = levels.back();
-    const size_t loopback_capacity = capacities.back();
-    for (size_t mi = 0; mi < methods.size(); ++mi) {
-      const std::string& method = methods[mi];
-      std::vector<double> rates;
-      const double cap = capacity_qps[mi];
-      if (cap > 0.0) {
-        for (double f : {0.5, 0.8, 1.0, 1.2}) rates.push_back(f * cap);
-      }
-      rates = hydra::ParseRateList(std::getenv("HYDRA_OFFERED_QPS"), rates);
-      if (rates.empty()) continue;
-      auto bm =
-          hydra::BufferManager::Open(path, page_series, loopback_capacity);
-      if (!bm.ok()) return 1;
-      hydra::BuildOptions build = build_base;
-      build.method = method;
-      auto built = hydra::BuildIndex(data, bm.value().get(), build);
-      if (!built.ok()) return 1;
-      std::unique_ptr<hydra::Index> index = std::move(built).value();
-      hydra::ServerOptions server_options;
-      // The per-connection session shape is fixed at Start, so it is
-      // configured here to what the sweep will ask for (the factory's
-      // options cannot reach across the wire).
-      server_options.serving.concurrency = loopback_concurrency;
-      server_options.serving.queue_capacity =
-          num_queries + loopback_concurrency;
-      auto server = hydra::HydraServer::Start(*index, bm.value().get(),
-                                              server_options);
-      if (!server.ok()) {
-        std::fprintf(stderr, "server start failed: %s\n",
-                     server.status().ToString().c_str());
-        return 1;
-      }
-      const uint16_t port = server.value()->port();
-      hydra::ServingBackendFactory loopback =
-          [port](const hydra::ServingOptions&)
-          -> std::unique_ptr<hydra::ServingBackend> {
-        auto client = hydra::HydraClient::Connect("127.0.0.1", port);
-        if (!client.ok()) return nullptr;
-        return std::move(client).value();
-      };
-      std::vector<hydra::OpenLoopPoint> points = hydra::RunOpenLoopSweep(
-          loopback, *index, queries, params, rates, loopback_concurrency,
-          bm.value().get(), num_queries);
-      hydra::Table table = hydra::OpenLoopTable(points, method + "@loopback");
-      std::printf("\n## loopback open-loop %s, concurrency %zu, pool %zu "
-                  "pages\n%s\n",
-                  method.c_str(), loopback_concurrency, loopback_capacity,
-                  table.ToAlignedText().c_str());
-      std::printf("# csv\n%s", table.ToCsv().c_str());
-      for (const hydra::OpenLoopPoint& p : points) {
-        if (!p.matches_serial || p.errors > 0) {
-          std::fprintf(stderr,
-                       "DETERMINISM VIOLATION: loopback %s rate=%.1f "
-                       "(errors=%zu)\n",
-                       method.c_str(), p.offered_qps, p.errors);
-          status = 1;
-        }
-      }
-      server.value()->Stop();
-    }
+    double capacity = 0.0, gain = 0.0;
+    const std::string name = sharded.value()->name();
+    ok &= Report(name + " (disk shards)", name,
+                 closed_loop(*sharded.value(), nullptr, &capacity, &gain));
   }
 
   // ---- Replicated availability sweep ------------------------------
-  // HYDRA_REPLICAS servers over the same collection, each with its own
-  // buffer pool, behind a ReplicaSetBackend. Three scenarios at one
-  // below-saturation rate: healthy baseline, one replica's storage
-  // degraded (HYDRA_FAULT_LATENCY_* on that replica's pool only —
-  // hedging masks the slow replica), and one replica killed + restarted
-  // mid-load (failover + reconnect mask the dead one). The headline is
-  // the answered-OK-within-deadline fraction; determinism still holds:
-  // whichever replica answers, the bytes must match the serial
-  // reference.
+  // Two servers over the same collection, each with its own buffer pool,
+  // behind a ReplicaSetBackend. Three scenarios at one below-saturation
+  // rate: healthy baseline, one replica's storage degraded (latency
+  // faults on that replica's pool only — hedging masks the slow
+  // replica), and one replica killed + restarted mid-load (failover +
+  // reconnect mask the dead one). The headline is the answered-OK-
+  // within-deadline fraction; determinism still holds: whichever replica
+  // answers, the bytes must match the serial reference.
   {
-    const size_t replicas = std::max<size_t>(2, EnvCount("HYDRA_REPLICAS", 2));
-    const size_t concurrency = levels.back();
-    const size_t capacity = capacities.back();
+    const size_t concurrency = size.levels.back();
+    const size_t capacity = size.capacities.back();
     const std::string method = "dstree";
     double cap = 0.0;
     for (size_t mi = 0; mi < methods.size(); ++mi) {
       if (methods[mi] == method) cap = capacity_qps[mi];
     }
-    double rate = cap > 0.0 ? 0.6 * cap : 50.0;
-    rate = std::min(rate, 200.0);
+    const double rate = std::min(cap > 0.0 ? 0.6 * cap : 50.0, 200.0);
     // Long enough for a kill + restart to land mid-run.
     const size_t total = std::max<size_t>(
         32, std::min<size_t>(400, static_cast<size_t>(rate * 2.0)));
     const double run_seconds = static_cast<double>(total) / rate;
 
-    auto bm_build = hydra::BufferManager::Open(path, page_series, capacity);
-    if (!bm_build.ok()) return 1;
-    hydra::BuildOptions build = build_base;
-    build.method = method;
-    auto built = hydra::BuildIndex(data, bm_build.value().get(), build);
-    if (!built.ok()) return 1;
-    std::unique_ptr<hydra::Index> index = std::move(built).value();
-
+    std::unique_ptr<hydra::BufferManager> bm_build = open_pool(capacity);
+    std::unique_ptr<hydra::Index> index = build(method, bm_build.get());
     hydra::SearchParams avail_params = params;
     avail_params.deadline_ms = 2000.0;
-    // Serial reference under the same params (the determinism column).
-    std::vector<hydra::KnnAnswer> reference;
-    reference.reserve(queries.size());
-    for (size_t q = 0; q < queries.size(); ++q) {
-      hydra::QueryCounters scratch;
-      auto answer =
-          index->Search(queries.series(q), avail_params, &scratch);
-      reference.push_back(answer.ok() ? std::move(answer).value()
-                                      : hydra::KnnAnswer{});
-    }
+    const std::vector<hydra::KnnAnswer> reference =
+        hydra::SerialAnswers(*index, queries, avail_params);
 
     std::vector<std::unique_ptr<hydra::BufferManager>> pools;
     std::vector<std::unique_ptr<hydra::HydraServer>> servers;
@@ -461,10 +405,8 @@ int main(int argc, char** argv) {
     hydra::ServerOptions server_options;
     server_options.serving.concurrency = concurrency;
     server_options.serving.queue_capacity = total + concurrency;
-    for (size_t r = 0; r < replicas; ++r) {
-      auto pool = hydra::BufferManager::Open(path, page_series, capacity);
-      if (!pool.ok()) return 1;
-      pools.push_back(std::move(pool).value());
+    for (size_t r = 0; r < kReplicas; ++r) {
+      pools.push_back(open_pool(capacity));
       auto server = hydra::HydraServer::Start(*index, pools.back().get(),
                                               server_options);
       if (!server.ok()) {
@@ -493,45 +435,39 @@ int main(int argc, char** argv) {
         return std::move(set).value();
       };
     };
-
-    auto report = [&](const char* scenario,
-                      const hydra::AvailabilityPoint& point) {
-      hydra::Table table = hydra::AvailabilityTable(
-          {point}, std::string(scenario) + "@" + method);
-      std::printf("\n## replica availability (%zu replicas): %s\n%s\n",
-                  replicas, scenario, table.ToAlignedText().c_str());
-      std::printf("# csv\n%s", table.ToCsv().c_str());
-      if (!point.matches_serial || point.completions != point.num_queries) {
-        std::fprintf(stderr,
-                     "REPLICA VIOLATION: %s done=%zu/%zu match=%d\n",
-                     scenario, point.completions, point.num_queries,
-                     point.matches_serial ? 1 : 0);
-        status = 1;
-      }
+    auto scenario = [&](const char* name, hydra::ReplicaPolicy policy,
+                        double hedge_ms, std::function<void()> chaos) {
+      hydra::Load load;
+      load.concurrency = concurrency;
+      load.rate = rate;
+      load.total = total;
+      load.chaos = std::move(chaos);
+      LoadResult row = hydra::RunLoad(factory(policy, hedge_ms), queries,
+                                      truth, avail_params, reference, load);
+      row.setting = name;
+      ok &= Report("replica availability (" + std::to_string(kReplicas) +
+                       " replicas): " + name,
+                   method, {row}, /*failures_allowed=*/true);
     };
 
-    report("healthy",
-           hydra::RunAvailabilityPoint(
-               factory(hydra::ReplicaPolicy::kRoundRobin, 0), queries,
-               avail_params, rate, concurrency, total, reference));
+    scenario("healthy", hydra::ReplicaPolicy::kRoundRobin, 0, nullptr);
 
     // One replica degraded: latency faults on ITS pool only. The hedged
-    // policy races a backup on the healthy replica after hedge_ms.
+    // policy races a backup on the healthy replica after hedge_ms. The
+    // restore keeps any emulated disk latency the environment arms.
     hydra::FaultConfig slow;
-    slow.latency_rate = hydra::EnvOrRate("HYDRA_FAULT_LATENCY_RATE", 1.0);
-    slow.latency_us = hydra::EnvOrU64("HYDRA_FAULT_LATENCY_US", 5000);
+    slow.latency_rate = 1.0;
+    slow.latency_us = 5000;
     pools[1]->set_fault_config(slow);
-    report("degraded-hedged",
-           hydra::RunAvailabilityPoint(
-               factory(hydra::ReplicaPolicy::kHedged, smoke ? 10.0 : 25.0),
-               queries, avail_params, rate, concurrency, total, reference));
-    pools[1]->set_fault_config(hydra::FaultConfig{});
+    scenario("degraded-hedged", hydra::ReplicaPolicy::kHedged,
+             smoke ? 10.0 : 25.0, nullptr);
+    pools[1]->set_fault_config(hydra::FaultConfig::FromEnv());
 
     // Kill replica 1 a quarter into the run, restart it (same port)
     // after another third: in-flight queries fail over, the pool
     // reconnects, and the tail of the run is two-replica again.
     const uint16_t victim_port = servers[1]->port();
-    auto chaos = [&] {
+    scenario("replica-kill", hydra::ReplicaPolicy::kPrimaryFailover, 0, [&] {
       std::this_thread::sleep_for(
           std::chrono::duration<double>(run_seconds * 0.25));
       servers[1]->Stop();
@@ -542,15 +478,11 @@ int main(int argc, char** argv) {
       auto restarted =
           hydra::HydraServer::Start(*index, pools[1].get(), restart);
       if (restarted.ok()) servers[1] = std::move(restarted).value();
-    };
-    report("replica-kill",
-           hydra::RunAvailabilityPoint(
-               factory(hydra::ReplicaPolicy::kPrimaryFailover, 0), queries,
-               avail_params, rate, concurrency, total, reference, chaos));
+    });
 
     for (auto& server : servers) server->Stop();
   }
 
   fs::remove_all(dir);
-  return status;
+  return ok ? 0 : 1;
 }

@@ -4,98 +4,92 @@
 // exposed parallelism — in both regimes: in-memory, and disk-resident
 // through the page-pinning buffer pool under a bounded memory budget
 // (the paper's out-of-core setting; parallel scans no longer fall back
-// to serial there). Prints the harness speedup tables plus their CSV
-// form; the tables carry the early-abandon rate and the paper's
-// %-data-accessed measure per thread count. Unlike the figure benches
-// this is a plain binary (no google-benchmark fixture): the harness IS
-// the measurement protocol.
+// to serial there). Then the prefetch-depth rows on the same on-disk
+// scan, cold and warm. Prints the serial runner's tables
+// (harness/experiment.h) plus their CSV form; the rows carry the
+// early-abandon rate and the paper's %-data-accessed measure. Unlike the
+// figure benches this is a plain binary (no google-benchmark fixture):
+// the harness IS the measurement protocol.
 //
-// Knobs (environment):
-//   HYDRA_SWEEP_N           dataset size             (default 100000)
-//   HYDRA_SWEEP_LEN         series length            (default 128)
-//   HYDRA_SWEEP_QUERIES     workload size            (default 20)
-//   HYDRA_SWEEP_K           neighbors                (default 10)
-//   HYDRA_SWEEP_THREADS     comma list               (default "1,2,4,8")
-//   HYDRA_SWEEP_PAGE_SERIES series per page          (default 16)
-//   HYDRA_SWEEP_CAPACITY    pooled pages             (default ~2% of the
-//                           data, floored at the largest thread count so
-//                           every worker can hold its pin)
-//   HYDRA_PREFETCH_DEPTHS   prefetch sweep depths    (default "4,16";
-//                           depth 0 is always the baseline row)
-//   HYDRA_PREFETCH          process default readahead depth applied to
-//                           the thread sweeps themselves (prefetch_hit
-//                           column; unset = off)
+// The sizes below are fixed; HYDRA_PREFETCH (the engine's default
+// readahead depth) still applies to the thread rows (prefetch_hit
+// column; unset = off).
 //
-// Pass/fail context for CI and the ROADMAP acceptance bar: at 8 threads
-// on >= 8 idle cores the in-memory scan speedup should exceed 3x, and
-// both sweeps verify the answers are identical to the serial run
-// (avg_recall column) — the engine guarantees bit-identical exact
-// results in-memory and on-disk alike.
+// Pass/fail: every row is exact search, so the binary exits 1 when any
+// row's avg_recall is below 1 or its match_serial is NO — the engine
+// guarantees bit-identical exact results at every thread count and
+// prefetch depth, in-memory and on-disk alike. At 8 threads on >= 8 idle
+// cores the in-memory scan speedup should exceed 3x.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
-#include "core/generators.h"
-#include "core/ground_truth.h"
-#include "harness/experiment.h"
-#include "index/scan/linear_scan.h"
-#include "storage/buffer_manager.h"
+#include "bench/bench_common.h"
 #include "storage/series_file.h"
 
 namespace {
 
-using hydra::EnvCount;
+constexpr size_t kSeries = 100000;
+constexpr size_t kLength = 128;
+constexpr size_t kQueries = 20;
+constexpr size_t kK = 10;
+constexpr size_t kPageSeries = 16;
+const std::vector<size_t> kThreads = {1, 2, 4, 8};
+// ~2% of the data, floored at the largest thread count so every worker
+// can hold its pin.
+constexpr size_t kCapacity = std::max<size_t>(8, kSeries / kPageSeries / 50);
 
-std::vector<size_t> EnvThreadList(const char* name) {
-  return hydra::ParseCountList(std::getenv(name), {1, 2, 4, 8});
+// Prints one table and its CSV form; false when a row breaks the
+// exactness contract.
+bool Report(const std::string& title,
+            const std::vector<hydra::RunResult>& rows, size_t n) {
+  hydra::Table table = hydra::SerialTable(rows, n);
+  std::printf("\n## %s\n%s\n", title.c_str(), table.ToAlignedText().c_str());
+  std::printf("# csv\n%s", table.ToCsv().c_str());
+  bool ok = true;
+  for (const hydra::RunResult& r : rows) {
+    if (!r.matches_serial || r.accuracy.avg_recall < 1.0) {
+      std::fprintf(stderr, "DETERMINISM VIOLATION: %s %s\n", title.c_str(),
+                   r.setting.c_str());
+      ok = false;
+    }
+  }
+  return ok;
 }
 
 }  // namespace
 
 int main() {
-  const size_t n = EnvCount("HYDRA_SWEEP_N", 100000);
-  const size_t len = EnvCount("HYDRA_SWEEP_LEN", 128);
-  const size_t num_queries = EnvCount("HYDRA_SWEEP_QUERIES", 20);
-  const size_t k = EnvCount("HYDRA_SWEEP_K", 10);
-  const std::vector<size_t> threads = EnvThreadList("HYDRA_SWEEP_THREADS");
-  const size_t page_series = EnvCount("HYDRA_SWEEP_PAGE_SERIES", 16);
-  const size_t max_threads =
-      *std::max_element(threads.begin(), threads.end());
-  const size_t capacity = EnvCount(
-      "HYDRA_SWEEP_CAPACITY",
-      std::max<size_t>(max_threads, n / page_series / 50));
-
   std::printf("# thread scaling: exact linear scan, n=%zu len=%zu "
               "queries=%zu k=%zu\n",
-              n, len, num_queries, k);
+              kSeries, kLength, kQueries, kK);
 
   hydra::Rng rng(20260729);
-  hydra::Dataset data = hydra::MakeRandomWalk(n, len, rng);
-  hydra::Dataset queries = hydra::MakeNoiseQueries(data, num_queries, 0.1, rng);
+  hydra::Dataset data = hydra::MakeRandomWalk(kSeries, kLength, rng);
+  hydra::Dataset queries = hydra::MakeNoiseQueries(data, kQueries, 0.1, rng);
 
   // The serial scan is exact, so it doubles as its own ground truth; the
   // avg_recall column must then read 1.000 at every thread count — any
   // other value means the parallel engine diverged from serial answers.
   std::vector<hydra::KnnAnswer> ground_truth =
-      hydra::ExactKnnWorkload(data, queries, k);
+      hydra::ExactKnnWorkload(data, queries, kK);
 
   hydra::SearchParams params;
   params.mode = hydra::SearchMode::kExact;
-  params.k = k;
+  params.k = kK;
+  const std::vector<hydra::SweepPoint> points =
+      hydra::ThreadSweep(params, kThreads);
 
+  bool ok = true;
   {
     hydra::InMemoryProvider provider(&data);
     hydra::LinearScanIndex scan(&provider);
-    std::vector<hydra::ThreadSweepPoint> points =
-        hydra::RunThreadSweep(scan, queries, ground_truth, params, threads);
-    hydra::Table table = hydra::ThreadSweepTable(points, data.size());
-    std::printf("\n## in-memory\n%s\n", table.ToAlignedText().c_str());
-    std::printf("# csv\n%s", table.ToCsv().c_str());
+    ok &= Report("in-memory",
+                 hydra::RunSweep(scan, queries, ground_truth, points),
+                 data.size());
   }
 
   // On-disk: the same scan against the page-pinning buffer pool with a
@@ -109,19 +103,17 @@ int main() {
     return 1;
   }
   {
-    auto bm = hydra::BufferManager::Open(path, page_series, capacity);
+    auto bm = hydra::BufferManager::Open(path, kPageSeries, kCapacity);
     if (!bm.ok()) {
       std::fprintf(stderr, "open failed: %s\n",
                    bm.status().ToString().c_str());
       return 1;
     }
     hydra::LinearScanIndex scan(bm.value().get());
-    std::vector<hydra::ThreadSweepPoint> points =
-        hydra::RunThreadSweep(scan, queries, ground_truth, params, threads);
-    hydra::Table table = hydra::ThreadSweepTable(points, data.size());
-    std::printf("\n## on-disk (buffer pool: %zu pages x %zu series)\n%s\n",
-                capacity, page_series, table.ToAlignedText().c_str());
-    std::printf("# csv\n%s", table.ToCsv().c_str());
+    ok &= Report("on-disk (buffer pool: " + std::to_string(kCapacity) +
+                     " pages x " + std::to_string(kPageSeries) + " series)",
+                 hydra::RunSweep(scan, queries, ground_truth, points),
+                 data.size());
     std::printf("# pool: hits=%llu misses=%llu\n",
                 static_cast<unsigned long long>(bm.value()->cache_hits()),
                 static_cast<unsigned long long>(bm.value()->cache_misses()));
@@ -131,26 +123,24 @@ int main() {
   // query) and warm rows per readahead depth — the overlap-I/O-with-
   // compute win, with match_serial proving bit-identical answers.
   {
-    auto bm = hydra::BufferManager::Open(path, page_series, capacity);
+    auto bm = hydra::BufferManager::Open(path, kPageSeries, kCapacity);
     if (!bm.ok()) {
       std::fprintf(stderr, "open failed: %s\n",
                    bm.status().ToString().c_str());
       return 1;
     }
     hydra::LinearScanIndex scan(bm.value().get());
-    std::vector<hydra::PrefetchSweepPoint> points = hydra::RunPrefetchSweep(
-        scan, queries, ground_truth, params, hydra::PrefetchDepthsFromEnv(),
-        bm.value().get());
-    hydra::Table table = hydra::PrefetchSweepTable(points, data.size());
-    std::printf("\n## on-disk prefetch sweep (pool: %zu pages x %zu "
-                "series)\n%s\n",
-                capacity, page_series, table.ToAlignedText().c_str());
-    std::printf("# csv\n%s", table.ToCsv().c_str());
+    ok &= Report("on-disk prefetch sweep (pool: " +
+                     std::to_string(kCapacity) + " pages x " +
+                     std::to_string(kPageSeries) + " series)",
+                 hydra::bench::PrefetchRows(scan, queries, ground_truth,
+                                            params, bm.value().get()),
+                 data.size());
     std::printf(
         "# pool: prefetch_issued=%llu prefetch_useful=%llu\n",
         static_cast<unsigned long long>(bm.value()->prefetch_issued()),
         static_cast<unsigned long long>(bm.value()->prefetch_useful()));
   }
   fs::remove_all(dir);
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -46,6 +46,26 @@ const char* EnvOrString(const char* name, const char* fallback) {
   return v != nullptr ? v : fallback;
 }
 
+std::vector<size_t> ParseCountList(const char* text,
+                                   std::vector<size_t> fallback) {
+  if (text == nullptr) return fallback;
+  std::vector<size_t> counts;
+  const std::string s(text);
+  size_t pos = 0;
+  while (pos < s.size()) {
+    size_t comma = s.find(',', pos);
+    if (comma == std::string::npos) comma = s.size();
+    const std::string token = s.substr(pos, comma - pos);
+    char* end = nullptr;
+    const unsigned long long parsed = std::strtoull(token.c_str(), &end, 10);
+    if (end != token.c_str() && *end == '\0' && parsed > 0) {
+      counts.push_back(static_cast<size_t>(parsed));
+    }
+    pos = comma + 1;
+  }
+  return counts.empty() ? fallback : counts;
+}
+
 uint64_t ResolveOptionU64(uint64_t explicit_value, const char* env_name,
                           uint64_t fallback, uint64_t unset) {
   if (explicit_value != unset) return explicit_value;
@@ -82,15 +102,11 @@ const std::vector<KnobInfo>& KnobTable() {
       {"HYDRA_TENANT_QUEUE", "0 (shared cap only)", "serving",
        "Default per-tenant pending-queue cap when "
        "ServingOptions::tenant_queue_capacity is unset."},
-      {"HYDRA_SHARDS", "1,2,4,8 (bench) / extra test counts", "sharding",
-       "Shard counts the serving bench and shard suites sweep."},
       // Storage.
       {"HYDRA_IO_RETRIES", "3", "storage",
        "Transient-read retry budget per page load (fixed at pool open)."},
       {"HYDRA_IO_BACKOFF_US", "100", "storage",
        "Base microseconds of the exponential retry backoff."},
-      {"HYDRA_SIM_IO_DELAY_US", "0", "storage",
-       "Emulated per-read device latency (re-read at every file open)."},
       // Fault injection (storage/fault_injector.h).
       {"HYDRA_FAULT_SEED", "0", "faults",
        "Seed of the deterministic fault stream; 0 still injects when "
@@ -107,12 +123,11 @@ const std::vector<KnobInfo>& KnobTable() {
        "1 = corruption persists across retries (media damage, not bus "
        "noise)."},
       {"HYDRA_FAULT_LATENCY_RATE", "0", "faults",
-       "Probability a read attempt is delayed."},
+       "Probability a read attempt is delayed (1 with "
+       "HYDRA_FAULT_LATENCY_US emulates a slow device)."},
       {"HYDRA_FAULT_LATENCY_US", "0", "faults",
        "Injected delay in microseconds for delayed attempts."},
       // Replicated serving (net/replica_set.h, net/conn_pool.h).
-      {"HYDRA_REPLICAS", "2", "replication",
-       "Replica count of the bench/CLI replica-set sections."},
       {"HYDRA_HEDGE_MS", "20", "replication",
        "Hedged-request delay before a backup attempt launches when "
        "ReplicaSetOptions::hedge_ms is unset (kHedged policy only)."},
@@ -122,39 +137,14 @@ const std::vector<KnobInfo>& KnobTable() {
       {"HYDRA_REPLICA_RETRIES", "2", "replication",
        "Per-query re-submission budget after retry-safe typed failures "
        "when ReplicaSetOptions::retry_budget is unset."},
-      // Harness sweeps.
-      {"HYDRA_CONCURRENCY", "1,2,4,8", "harness",
-       "Concurrency levels of the serving sweep (and extra levels for "
-       "the serving test suites)."},
-      {"HYDRA_PREFETCH_DEPTHS", "4,16", "harness",
-       "Depths of the prefetch sweep (0 is always prepended)."},
-      {"HYDRA_OFFERED_QPS", "from measured throughput", "harness",
-       "Absolute offered-load levels of the open-loop sweep "
-       "(comma-separated queries/s); default derives levels from the "
-       "measured closed-loop throughput."},
-      // Bench sizing (bench/bench_serving.cc, bench/bench_*).
-      {"HYDRA_SMOKE", "unset", "bench",
-       "1 = CI-sized benches (small data, short sweeps)."},
-      {"HYDRA_SERVING_N", "20000 (smoke 4000)", "bench",
-       "Serving-bench collection size."},
-      {"HYDRA_SERVING_LEN", "128 (smoke 64)", "bench",
-       "Serving-bench series length."},
-      {"HYDRA_SERVING_QUERIES", "64 (smoke 24)", "bench",
-       "Serving-bench query count."},
-      {"HYDRA_SERVING_K", "10", "bench", "Serving-bench k."},
-      {"HYDRA_SERVING_THREADS", "1", "bench",
-       "Serving-bench intra-query threads."},
-      {"HYDRA_SERVING_PAGE_SERIES", "64", "bench",
-       "Serving-bench series per buffer-pool page."},
-      {"HYDRA_SERVING_CAPACITIES", "32,128", "bench",
-       "Serving-bench pool capacities (pages) to sweep."},
-      {"HYDRA_SERVING_DISTINCT", "0", "bench",
-       "Distinct queries before the stream repeats (0 = all distinct)."},
+      // Test stress levels (the CI lanes raise them).
+      {"HYDRA_CONCURRENCY", "none", "tests",
+       "Extra concurrency levels for the serving and sharded suites "
+       "(comma-separated)."},
+      {"HYDRA_SHARDS", "1,2,4,8", "tests",
+       "Shard counts the sharded serving suite sweeps."},
       {"HYDRA_SERVING_POOL_PAGES", "16", "tests",
        "Pool capacity of the serving/chaos test suites."},
-      {"HYDRA_SWEEP_N", "bench-specific", "bench",
-       "Thread-scaling bench collection size (HYDRA_SWEEP_LEN/QUERIES/"
-       "K/THREADS/PAGE_SERIES/CAPACITY size the same bench)."},
   };
   return kKnobs;
 }
@@ -171,7 +161,11 @@ std::string KnobTableMarkdown() {
     out += " | ";
     out += k.scope;
     out += " | ";
-    out += k.description;
+    // A literal '|' would end the markdown cell.
+    for (const char* c = k.description; *c != '\0'; ++c) {
+      if (*c == '|') out += '\\';
+      out += *c;
+    }
     out += " |\n";
   }
   return out;

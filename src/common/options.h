@@ -24,8 +24,8 @@ namespace hydra {
 // the strictest call sites). Env lookups are NOT cached here; call sites
 // that want parse-once semantics keep their own `static` (the historical
 // contract, e.g. HYDRA_PREFETCH) and call sites that re-read per call
-// (e.g. HYDRA_SIM_IO_DELAY_US, read at every file open so benches can
-// flip it between sections) simply call again.
+// (e.g. the HYDRA_FAULT_* knobs, read at every file open so benches can
+// flip them between sections) simply call again.
 
 // Environment layer: HYDRA_* value if set and fully parseable, else
 // `fallback`.
@@ -38,6 +38,11 @@ double EnvOrRate(const char* name, double fallback);
 // Raw string (nullptr-safe): the env value if set and non-empty, else
 // `fallback` (which may be nullptr).
 const char* EnvOrString(const char* name, const char* fallback);
+// Comma-separated count list ("1,2,8"), e.g. HYDRA_CONCURRENCY; entries
+// that do not parse to a positive integer are skipped, and `fallback` is
+// returned when nothing survives (or text == nullptr).
+std::vector<size_t> ParseCountList(const char* text,
+                                   std::vector<size_t> fallback);
 
 // Full precedence: a non-sentinel explicit value wins outright; otherwise
 // the environment layer applies. `unset` is the sentinel meaning "caller

@@ -237,7 +237,7 @@ class QueryScheduler {
 // deterministic — and the combined demand of N in-flight queries is
 // N * (capacity / N) <= capacity: overlapping queries can never starve
 // each other of buffer-pool pins. This is the in-process ServingBackend
-// — the object the harness serving mode (RunServingSweep),
+// — the object the harness served runner (RunLoad),
 // bench_serving, and HydraServer's per-connection sessions drive.
 class ServingSession : public ServingBackend {
  public:

@@ -4,18 +4,67 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
 
-#include "common/options.h"
 #include "common/timer.h"
 #include "exec/query_scheduler.h"
 #include "storage/buffer_manager.h"
 
 namespace hydra {
+namespace {
+
+// Nearest-rank percentile over latencies (sorted copy): the smallest
+// value with at least pct of the sample at or below it, i.e. index
+// ceil(pct * N) - 1.
+double PercentileMs(std::vector<double> seconds, double pct) {
+  if (seconds.empty()) return 0.0;
+  std::sort(seconds.begin(), seconds.end());
+  size_t rank = static_cast<size_t>(
+      std::ceil(pct * static_cast<double>(seconds.size())));
+  if (rank > 0) --rank;
+  if (rank >= seconds.size()) rank = seconds.size() - 1;
+  return seconds[rank] * 1000.0;
+}
+
+double Ratio(double numerator, double denominator) {
+  return denominator > 0.0 ? numerator / denominator : 0.0;
+}
+
+// Same ids and bit-identical distances. Pairs with a failure (an empty
+// answer) on either side are excluded: the contract is "every
+// SUCCESSFUL answer is exactly right", failures are accounted apart.
+bool AnswersIdentical(const KnnAnswer& a, const KnnAnswer& b) {
+  if (a.ids.empty() || b.ids.empty()) return true;
+  return a.ids == b.ids && a.distances == b.distances;
+}
+
+// Every answer against the reference answer of its query; `reference`
+// is cycled for runs that submit the workload more than once.
+bool MatchesReference(const std::vector<KnnAnswer>& answers,
+                      const std::vector<KnnAnswer>& reference) {
+  if (reference.empty()) return true;
+  for (size_t i = 0; i < answers.size(); ++i) {
+    if (!AnswersIdentical(answers[i], reference[i % reference.size()])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+double HitRate(const QueryCounters& c) {
+  return Ratio(static_cast<double>(c.cache_hits),
+               static_cast<double>(c.cache_hits + c.cache_misses));
+}
+
+double PrefetchHitRate(const QueryCounters& c) {
+  return Ratio(static_cast<double>(c.prefetch_useful),
+               static_cast<double>(c.prefetch_issued));
+}
+
+}  // namespace
 
 double RunResult::DataAccessedFraction(size_t collection_size) const {
   if (collection_size == 0 || num_queries == 0) return 0.0;
@@ -31,23 +80,15 @@ double RunResult::RandomIosPerQuery() const {
 }
 
 double RunResult::AbandonRate() const {
-  const uint64_t evaluated =
-      counters.full_distances + counters.abandoned_distances;
-  if (evaluated == 0) return 0.0;
-  return static_cast<double>(counters.abandoned_distances) /
-         static_cast<double>(evaluated);
-}
-
-double RunResult::PrefetchHitRate() const {
-  if (counters.prefetch_issued == 0) return 0.0;
-  return static_cast<double>(counters.prefetch_useful) /
-         static_cast<double>(counters.prefetch_issued);
+  return Ratio(static_cast<double>(counters.abandoned_distances),
+               static_cast<double>(counters.full_distances +
+                                   counters.abandoned_distances));
 }
 
 RunResult RunWorkload(const Index& index, const Dataset& queries,
                       const std::vector<KnnAnswer>& ground_truth,
-                      const SearchParams& params,
-                      const std::string& setting) {
+                      const SearchParams& params, const std::string& setting,
+                      BufferManager* drop_before_each) {
   RunResult result;
   result.method = index.name();
   result.setting = setting;
@@ -55,736 +96,34 @@ RunResult RunWorkload(const Index& index, const Dataset& queries,
 
   std::vector<double> per_query_seconds;
   per_query_seconds.reserve(queries.size());
-  std::vector<KnnAnswer> answers;
-  answers.reserve(queries.size());
-
+  result.answers.reserve(queries.size());
   for (size_t q = 0; q < queries.size(); ++q) {
+    if (drop_before_each != nullptr) drop_before_each->DropCache();
     QueryCounters counters;
     Timer timer;
     Result<KnnAnswer> ans = index.Search(queries.series(q), params, &counters);
     per_query_seconds.push_back(timer.ElapsedSeconds());
-    answers.push_back(ans.ok() ? std::move(ans).value() : KnnAnswer{});
+    result.answers.push_back(ans.ok() ? std::move(ans).value() : KnnAnswer{});
     result.counters += counters;
   }
   result.timing = SummarizeWorkload(per_query_seconds);
-  result.accuracy = AggregateAccuracy(ground_truth, answers, params.k);
+  result.accuracy = AggregateAccuracy(ground_truth, result.answers, params.k);
   result.num_queries = queries.size();
   return result;
 }
 
 std::vector<RunResult> RunSweep(const Index& index, const Dataset& queries,
                                 const std::vector<KnnAnswer>& ground_truth,
-                                const std::vector<SweepPoint>& points) {
+                                const std::vector<SweepPoint>& points,
+                                BufferManager* drop_before_each) {
   std::vector<RunResult> results;
   results.reserve(points.size());
   for (const SweepPoint& p : points) {
-    results.push_back(
-        RunWorkload(index, queries, ground_truth, p.params, p.setting));
+    results.push_back(RunWorkload(index, queries, ground_truth, p.params,
+                                  p.setting, drop_before_each));
+    CompareToBaseline(results.front(), &results.back());
   }
   return results;
-}
-
-std::vector<ThreadSweepPoint> RunThreadSweep(
-    const Index& index, const Dataset& queries,
-    const std::vector<KnnAnswer>& ground_truth, SearchParams base,
-    const std::vector<size_t>& thread_counts) {
-  base.num_threads = 1;
-  RunResult serial =
-      RunWorkload(index, queries, ground_truth, base, "threads=1");
-  const double serial_seconds = serial.timing.total_seconds;
-
-  std::vector<ThreadSweepPoint> points;
-  points.reserve(thread_counts.size());
-  for (size_t threads : thread_counts) {
-    ThreadSweepPoint point;
-    point.num_threads = threads == 0 ? 1 : threads;
-    if (point.num_threads == 1) {
-      point.result = serial;  // reuse the baseline measurement
-    } else {
-      base.num_threads = point.num_threads;
-      point.result = RunWorkload(index, queries, ground_truth, base,
-                                 "threads=" + std::to_string(threads));
-    }
-    point.speedup = point.result.timing.total_seconds > 0.0
-                        ? serial_seconds / point.result.timing.total_seconds
-                        : 0.0;
-    points.push_back(std::move(point));
-  }
-  return points;
-}
-
-Table ThreadSweepTable(const std::vector<ThreadSweepPoint>& points,
-                       size_t collection_size) {
-  Table table({"method", "threads", "total_s", "avg_query_ms",
-               "queries_per_min", "speedup", "avg_recall", "abandon_rate",
-               "prefetch_hit", "pct_data"});
-  for (const ThreadSweepPoint& p : points) {
-    const RunResult& r = p.result;
-    const double avg_ms =
-        r.num_queries > 0 ? r.timing.total_seconds * 1000.0 /
-                                static_cast<double>(r.num_queries)
-                          : 0.0;
-    table.AddRow({r.method, std::to_string(p.num_threads),
-                  FormatDouble(r.timing.total_seconds, 4),
-                  FormatDouble(avg_ms, 3),
-                  FormatDouble(r.timing.throughput_per_min, 1),
-                  FormatDouble(p.speedup, 2),
-                  FormatDouble(r.accuracy.avg_recall, 4),
-                  FormatDouble(p.AbandonRate(), 4),
-                  FormatDouble(r.PrefetchHitRate(), 4),
-                  FormatDouble(
-                      r.DataAccessedFraction(collection_size) * 100.0, 2)});
-  }
-  return table;
-}
-
-double ServingSweepPoint::HitRate() const {
-  const uint64_t total =
-      result.counters.cache_hits + result.counters.cache_misses;
-  if (total == 0) return 0.0;
-  return static_cast<double>(result.counters.cache_hits) /
-         static_cast<double>(total);
-}
-
-namespace {
-
-// Nearest-rank percentile over serving latencies (sorted copy): the
-// smallest value with at least pct of the sample at or below it,
-// i.e. index ceil(pct * N) - 1.
-double PercentileMs(std::vector<double> seconds, double pct) {
-  if (seconds.empty()) return 0.0;
-  std::sort(seconds.begin(), seconds.end());
-  size_t rank = static_cast<size_t>(
-      std::ceil(pct * static_cast<double>(seconds.size())));
-  if (rank > 0) --rank;
-  if (rank >= seconds.size()) rank = seconds.size() - 1;
-  return seconds[rank] * 1000.0;
-}
-
-// Same ids and bit-identical distances. A failed query is recorded as an
-// empty KnnAnswer (k >= 1, so a successful answer is never empty);
-// pairs with a failure on either side are excluded from the
-// determinism comparison — the contract is "every SUCCESSFUL answer is
-// exactly right", failures are accounted separately (errors/timeouts).
-bool AnswersIdentical(const KnnAnswer& a, const KnnAnswer& b) {
-  if (a.ids.empty() || b.ids.empty()) return true;
-  return a.ids == b.ids && a.distances == b.distances;
-}
-
-// Pushes the whole workload through one serving backend and collects the
-// ordered completion stream. The backend comes from `factory` — the
-// measurement code is identical for an in-process session and a
-// loopback client; `index` is only consulted for report metadata.
-ServingSweepPoint RunServingPoint(const ServingBackendFactory& factory,
-                                  const Index& index, const Dataset& queries,
-                                  const std::vector<KnnAnswer>& ground_truth,
-                                  const SearchParams& base,
-                                  size_t concurrency,
-                                  std::vector<KnnAnswer>* answers_out,
-                                  size_t batch_window = 1) {
-  ServingSweepPoint point;
-  point.concurrency = concurrency;
-  point.result.method = index.name();
-  point.result.setting = "concurrency=" + std::to_string(concurrency);
-  point.result.index_bytes = index.MemoryBytes();
-
-  std::vector<double> latencies;
-  latencies.reserve(queries.size());
-  std::vector<KnnAnswer> answers;
-  answers.reserve(queries.size());
-
-  ServingOptions options;
-  options.concurrency = concurrency;
-  options.batch_window = batch_window;
-  // Coalescing feeds on queue depth: give the closed loop enough room
-  // that full windows can actually pile up behind the in-flight slots.
-  if (batch_window > 1) {
-    options.queue_capacity = std::max(queries.size(), size_t{1});
-  }
-  std::unique_ptr<ServingBackend> session = factory(options);
-  if (session == nullptr) {
-    // A factory that cannot produce a backend (e.g. connect refused) is
-    // reported as an all-errors point rather than a crash.
-    point.errors = queries.size();
-    point.matches_serial = false;
-    return point;
-  }
-  Timer wall;
-  // Closed-loop load generation: Submit() blocks on the bounded queue, so
-  // at most queue_capacity + concurrency queries have their latency clock
-  // running — completions need not be consumed for submission to make
-  // progress, so one thread drives the whole sweep.
-  for (size_t q = 0; q < queries.size(); ++q) {
-    session->Submit(queries.series(q), base);
-  }
-  session->Finish();
-  while (std::optional<ServedQuery> served = session->Next()) {
-    latencies.push_back(served->seconds);
-    if (served->answer.ok()) {
-      answers.push_back(std::move(served->answer).value());
-    } else {
-      if (IsTimeout(served->answer.status().code())) {
-        ++point.timeouts;
-      } else {
-        ++point.errors;
-      }
-      answers.push_back(KnnAnswer{});
-    }
-    point.result.counters += served->counters;
-  }
-  point.wall_seconds = wall.ElapsedSeconds();
-  const ServingStats stats = session->stats();
-  point.batches_served = stats.batches_served;
-  point.coalesced_queries = stats.coalesced_queries;
-
-  point.qps = point.wall_seconds > 0.0
-                  ? static_cast<double>(queries.size()) / point.wall_seconds
-                  : 0.0;
-  point.p50_ms = PercentileMs(latencies, 0.50);
-  point.p95_ms = PercentileMs(latencies, 0.95);
-  point.p99_ms = PercentileMs(latencies, 0.99);
-  point.result.timing = SummarizeWorkload(latencies);
-  point.result.accuracy = AggregateAccuracy(ground_truth, answers, base.k);
-  point.result.num_queries = queries.size();
-  if (answers_out != nullptr) *answers_out = std::move(answers);
-  return point;
-}
-
-}  // namespace
-
-ServingBackendFactory LocalBackendFactory(const Index& index,
-                                          SeriesProvider* provider) {
-  return [&index, provider](const ServingOptions& options) {
-    return std::make_unique<ServingSession>(index, provider, options);
-  };
-}
-
-std::vector<ServingSweepPoint> RunServingSweep(
-    const Index& index, const Dataset& queries,
-    const std::vector<KnnAnswer>& ground_truth, SearchParams base,
-    const std::vector<size_t>& concurrency_levels,
-    SeriesProvider* provider, size_t batch_window) {
-  return RunServingSweep(LocalBackendFactory(index, provider), index, queries,
-                         ground_truth, base, concurrency_levels, provider,
-                         batch_window);
-}
-
-std::vector<ServingSweepPoint> RunServingSweep(
-    const ServingBackendFactory& factory, const Index& index,
-    const Dataset& queries, const std::vector<KnnAnswer>& ground_truth,
-    SearchParams base, const std::vector<size_t>& concurrency_levels,
-    SeriesProvider* provider, size_t batch_window) {
-  (void)provider;  // levels are clamped backend-side against pin capacity
-  const bool batching = batch_window > 1 &&
-                        index.capabilities().batched_queries &&
-                        index.capabilities().concurrent_queries;
-  // Untimed warm-up pass: every point then measures steady-state serving
-  // from a comparably warmed buffer pool. Without it the sequential
-  // baseline would pay all the cold page misses and the concurrency
-  // levels would be credited cache warm-up as "speedup".
-  for (size_t q = 0; q < queries.size(); ++q) {
-    QueryCounters scratch;
-    (void)index.Search(queries.series(q), base, &scratch);
-  }
-
-  // Sequential baseline: the reference answers every level must
-  // reproduce, and the denominator of the throughput speedup.
-  std::vector<KnnAnswer> serial_answers;
-  ServingSweepPoint serial = RunServingPoint(factory, index, queries,
-                                             ground_truth, base, 1,
-                                             &serial_answers);
-
-  std::vector<ServingSweepPoint> points;
-  points.reserve(concurrency_levels.size());
-  for (size_t level : concurrency_levels) {
-    const size_t concurrency = level == 0 ? 1 : level;
-    ServingSweepPoint point;
-    std::vector<KnnAnswer> answers;
-    if (concurrency == 1) {
-      point = serial;  // reuse the baseline measurement
-      point.matches_serial = true;
-    } else {
-      point = RunServingPoint(factory, index, queries, ground_truth, base,
-                              concurrency, &answers);
-      point.matches_serial =
-          answers.size() == serial_answers.size() &&
-          std::equal(answers.begin(), answers.end(), serial_answers.begin(),
-                     AnswersIdentical);
-    }
-    point.speedup = point.wall_seconds > 0.0
-                        ? serial.wall_seconds / point.wall_seconds
-                        : 0.0;
-    if (batching) {
-      // Same level again with the coalescing window armed: the batched
-      // run is the comparison column, and its answers are held to the
-      // same bit-identity contract as the unbatched one.
-      std::vector<KnnAnswer> batched_answers;
-      ServingSweepPoint batched =
-          RunServingPoint(factory, index, queries, ground_truth, base,
-                          concurrency, &batched_answers, batch_window);
-      point.batched_qps = batched.qps;
-      point.batched_p99_ms = batched.p99_ms;
-      point.batched_gain =
-          point.qps > 0.0 ? batched.qps / point.qps : 0.0;
-      point.batches_served = batched.batches_served;
-      point.coalesced_queries = batched.coalesced_queries;
-      point.matches_serial =
-          point.matches_serial &&
-          batched_answers.size() == serial_answers.size() &&
-          std::equal(batched_answers.begin(), batched_answers.end(),
-                     serial_answers.begin(), AnswersIdentical);
-    }
-    points.push_back(std::move(point));
-  }
-  return points;
-}
-
-Table ServingSweepTable(const std::vector<ServingSweepPoint>& points) {
-  Table table({"method", "concurrency", "wall_s", "qps", "p50_ms", "p95_ms",
-               "p99_ms", "speedup", "b_qps", "b_p99_ms", "b_gain", "batches",
-               "avg_recall", "hit_rate", "prefetch_hit", "errors", "timeouts",
-               "io_retries", "match_serial"});
-  for (const ServingSweepPoint& p : points) {
-    table.AddRow({p.result.method, std::to_string(p.concurrency),
-                  FormatDouble(p.wall_seconds, 4), FormatDouble(p.qps, 1),
-                  FormatDouble(p.p50_ms, 3), FormatDouble(p.p95_ms, 3),
-                  FormatDouble(p.p99_ms, 3), FormatDouble(p.speedup, 2),
-                  FormatDouble(p.batched_qps, 1),
-                  FormatDouble(p.batched_p99_ms, 3),
-                  FormatDouble(p.batched_gain, 2),
-                  std::to_string(p.batches_served),
-                  FormatDouble(p.result.accuracy.avg_recall, 4),
-                  FormatDouble(p.HitRate(), 4),
-                  FormatDouble(p.result.PrefetchHitRate(), 4),
-                  std::to_string(p.errors), std::to_string(p.timeouts),
-                  std::to_string(p.result.counters.io_retries),
-                  p.matches_serial ? "yes" : "NO"});
-  }
-  return table;
-}
-
-namespace {
-
-// One fixed-schedule run (see RunOpenLoopSweep): the submitter thread is
-// the arrival process, the calling thread is the drain.
-OpenLoopPoint RunOpenLoopPoint(const ServingBackendFactory& factory,
-                               const Dataset& queries,
-                               const SearchParams& base, double rate,
-                               size_t concurrency, size_t total,
-                               const std::vector<KnnAnswer>& reference) {
-  using Clock = std::chrono::steady_clock;
-  OpenLoopPoint point;
-  point.offered_qps = rate;
-  point.num_queries = total;
-
-  ServingOptions options;
-  options.concurrency = concurrency;
-  // Open loop: the generator must NEVER block on backpressure (that is
-  // the closed loop again) — size the queue to hold the entire run.
-  options.queue_capacity = total + concurrency;
-  std::unique_ptr<ServingBackend> session = factory(options);
-  if (session == nullptr) {  // see RunServingPoint
-    point.errors = total;
-    point.matches_serial = false;
-    return point;
-  }
-
-  // Schedule anchored shortly ahead so query 0's arrival is not already
-  // in the past by the time the submitter thread is up.
-  const Clock::time_point t0 = Clock::now() + std::chrono::milliseconds(5);
-  const double interval_s = rate > 0.0 ? 1.0 / rate : 0.0;
-  std::thread submitter([&] {
-    for (size_t i = 0; i < total; ++i) {
-      const Clock::time_point due =
-          t0 + std::chrono::duration_cast<Clock::duration>(
-                   std::chrono::duration<double>(interval_s *
-                                                 static_cast<double>(i)));
-      std::this_thread::sleep_until(due);  // past-due wakes immediately
-      session->Submit(queries.series(i % queries.size()), base);
-    }
-  });
-
-  // Drain in ticket (= schedule) order, timestamping each completion
-  // against ITS OWN scheduled arrival — a query stuck behind a backlog
-  // is charged its whole queueing delay even though it was submitted
-  // late, which is the open-loop point.
-  std::vector<double> latencies;
-  latencies.reserve(total);
-  Clock::time_point last_done = t0;
-  for (size_t i = 0; i < total; ++i) {
-    std::optional<ServedQuery> served = session->Next();
-    if (!served.has_value()) break;  // cannot happen before Finish()
-    const Clock::time_point now = Clock::now();
-    last_done = now;
-    const Clock::time_point due =
-        t0 + std::chrono::duration_cast<Clock::duration>(
-                 std::chrono::duration<double>(interval_s *
-                                               static_cast<double>(i)));
-    latencies.push_back(
-        std::chrono::duration<double>(now - due).count());
-    if (served->answer.ok()) {
-      if (!AnswersIdentical(served->answer.value(),
-                            reference[i % reference.size()])) {
-        point.matches_serial = false;
-      }
-    } else {
-      if (IsTimeout(served->answer.status().code())) {
-        ++point.timeouts;
-      } else {
-        ++point.errors;
-      }
-    }
-  }
-  submitter.join();
-  session->Finish();
-
-  point.wall_seconds =
-      std::chrono::duration<double>(last_done - t0).count();
-  point.achieved_qps = point.wall_seconds > 0.0
-                           ? static_cast<double>(total) / point.wall_seconds
-                           : 0.0;
-  point.p50_ms = PercentileMs(latencies, 0.50);
-  point.p95_ms = PercentileMs(latencies, 0.95);
-  point.p99_ms = PercentileMs(latencies, 0.99);
-  double sum = 0.0;
-  for (double s : latencies) sum += s;
-  point.mean_ms = latencies.empty()
-                      ? 0.0
-                      : (sum / static_cast<double>(latencies.size())) * 1000.0;
-  return point;
-}
-
-}  // namespace
-
-std::vector<OpenLoopPoint> RunOpenLoopSweep(
-    const Index& index, const Dataset& queries, SearchParams base,
-    const std::vector<double>& offered_qps, size_t concurrency,
-    SeriesProvider* provider, size_t total_queries) {
-  return RunOpenLoopSweep(LocalBackendFactory(index, provider), index, queries,
-                          base, offered_qps, concurrency, provider,
-                          total_queries);
-}
-
-std::vector<OpenLoopPoint> RunOpenLoopSweep(
-    const ServingBackendFactory& factory, const Index& index,
-    const Dataset& queries, SearchParams base,
-    const std::vector<double>& offered_qps, size_t concurrency,
-    SeriesProvider* provider, size_t total_queries) {
-  (void)provider;  // admission is clamped backend-side against pin capacity
-  const size_t total = total_queries == 0 ? queries.size() : total_queries;
-  // Serial reference answers (and pool warm-up) once for every rate: the
-  // determinism column compares each successful served answer against
-  // the one-query-at-a-time result for the same query.
-  std::vector<KnnAnswer> reference;
-  reference.reserve(queries.size());
-  for (size_t q = 0; q < queries.size(); ++q) {
-    QueryCounters scratch;
-    auto answer = index.Search(queries.series(q), base, &scratch);
-    reference.push_back(answer.ok() ? std::move(answer).value()
-                                    : KnnAnswer{});
-  }
-  std::vector<OpenLoopPoint> points;
-  points.reserve(offered_qps.size());
-  for (double rate : offered_qps) {
-    if (rate <= 0.0) continue;
-    points.push_back(RunOpenLoopPoint(factory, queries, base, rate,
-                                      concurrency, total, reference));
-  }
-  return points;
-}
-
-Table OpenLoopTable(const std::vector<OpenLoopPoint>& points,
-                    const std::string& method) {
-  Table table({"method", "offered_qps", "achieved_qps", "wall_s", "p50_ms",
-               "p95_ms", "p99_ms", "mean_ms", "errors", "timeouts",
-               "match_serial"});
-  for (const OpenLoopPoint& p : points) {
-    table.AddRow({method, FormatDouble(p.offered_qps, 1),
-                  FormatDouble(p.achieved_qps, 1),
-                  FormatDouble(p.wall_seconds, 4), FormatDouble(p.p50_ms, 3),
-                  FormatDouble(p.p95_ms, 3), FormatDouble(p.p99_ms, 3),
-                  FormatDouble(p.mean_ms, 3), std::to_string(p.errors),
-                  std::to_string(p.timeouts),
-                  p.matches_serial ? "yes" : "NO"});
-  }
-  return table;
-}
-
-AvailabilityPoint RunAvailabilityPoint(
-    const ServingBackendFactory& factory, const Dataset& queries,
-    const SearchParams& base, double rate, size_t concurrency, size_t total,
-    const std::vector<KnnAnswer>& reference,
-    const std::function<void()>& chaos) {
-  using Clock = std::chrono::steady_clock;
-  AvailabilityPoint point;
-  point.offered_qps = rate;
-  point.num_queries = total;
-
-  ServingOptions options;
-  options.concurrency = concurrency;
-  options.queue_capacity = total + concurrency;  // open loop: never block
-  std::unique_ptr<ServingBackend> session = factory(options);
-  if (session == nullptr) {
-    point.typed_errors = total;
-    point.matches_serial = false;
-    return point;
-  }
-
-  // The chaos action runs on its own thread with its own internal
-  // timing (sleep → kill → sleep → restart): the load keeps arriving on
-  // schedule while it happens, which is the whole measurement.
-  std::thread chaos_thread;
-  if (chaos) chaos_thread = std::thread(chaos);
-
-  const Clock::time_point t0 = Clock::now() + std::chrono::milliseconds(5);
-  const double interval_s = rate > 0.0 ? 1.0 / rate : 0.0;
-  std::thread submitter([&] {
-    for (size_t i = 0; i < total; ++i) {
-      const Clock::time_point due =
-          t0 + std::chrono::duration_cast<Clock::duration>(
-                   std::chrono::duration<double>(interval_s *
-                                                 static_cast<double>(i)));
-      std::this_thread::sleep_until(due);
-      session->Submit(queries.series(i % queries.size()), base);
-    }
-  });
-
-  std::vector<double> latencies;
-  latencies.reserve(total);
-  for (size_t i = 0; i < total; ++i) {
-    std::optional<ServedQuery> served = session->Next();
-    if (!served.has_value()) break;
-    ++point.completions;
-    const Clock::time_point due =
-        t0 + std::chrono::duration_cast<Clock::duration>(
-                 std::chrono::duration<double>(interval_s *
-                                               static_cast<double>(i)));
-    const double latency_s =
-        std::chrono::duration<double>(Clock::now() - due).count();
-    latencies.push_back(latency_s);
-    if (served->answer.ok()) {
-      ++point.ok;
-      if (base.deadline_ms <= 0 || latency_s * 1000.0 <= base.deadline_ms) {
-        ++point.ok_within_deadline;
-      }
-      if (!AnswersIdentical(served->answer.value(),
-                            reference[i % reference.size()])) {
-        point.matches_serial = false;
-      }
-    } else if (IsTimeout(served->answer.status().code())) {
-      ++point.timeouts;
-    } else {
-      ++point.typed_errors;
-    }
-  }
-  submitter.join();
-  session->Finish();
-  if (chaos_thread.joinable()) chaos_thread.join();
-
-  point.availability =
-      total > 0 ? static_cast<double>(point.ok_within_deadline) /
-                      static_cast<double>(total)
-                : 0.0;
-  point.p50_ms = PercentileMs(latencies, 0.50);
-  point.p99_ms = PercentileMs(latencies, 0.99);
-  return point;
-}
-
-Table AvailabilityTable(const std::vector<AvailabilityPoint>& points,
-                        const std::string& scenario) {
-  Table table({"scenario", "offered_qps", "n", "done", "ok", "ok_in_ddl",
-               "avail", "errors", "timeouts", "p50_ms", "p99_ms",
-               "match_serial"});
-  for (const AvailabilityPoint& p : points) {
-    table.AddRow({scenario, FormatDouble(p.offered_qps, 1),
-                  std::to_string(p.num_queries), std::to_string(p.completions),
-                  std::to_string(p.ok), std::to_string(p.ok_within_deadline),
-                  FormatDouble(p.availability, 4),
-                  std::to_string(p.typed_errors), std::to_string(p.timeouts),
-                  FormatDouble(p.p50_ms, 3), FormatDouble(p.p99_ms, 3),
-                  p.matches_serial ? "yes" : "NO"});
-  }
-  return table;
-}
-
-std::vector<double> ParseRateList(const char* text,
-                                  std::vector<double> fallback) {
-  if (text == nullptr) return fallback;
-  std::vector<double> rates;
-  std::string s(text);
-  size_t pos = 0;
-  while (pos < s.size()) {
-    size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    const std::string token = s.substr(pos, comma - pos);
-    char* end = nullptr;
-    const double parsed = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() && *end == '\0' && parsed > 0.0) {
-      rates.push_back(parsed);
-    }
-    pos = comma + 1;
-  }
-  return rates.empty() ? fallback : rates;
-}
-
-namespace {
-
-// One temperature-controlled measurement for the prefetch sweep: cold
-// drops (and drains) the pool before every query, warm leaves it as the
-// previous query left it.
-RunResult RunPrefetchWorkload(const Index& index, const Dataset& queries,
-                              const std::vector<KnnAnswer>& ground_truth,
-                              const SearchParams& params,
-                              const std::string& setting, BufferManager* pool,
-                              bool cold, std::vector<KnnAnswer>* answers_out) {
-  RunResult result;
-  result.method = index.name();
-  result.setting = setting;
-  result.index_bytes = index.MemoryBytes();
-
-  std::vector<double> per_query_seconds;
-  per_query_seconds.reserve(queries.size());
-  std::vector<KnnAnswer> answers;
-  answers.reserve(queries.size());
-  for (size_t q = 0; q < queries.size(); ++q) {
-    // DropCache cancels queued readahead and drains in-flight prefetch
-    // loads, so a cold query never inherits pages (or background reads)
-    // from the previous one.
-    if (cold) pool->DropCache();
-    QueryCounters counters;
-    Timer timer;
-    Result<KnnAnswer> ans = index.Search(queries.series(q), params, &counters);
-    per_query_seconds.push_back(timer.ElapsedSeconds());
-    answers.push_back(ans.ok() ? std::move(ans).value() : KnnAnswer{});
-    result.counters += counters;
-  }
-  result.timing = SummarizeWorkload(per_query_seconds);
-  result.accuracy = AggregateAccuracy(ground_truth, answers, params.k);
-  result.num_queries = queries.size();
-  if (answers_out != nullptr) *answers_out = std::move(answers);
-  return result;
-}
-
-}  // namespace
-
-std::vector<PrefetchSweepPoint> RunPrefetchSweep(
-    const Index& index, const Dataset& queries,
-    const std::vector<KnnAnswer>& ground_truth, SearchParams base,
-    const std::vector<size_t>& depths, BufferManager* pool) {
-  std::vector<PrefetchSweepPoint> points;
-  for (bool cold : {true, false}) {
-    if (!cold) {
-      // Warm steady state: one untimed pass charges the cold misses.
-      base.prefetch_depth = SearchParams::kPrefetchOff;
-      for (size_t q = 0; q < queries.size(); ++q) {
-        QueryCounters scratch;
-        (void)index.Search(queries.series(q), base, &scratch);
-      }
-    }
-    // Depth 0 is the serial-identical baseline: reference answers and
-    // the speedup denominator for this temperature. Forced off (not just
-    // unset), so an exported HYDRA_PREFETCH cannot contaminate it.
-    base.prefetch_depth = SearchParams::kPrefetchOff;
-    std::vector<KnnAnswer> baseline_answers;
-    const std::string temp = cold ? "cold" : "warm";
-    RunResult baseline = RunPrefetchWorkload(
-        index, queries, ground_truth, base, "depth=0," + temp, pool, cold,
-        &baseline_answers);
-    const double baseline_seconds = baseline.timing.total_seconds;
-
-    for (size_t depth : depths) {
-      PrefetchSweepPoint point;
-      point.depth = depth;
-      point.cold = cold;
-      if (depth == 0) {
-        point.result = baseline;
-      } else {
-        base.prefetch_depth = depth;
-        std::vector<KnnAnswer> answers;
-        point.result = RunPrefetchWorkload(
-            index, queries, ground_truth, base,
-            "depth=" + std::to_string(depth) + "," + temp, pool, cold,
-            &answers);
-        point.matches_serial =
-            answers.size() == baseline_answers.size() &&
-            std::equal(answers.begin(), answers.end(),
-                       baseline_answers.begin(), AnswersIdentical);
-      }
-      point.speedup = point.result.timing.total_seconds > 0.0
-                          ? baseline_seconds /
-                                point.result.timing.total_seconds
-                          : 0.0;
-      points.push_back(std::move(point));
-    }
-  }
-  return points;
-}
-
-Table PrefetchSweepTable(const std::vector<PrefetchSweepPoint>& points,
-                         size_t collection_size) {
-  Table table({"method", "depth", "pool", "total_s", "speedup", "avg_recall",
-               "abandon_rate", "prefetch_hit", "hit_rate", "pct_data",
-               "match_serial"});
-  for (const PrefetchSweepPoint& p : points) {
-    const RunResult& r = p.result;
-    const uint64_t pool_total =
-        r.counters.cache_hits + r.counters.cache_misses;
-    const double hit_rate =
-        pool_total > 0 ? static_cast<double>(r.counters.cache_hits) /
-                             static_cast<double>(pool_total)
-                       : 0.0;
-    table.AddRow({r.method, std::to_string(p.depth), p.cold ? "cold" : "warm",
-                  FormatDouble(r.timing.total_seconds, 4),
-                  FormatDouble(p.speedup, 2),
-                  FormatDouble(r.accuracy.avg_recall, 4),
-                  FormatDouble(r.AbandonRate(), 4),
-                  FormatDouble(r.PrefetchHitRate(), 4),
-                  FormatDouble(hit_rate, 4),
-                  FormatDouble(
-                      r.DataAccessedFraction(collection_size) * 100.0, 2),
-                  p.matches_serial ? "yes" : "NO"});
-  }
-  return table;
-}
-
-std::vector<size_t> PrefetchDepthsFromEnv() {
-  std::vector<size_t> depths = {0};  // the off baseline, always measured
-  for (size_t d :
-       ParseCountList(EnvOrString("HYDRA_PREFETCH_DEPTHS", nullptr),
-                      {4, 16})) {
-    depths.push_back(d);
-  }
-  return depths;
-}
-
-std::vector<size_t> ParseCountList(const char* text,
-                                   std::vector<size_t> fallback) {
-  if (text == nullptr) return fallback;
-  std::vector<size_t> counts;
-  std::string s(text);
-  size_t pos = 0;
-  while (pos < s.size()) {
-    size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    char* end = nullptr;
-    const std::string token = s.substr(pos, comma - pos);
-    unsigned long long parsed = std::strtoull(token.c_str(), &end, 10);
-    if (end != token.c_str() && *end == '\0' && parsed > 0) {
-      counts.push_back(static_cast<size_t>(parsed));
-    }
-    pos = comma + 1;
-  }
-  return counts.empty() ? fallback : counts;
-}
-
-std::vector<size_t> ConcurrencyLevelsFromEnv() {
-  return ParseCountList(EnvOrString("HYDRA_CONCURRENCY", nullptr),
-                        {1, 2, 4, 8});
-}
-
-size_t EnvCount(const char* name, size_t fallback) {
-  const size_t v = EnvOrSize(name, fallback);
-  return v > 0 ? v : fallback;
 }
 
 std::vector<SweepPoint> NgSweep(size_t k, const std::vector<size_t>& nprobes) {
@@ -817,6 +156,228 @@ std::vector<SweepPoint> EpsilonSweep(size_t k,
     out.push_back(std::move(p));
   }
   return out;
+}
+
+std::vector<SweepPoint> ThreadSweep(const SearchParams& base,
+                                    const std::vector<size_t>& counts) {
+  std::vector<SweepPoint> out;
+  for (size_t threads : counts) {
+    SweepPoint p{base, "threads=" + std::to_string(threads)};
+    p.params.num_threads = std::max<size_t>(threads, 1);
+    out.push_back(std::move(p));
+  }
+  return out;
+}
+
+std::vector<SweepPoint> DepthSweep(const SearchParams& base,
+                                   const std::vector<size_t>& depths) {
+  std::vector<SweepPoint> out;
+  for (size_t depth : depths) {
+    SweepPoint p{base, "depth=" + std::to_string(depth)};
+    p.params.prefetch_depth = depth == 0 ? SearchParams::kPrefetchOff : depth;
+    out.push_back(std::move(p));
+  }
+  return out;
+}
+
+std::vector<KnnAnswer> SerialAnswers(const Index& index,
+                                     const Dataset& queries,
+                                     const SearchParams& params) {
+  std::vector<KnnAnswer> answers;
+  answers.reserve(queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    QueryCounters scratch;
+    Result<KnnAnswer> ans = index.Search(queries.series(q), params, &scratch);
+    answers.push_back(ans.ok() ? std::move(ans).value() : KnnAnswer{});
+  }
+  return answers;
+}
+
+Table SerialTable(const std::vector<RunResult>& rows,
+                  size_t collection_size) {
+  Table table({"method", "setting", "total_s", "avg_query_ms",
+               "queries_per_min", "speedup", "avg_recall", "abandon_rate",
+               "prefetch_hit", "hit_rate", "pct_data", "match_serial"});
+  for (const RunResult& r : rows) {
+    const double avg_ms =
+        Ratio(r.timing.total_seconds * 1000.0,
+              static_cast<double>(r.num_queries));
+    table.AddRow({r.method, r.setting, FormatDouble(r.timing.total_seconds, 4),
+                  FormatDouble(avg_ms, 3),
+                  FormatDouble(r.timing.throughput_per_min, 1),
+                  FormatDouble(r.speedup, 2),
+                  FormatDouble(r.accuracy.avg_recall, 4),
+                  FormatDouble(r.AbandonRate(), 4),
+                  FormatDouble(PrefetchHitRate(r.counters), 4),
+                  FormatDouble(HitRate(r.counters), 4),
+                  FormatDouble(
+                      r.DataAccessedFraction(collection_size) * 100.0, 2),
+                  r.matches_serial ? "yes" : "NO"});
+  }
+  return table;
+}
+
+ServingBackendFactory LocalBackendFactory(const Index& index,
+                                          SeriesProvider* provider) {
+  return [&index, provider](const ServingOptions& options) {
+    return std::make_unique<ServingSession>(index, provider, options);
+  };
+}
+
+LoadResult RunLoad(const ServingBackendFactory& factory,
+                   const Dataset& queries,
+                   const std::vector<KnnAnswer>& ground_truth,
+                   const SearchParams& params,
+                   const std::vector<KnnAnswer>& reference,
+                   const Load& load) {
+  using Clock = std::chrono::steady_clock;
+  const size_t total = load.total == 0 ? queries.size() : load.total;
+  const bool open_loop = load.rate > 0.0;
+  LoadResult result;
+  result.setting = "concurrency=" + std::to_string(load.concurrency);
+  if (load.batch_window > 1) {
+    result.setting += ";window=" + std::to_string(load.batch_window);
+  }
+  result.offered_qps = load.rate;
+  result.num_queries = total;
+
+  ServingOptions options;
+  options.concurrency = load.concurrency;
+  options.batch_window = load.batch_window;
+  // An open loop must never block on backpressure (that would close the
+  // loop again), and coalescing feeds on queue depth.
+  if (open_loop) {
+    options.queue_capacity = total + load.concurrency;
+  } else if (load.batch_window > 1) {
+    options.queue_capacity = std::max<size_t>(total, 1);
+  }
+  std::unique_ptr<ServingBackend> backend = factory(options);
+  if (backend == nullptr) {
+    result.errors = total;
+    result.matches_serial = false;
+    return result;
+  }
+
+  std::thread chaos;
+  if (load.chaos) chaos = std::thread(load.chaos);
+  // The open-loop schedule is anchored shortly ahead, so query 0's
+  // arrival is not already past by the time the submitter is up.
+  const Clock::time_point t0 =
+      Clock::now() + (open_loop ? std::chrono::milliseconds(5)
+                                : std::chrono::milliseconds(0));
+  const double interval_s = open_loop ? 1.0 / load.rate : 0.0;
+  auto due = [&](size_t i) {
+    const double offset_s = interval_s * static_cast<double>(i);
+    return t0 + std::chrono::duration_cast<Clock::duration>(
+                    std::chrono::duration<double>(offset_s));
+  };
+  std::thread submitter([&] {
+    for (size_t i = 0; i < total; ++i) {
+      if (open_loop) std::this_thread::sleep_until(due(i));
+      backend->Submit(queries.series(i % queries.size()), params);
+    }
+    // A closed loop closes the stream once everything is submitted, so a
+    // dropped submission ends the drain instead of stalling it.
+    if (!open_loop) backend->Finish();
+  });
+
+  // Drain in ticket (= submission) order. An open-loop query stuck
+  // behind a backlog is charged its whole queueing delay, measured from
+  // its own scheduled arrival even though it was submitted late.
+  std::vector<double> latencies;
+  latencies.reserve(total);
+  result.answers.reserve(total);
+  Clock::time_point last_done = t0;
+  for (size_t i = 0; i < total; ++i) {
+    std::optional<ServedQuery> served = backend->Next();
+    if (!served.has_value()) break;  // the stream ended early
+    last_done = Clock::now();
+    ++result.completions;
+    const double latency_s =
+        open_loop ? std::chrono::duration<double>(last_done - due(i)).count()
+                  : served->seconds;
+    latencies.push_back(latency_s);
+    result.counters += served->counters;
+    if (served->answer.ok()) {
+      ++result.ok;
+      if (params.deadline_ms <= 0 || latency_s * 1000.0 <= params.deadline_ms) {
+        ++result.ok_within_deadline;
+      }
+      result.answers.push_back(std::move(served->answer).value());
+    } else {
+      if (IsTimeout(served->answer.status().code())) {
+        ++result.timeouts;
+      } else {
+        ++result.errors;
+      }
+      result.answers.push_back(KnnAnswer{});
+    }
+  }
+  // Only a coalescing run issues batches; the stats call is skipped
+  // otherwise so remote backends pay no extra round trip.
+  if (load.batch_window > 1) result.batches = backend->stats().batches_served;
+  submitter.join();
+  backend->Finish();
+  if (chaos.joinable()) chaos.join();
+
+  result.wall_seconds = std::chrono::duration<double>(last_done - t0).count();
+  result.qps = Ratio(static_cast<double>(total), result.wall_seconds);
+  result.availability = Ratio(static_cast<double>(result.ok_within_deadline),
+                              static_cast<double>(total));
+  result.p50_ms = PercentileMs(latencies, 0.50);
+  result.p95_ms = PercentileMs(latencies, 0.95);
+  result.p99_ms = PercentileMs(latencies, 0.99);
+  double sum = 0.0;
+  for (double s : latencies) sum += s;
+  result.mean_ms = Ratio(sum * 1000.0, static_cast<double>(latencies.size()));
+  if (!ground_truth.empty()) {
+    std::vector<KnnAnswer> expected;
+    expected.reserve(result.answers.size());
+    for (size_t i = 0; i < result.answers.size(); ++i) {
+      expected.push_back(ground_truth[i % ground_truth.size()]);
+    }
+    result.accuracy = AggregateAccuracy(expected, result.answers, params.k);
+  }
+  result.matches_serial = MatchesReference(result.answers, reference);
+  return result;
+}
+
+Table LoadTable(const std::vector<LoadResult>& rows) {
+  Table table({"method", "setting", "offered_qps", "n", "done", "ok",
+               "ok_in_ddl", "avail", "wall_s", "qps", "p50_ms", "p95_ms",
+               "p99_ms", "mean_ms", "speedup", "batches", "avg_recall",
+               "hit_rate", "prefetch_hit", "errors", "timeouts", "io_retries",
+               "match_serial"});
+  for (const LoadResult& r : rows) {
+    table.AddRow(
+        {r.method, r.setting, FormatDouble(r.offered_qps, 1),
+         std::to_string(r.num_queries), std::to_string(r.completions),
+         std::to_string(r.ok), std::to_string(r.ok_within_deadline),
+         FormatDouble(r.availability, 4), FormatDouble(r.wall_seconds, 4),
+         FormatDouble(r.qps, 1), FormatDouble(r.p50_ms, 3),
+         FormatDouble(r.p95_ms, 3), FormatDouble(r.p99_ms, 3),
+         FormatDouble(r.mean_ms, 3), FormatDouble(r.speedup, 2),
+         std::to_string(r.batches), FormatDouble(r.accuracy.avg_recall, 4),
+         FormatDouble(HitRate(r.counters), 4),
+         FormatDouble(PrefetchHitRate(r.counters), 4),
+         std::to_string(r.errors), std::to_string(r.timeouts),
+         std::to_string(r.counters.io_retries),
+         r.matches_serial ? "yes" : "NO"});
+  }
+  return table;
+}
+
+void CompareToBaseline(const RunResult& baseline, RunResult* row) {
+  row->speedup =
+      Ratio(baseline.timing.total_seconds, row->timing.total_seconds);
+  row->matches_serial =
+      row->matches_serial && MatchesReference(row->answers, baseline.answers);
+}
+
+void CompareToBaseline(const LoadResult& baseline, LoadResult* row) {
+  row->speedup = Ratio(baseline.wall_seconds, row->wall_seconds);
+  row->matches_serial =
+      row->matches_serial && MatchesReference(row->answers, baseline.answers);
 }
 
 }  // namespace hydra

@@ -19,21 +19,25 @@ namespace hydra {
 class SeriesProvider;  // storage/buffer_manager.h
 class BufferManager;   // storage/buffer_manager.h
 
-// How the serving sweeps obtain the backend they drive: a factory
-// called once per measured point with that point's serving
-// configuration. The default (in-process) factory builds a
-// ServingSession; a network harness hands one out that connects a
-// HydraClient to a running HydraServer instead — the sweeps never name
-// a concrete backend, so the same measurement code produces local and
-// loopback tables. A remote factory may not be able to honor every
-// field (the server fixed its per-connection options at Start); it
-// should be wired against a server configured to match.
-using ServingBackendFactory =
-    std::function<std::unique_ptr<ServingBackend>(const ServingOptions&)>;
+// The measurement framework: two runners, one per timing protocol, each
+// with one result type and one table.
+//
+//  * Serial (RunWorkload / RunSweep → RunResult → SerialTable): the
+//    paper's protocol (§4.1) — queries run one at a time on the calling
+//    thread, each timed around Index::Search.
+//  * Served (RunLoad → LoadResult → LoadTable): the workload pushed
+//    through a ServingBackend — closed loop at a concurrency, or open
+//    loop at an arrival rate, optionally with a side action (kill a
+//    replica, ...) running during the load.
+//
+// Every sweep the benches print (threads, prefetch depth, concurrency,
+// coalescing window, offered rate, replica scenario) is a list of points
+// run through one of the two, and every row can be compared against a
+// baseline row by CompareToBaseline: `speedup` and `match_serial`.
 
-// The in-process default: ServingSession over index + provider.
-ServingBackendFactory LocalBackendFactory(const Index& index,
-                                          SeriesProvider* provider);
+// ---------------------------------------------------------------------------
+// Serial runner.
+// ---------------------------------------------------------------------------
 
 // One (method, parameter point) measurement over a query workload:
 // timing under the paper's protocol plus accuracy against ground truth
@@ -48,6 +52,15 @@ struct RunResult {
   size_t index_bytes = 0;
 
   size_t num_queries = 0;
+  // Per-query answers in workload order; a failed query is an empty
+  // KnnAnswer (k >= 1, so a successful answer is never empty).
+  std::vector<KnnAnswer> answers;
+
+  // Filled by CompareToBaseline: baseline total_seconds / this row's
+  // (0 until a baseline is compared), and whether every answer is
+  // identical to the baseline's.
+  double speedup = 0.0;
+  bool matches_serial = true;
 
   // Fraction of the collection's raw series touched per query on average.
   double DataAccessedFraction(size_t collection_size) const;
@@ -57,316 +70,169 @@ struct RunResult {
   // early-abandoning yield. QueryCounters::abandoned_distances has been
   // split out since the SIMD kernel work; this is the per-method report.
   double AbandonRate() const;
-  // Fraction of queued readahead pages a demand fetch then consumed
-  // (prefetch_useful / prefetch_issued); 0 when prefetch never ran.
-  double PrefetchHitRate() const;
 };
 
 // Runs `params` over every query in `queries` against `index`, scoring
 // each answer against `ground_truth` (exact k-NN for the same workload).
+// With `drop_before_each`, that pool is dropped before every query (a
+// cold row: each query pays its own page misses; DropCache also cancels
+// queued readahead, so no query inherits another's background reads).
 RunResult RunWorkload(const Index& index, const Dataset& queries,
                       const std::vector<KnnAnswer>& ground_truth,
-                      const SearchParams& params, const std::string& setting);
+                      const SearchParams& params, const std::string& setting,
+                      BufferManager* drop_before_each = nullptr);
 
-// Sweep helper: the efficiency/accuracy frontier of one method, produced
-// by varying a knob (nprobe, efs, epsilon...). Used by the figure benches.
+// One point of a serial sweep.
 struct SweepPoint {
   SearchParams params;
   std::string setting;
 };
 
+// Runs every point through RunWorkload, in order, and compares every row
+// against the first (CompareToBaseline): row 0 is the sweep's baseline.
 std::vector<RunResult> RunSweep(const Index& index, const Dataset& queries,
                                 const std::vector<KnnAnswer>& ground_truth,
-                                const std::vector<SweepPoint>& points);
+                                const std::vector<SweepPoint>& points,
+                                BufferManager* drop_before_each = nullptr);
 
-// Canonical knob sweeps used across figures.
+// Point lists. NgSweep/EpsilonSweep trace an efficiency/accuracy
+// frontier (nprobe, efs, epsilon...) for the figure benches;
+// ThreadSweep sets SearchParams::num_threads ("threads=N") and
+// DepthSweep SearchParams::prefetch_depth ("depth=D") on `base`. Depth 0
+// is forced off (kPrefetchOff), so an exported HYDRA_PREFETCH cannot
+// leak into the serial-identical baseline.
 std::vector<SweepPoint> NgSweep(size_t k, const std::vector<size_t>& nprobes);
 std::vector<SweepPoint> EpsilonSweep(size_t k,
                                      const std::vector<double>& epsilons,
                                      double delta = 1.0);
+std::vector<SweepPoint> ThreadSweep(const SearchParams& base,
+                                    const std::vector<size_t>& counts);
+std::vector<SweepPoint> DepthSweep(const SearchParams& base,
+                                   const std::vector<size_t>& depths);
 
-// Thread-scaling sweep over the query-parallel execution engine
-// (src/exec/): runs the same workload with SearchParams::num_threads set
-// to each entry of `thread_counts` and reports the speedup of each point
-// against the serial (num_threads = 1) baseline, which is measured first
-// regardless of whether 1 appears in `thread_counts`. Answers are
-// expected to be identical across points for exact search (the exec
-// layer guarantees it); accuracy columns make silent divergence visible.
-struct ThreadSweepPoint {
-  size_t num_threads = 1;
-  RunResult result;
-  double speedup = 1.0;  // serial total_seconds / this point's total_seconds
+// The serial reference: one untimed pass of index.Search over `queries`
+// on the calling thread, returning each answer (empty for a failed
+// query). Doubles as the warm-up pass before steady-state rows.
+std::vector<KnnAnswer> SerialAnswers(const Index& index,
+                                     const Dataset& queries,
+                                     const SearchParams& params);
 
-  // Fraction of raw-distance evaluations cut off early — the
-  // early-abandoning yield at this thread count (stale shared bounds can
-  // shift the split vs. serial; totals account for every candidate).
-  double AbandonRate() const { return result.AbandonRate(); }
-};
-
-std::vector<ThreadSweepPoint> RunThreadSweep(
-    const Index& index, const Dataset& queries,
-    const std::vector<KnnAnswer>& ground_truth, SearchParams base,
-    const std::vector<size_t>& thread_counts);
-
-// Speedup report, one row per point. Columns (also the CSV schema, see
-// README "Running benchmarks"):
-//   method, threads, total_s, avg_query_ms, queries_per_min, speedup,
-//   avg_recall, abandon_rate, prefetch_hit, pct_data
+// One row per result. Columns (also the CSV schema):
+//   method, setting, total_s, avg_query_ms, queries_per_min, speedup,
+//   avg_recall, abandon_rate, prefetch_hit, hit_rate, pct_data,
+//   match_serial
 // pct_data is the paper's %-data-accessed measure (series touched per
-// query / collection size); pass the collection size to enable it, 0
-// prints 0. For a disk-resident run it is fed by the buffer pool's
-// hit/miss accounting (only real fetches charge I/O). prefetch_hit is
-// the readahead usefulness (prefetch_useful / prefetch_issued), 0 with
-// prefetch off.
-Table ThreadSweepTable(const std::vector<ThreadSweepPoint>& points,
-                       size_t collection_size = 0);
+// query / collection size; 0 prints 0). prefetch_hit is the readahead
+// usefulness (prefetch_useful / prefetch_issued), hit_rate the buffer
+// pool's hits / fetches; both 0 when the pool or readahead never ran.
+Table SerialTable(const std::vector<RunResult>& rows,
+                  size_t collection_size = 0);
 
-// Prefetch-depth sweep over the asynchronous readahead pipeline
-// (storage/buffer_manager.h, index/leaf_scanner.h): runs the same
-// workload at each SearchParams::prefetch_depth in `depths` (0 = off,
-// the serial-identical baseline), in both pool temperatures —
-//   cold: DropCache before every query, so each one pays its page
-//         misses and the only help is the pipeline overlapping them
-//         with the kernels;
-//   warm: one untimed warm-up pass, then steady-state serving.
-// Answers must be identical at every depth (match_serial column): the
-// readahead is a cache hint, never a semantic change.
-struct PrefetchSweepPoint {
-  size_t depth = 0;
-  bool cold = true;
-  RunResult result;
-  // Same-temperature depth-0 total_seconds / this point's total_seconds:
-  // the wall-clock win attributable to overlapping I/O with compute.
-  double speedup = 1.0;
-  // Answers identical (ids + bit-identical distances) to the
-  // same-temperature depth-0 run.
-  bool matches_serial = true;
-};
+// ---------------------------------------------------------------------------
+// Served runner.
+// ---------------------------------------------------------------------------
 
-std::vector<PrefetchSweepPoint> RunPrefetchSweep(
-    const Index& index, const Dataset& queries,
-    const std::vector<KnnAnswer>& ground_truth, SearchParams base,
-    const std::vector<size_t>& depths, BufferManager* pool);
+// How RunLoad obtains the backend it drives: called once per run with
+// that run's serving configuration. LocalBackendFactory builds an
+// in-process ServingSession; a network harness hands out a HydraClient
+// or a ReplicaSetBackend instead — the runner never names a concrete
+// backend, so the same measurement code produces local, loopback and
+// replicated rows. A remote factory cannot honor every field (the
+// server fixed its per-connection options at Start); wire it against a
+// server configured to match. A factory may return nullptr (connect
+// refused): the run is then reported as all errors.
+using ServingBackendFactory =
+    std::function<std::unique_ptr<ServingBackend>(const ServingOptions&)>;
 
-// One row per (temperature, depth). Columns (also the CSV schema):
-//   method, depth, pool, total_s, speedup, avg_recall, abandon_rate,
-//   prefetch_hit, hit_rate, pct_data, match_serial
-Table PrefetchSweepTable(const std::vector<PrefetchSweepPoint>& points,
-                         size_t collection_size = 0);
+// The in-process default: ServingSession over index + provider.
+ServingBackendFactory LocalBackendFactory(const Index& index,
+                                          SeriesProvider* provider);
 
-// The prefetch sweep's depths from HYDRA_PREFETCH_DEPTHS (default
-// {4, 16}); depth 0 (off) is always prepended as the baseline.
-std::vector<size_t> PrefetchDepthsFromEnv();
-
-// Serving-mode sweep over the inter-query concurrency level: the same
-// workload pushed through the serving engine (exec/query_scheduler.h)
-// with `concurrency` whole queries overlapped on the shared pool and the
-// shared provider. Where RunThreadSweep measures how fast ONE query gets
-// with more workers, this measures what the system sustains under load —
-// the serving scenario the ROADMAP north-star cares about.
-struct ServingSweepPoint {
+// The shape of one served run.
+//   closed loop (rate = 0): queries are submitted as fast as backpressure
+//     admits, and a query's latency is ServedQuery::seconds (submission
+//     to completion, queue wait included). With batch_window > 1 the
+//     queue holds the whole run, so full windows can pile up behind the
+//     in-flight slots.
+//   open loop (rate > 0): query i is released at t0 + i/rate (t0 = 5 ms
+//     after the backend is up) whether or not earlier ones finished, into
+//     a queue that holds the whole run, and its latency is charged from
+//     that SCHEDULED arrival — a system that falls behind shows the
+//     backlog in its tail instead of silently slowing the generator (the
+//     coordinated-omission trap).
+// `chaos` (when set) runs once on its own thread for the length of the
+// run, with its own timing (sleep, kill a replica, restart it, ...).
+struct Load {
   size_t concurrency = 1;
-  // result.timing summarizes per-query serving latencies (submission to
-  // completion, queue wait included) — NOT additive machine time, which
-  // is wall_seconds here since queries overlap.
-  RunResult result;
-  double wall_seconds = 0.0;  // first Submit() to last result drained
-  double qps = 0.0;           // num_queries / wall_seconds
-  double p50_ms = 0.0;        // serving latency percentiles
-  double p95_ms = 0.0;
-  double p99_ms = 0.0;
-  double speedup = 1.0;  // sequential wall_seconds / this wall_seconds
-  // Every answer identical (ids + bit-identical distances) to the
-  // sequential (concurrency = 1) run — the serving determinism contract.
-  // Under fault injection or deadlines only successful answers are
-  // compared: a query may legitimately fail with a typed status, but a
-  // query that SUCCEEDS must still be exactly right.
-  bool matches_serial = true;
-  // Graceful-degradation accounting: queries that returned a typed
-  // non-OK status instead of an answer. `timeouts` counts
-  // DeadlineExceeded/Cancelled, `errors` everything else (IoError,
-  // DataCorruption, Unavailable, ...). The retry column of the table
-  // comes from result.counters.io_retries.
-  size_t errors = 0;
-  size_t timeouts = 0;
-
-  // Batched-vs-unbatched comparison, filled when the sweep ran with a
-  // coalescing window > 1 and the index declares batched_queries: the
-  // same workload re-served through the same session shape with
-  // ServingOptions::batch_window = window. batched answers are held to
-  // the same bit-identity contract (folded into matches_serial), so the
-  // gain column can never be bought with wrong answers.
-  double batched_qps = 0.0;
-  double batched_p99_ms = 0.0;
-  double batched_gain = 0.0;       // batched_qps / qps (0 = not measured)
-  uint64_t batches_served = 0;     // BatchSearch calls the scheduler issued
-  uint64_t coalesced_queries = 0;  // queries those calls carried
-
-  // Buffer-pool hit rate of this point's queries (per-query attribution
-  // summed); 0 when the workload never touched a pool.
-  double HitRate() const;
+  double rate = 0.0;        // arrivals per second; 0 = closed loop
+  size_t total = 0;         // submissions, cycling `queries`; 0 = one pass
+  size_t batch_window = 1;  // passed to the session as is; 1 = off
+  std::function<void()> chaos;
 };
 
-// Runs one untimed sequential warm-up pass (so every point measures
-// steady-state serving from a comparably warmed buffer pool, not cache
-// warm-up), then the sequential baseline (reused for a concurrency-1
-// entry), then each requested level. `provider` is the shared storage
-// the index serves from (nullptr for in-memory indexes that own their
-// data): the serving session splits its pin capacity across in-flight
-// queries. When `batch_window` > 1 and the index supports batching,
-// every level is measured a second time with that coalescing window and
-// the point's batched_* comparison fields are filled (the batched
-// answers must match the sequential baseline too).
-std::vector<ServingSweepPoint> RunServingSweep(
-    const Index& index, const Dataset& queries,
-    const std::vector<KnnAnswer>& ground_truth, SearchParams base,
-    const std::vector<size_t>& concurrency_levels,
-    SeriesProvider* provider = nullptr, size_t batch_window = 1);
-
-// Backend-generic form: the sweep drives whatever `factory` hands out
-// (in-process session, loopback HydraClient, ...) and never names a
-// concrete backend. `provider` is only consulted for pin-capacity
-// clamping of the requested levels (pass the same provider the backend
-// serves from, or nullptr for in-memory). The convenience overload
-// above delegates here with LocalBackendFactory.
-std::vector<ServingSweepPoint> RunServingSweep(
-    const ServingBackendFactory& factory, const Index& index,
-    const Dataset& queries, const std::vector<KnnAnswer>& ground_truth,
-    SearchParams base, const std::vector<size_t>& concurrency_levels,
-    SeriesProvider* provider = nullptr, size_t batch_window = 1);
-
-// One row per level. Columns (also the CSV schema):
-//   method, concurrency, wall_s, qps, p50_ms, p95_ms, p99_ms, speedup,
-//   b_qps, b_p99_ms, b_gain, batches, avg_recall, hit_rate,
-//   prefetch_hit, errors, timeouts, io_retries, match_serial
-// prefetch_hit is the pool-wide readahead usefulness across the point's
-// queries (per-query prefetch attribution summed); 0 with prefetch off.
-// b_qps/b_p99_ms/b_gain/batches are the batched-serving comparison
-// (ServingSweepPoint::batched_*), all 0 when the sweep ran unbatched.
-Table ServingSweepTable(const std::vector<ServingSweepPoint>& points);
-
-// Open-loop (arrival-rate-driven) load generation: where the closed-loop
-// serving sweep submits as fast as backpressure admits — so offered load
-// adapts to the system and queueing delay hides — the open-loop generator
-// submits on a FIXED schedule (query i at t0 + i/rate, like arrivals from
-// independent clients) whether or not earlier queries finished, and
-// measures each query's latency FROM ITS SCHEDULED ARRIVAL TIME. A system
-// that falls behind therefore shows the backlog in its tail latencies
-// instead of silently slowing the generator (the coordinated-omission
-// trap). Sweeping the offered rate produces the tail-latency-vs-offered-
-// load curve a capacity planner actually needs: flat percentiles while
-// the system keeps up, then the hockey stick past saturation.
-struct OpenLoopPoint {
-  double offered_qps = 0.0;  // arrival rate of the schedule
-  size_t num_queries = 0;
-  double achieved_qps = 0.0;  // completions / wall (≈ offered below sat.)
-  double wall_seconds = 0.0;  // first scheduled arrival to last completion
-  // Percentiles of (completion − scheduled arrival), milliseconds.
+struct LoadResult {
+  // Set by the caller: the runner sees only a backend.
+  std::string method;
+  // "concurrency=C", with ";window=W" when coalescing.
+  std::string setting;
+  double offered_qps = 0.0;  // Load::rate; 0 for a closed loop
+  size_t num_queries = 0;    // submissions
+  size_t completions = 0;    // results drained; right-or-typed means == n
+  size_t ok = 0;
+  size_t ok_within_deadline = 0;  // OK and latency <= params.deadline_ms
+  size_t errors = 0;              // typed failures other than timeouts
+  size_t timeouts = 0;            // DeadlineExceeded / Cancelled
+  double availability = 0.0;      // ok_within_deadline / num_queries
+  double wall_seconds = 0.0;      // t0 to the last completion
+  double qps = 0.0;               // num_queries / wall_seconds
+  // Nearest-rank latency percentiles and mean, milliseconds.
   double p50_ms = 0.0;
   double p95_ms = 0.0;
   double p99_ms = 0.0;
   double mean_ms = 0.0;
-  size_t errors = 0;
-  size_t timeouts = 0;
-  // Every successful answer identical (ids + bit-identical distances) to
-  // the per-query serial reference — load level must never change what a
-  // query returns.
-  bool matches_serial = true;
-};
-
-// Runs the open-loop generator once per rate in `offered_qps`: a
-// submitter thread releases queries on the fixed schedule into a serving
-// session with `concurrency` in-flight slots and an unbounded-for-the-run
-// queue (arrivals must never block on backpressure — that would re-close
-// the loop), while the caller-side drain timestamps completions. The
-// query stream cycles `queries` until `total_queries` submissions (0 =
-// one pass over `queries`). Serial reference answers are computed once
-// up front for the determinism column.
-std::vector<OpenLoopPoint> RunOpenLoopSweep(
-    const Index& index, const Dataset& queries, SearchParams base,
-    const std::vector<double>& offered_qps, size_t concurrency,
-    SeriesProvider* provider = nullptr, size_t total_queries = 0);
-
-// Backend-generic form (see RunServingSweep): one backend from
-// `factory` per measured rate. The convenience overload above delegates
-// here with LocalBackendFactory.
-std::vector<OpenLoopPoint> RunOpenLoopSweep(
-    const ServingBackendFactory& factory, const Index& index,
-    const Dataset& queries, SearchParams base,
-    const std::vector<double>& offered_qps, size_t concurrency,
-    SeriesProvider* provider = nullptr, size_t total_queries = 0);
-
-// One row per rate. Columns (also the CSV schema):
-//   method, offered_qps, achieved_qps, wall_s, p50_ms, p95_ms, p99_ms,
-//   mean_ms, errors, timeouts, match_serial
-Table OpenLoopTable(const std::vector<OpenLoopPoint>& points,
-                    const std::string& method);
-
-// ---------------------------------------------------------------------------
-// Availability under replica chaos (the replica-kill sweep). One
-// open-loop run at a fixed arrival rate while a caller-supplied chaos
-// action (kill a replica, restart it, degrade its storage, ...) runs on
-// a side thread mid-load. Every query carries base.deadline_ms; the
-// headline number is the fraction answered OK within that deadline,
-// with latency charged from the SCHEDULED arrival (open-loop
-// accounting, so a backlog behind a dead replica is not hidden).
-// ---------------------------------------------------------------------------
-struct AvailabilityPoint {
-  double offered_qps = 0.0;
-  size_t num_queries = 0;
-  size_t completions = 0;  // results drained — right-or-typed demands ==n
-  size_t ok = 0;
-  size_t ok_within_deadline = 0;
-  size_t typed_errors = 0;  // non-timeout typed failures
-  size_t timeouts = 0;      // DeadlineExceeded / Cancelled
-  double availability = 0.0;  // ok_within_deadline / num_queries
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
+  uint64_t batches = 0;            // BatchSearch calls (coalescing runs)
+  QueryCounters counters;          // summed over the served queries
+  WorkloadAccuracy accuracy;       // against the ground truth, cycled
+  std::vector<KnnAnswer> answers;  // ticket order; failed = empty
   // Every OK answer identical (ids + bit-identical distances) to the
-  // serial reference — failover must never change what a query returns.
+  // serial reference, and after CompareToBaseline to the baseline row —
+  // load must never change what a query returns. A query may fail with
+  // a typed status (counted above), but one that succeeds must be
+  // exactly right.
   bool matches_serial = true;
+  // Baseline wall_seconds / this row's; 0 until CompareToBaseline (open
+  // loops have none: their wall time follows the offered rate).
+  double speedup = 0.0;
 };
 
-// Runs one availability point: a submitter thread releases `total`
-// queries on the fixed `rate` schedule into a backend from `factory`,
-// the calling thread drains, and `chaos` (when set) runs once on its
-// own thread — it controls its own timing internally (sleep, kill,
-// restart). The backend must resolve every accepted query right-or-
-// typed for completions to reach `total`.
-AvailabilityPoint RunAvailabilityPoint(
-    const ServingBackendFactory& factory, const Dataset& queries,
-    const SearchParams& base, double rate, size_t concurrency, size_t total,
-    const std::vector<KnnAnswer>& reference,
-    const std::function<void()>& chaos = nullptr);
+// Runs one served load over a backend from `factory`: the calling thread
+// drains results in ticket order while a submitter thread releases the
+// submissions. Answers are scored against `ground_truth` (may be empty)
+// and checked against `reference` (SerialAnswers under the same params),
+// both cycled when `load.total` exceeds the workload.
+LoadResult RunLoad(const ServingBackendFactory& factory,
+                   const Dataset& queries,
+                   const std::vector<KnnAnswer>& ground_truth,
+                   const SearchParams& params,
+                   const std::vector<KnnAnswer>& reference, const Load& load);
 
-// One row per point. Columns (also the CSV schema):
-//   scenario, offered_qps, n, done, ok, ok_in_ddl, avail, errors,
-//   timeouts, p50_ms, p99_ms, match_serial
-Table AvailabilityTable(const std::vector<AvailabilityPoint>& points,
-                        const std::string& scenario);
+// One row per result. Columns (also the CSV schema):
+//   method, setting, offered_qps, n, done, ok, ok_in_ddl, avail, wall_s,
+//   qps, p50_ms, p95_ms, p99_ms, mean_ms, speedup, batches, avg_recall,
+//   hit_rate, prefetch_hit, errors, timeouts, io_retries, match_serial
+// hit_rate and prefetch_hit come from the per-query counters summed over
+// the run (0 when the run never touched a pool or readahead).
+Table LoadTable(const std::vector<LoadResult>& rows);
 
-// Comma-separated rate list ("50,200,800"), e.g. HYDRA_OFFERED_QPS;
-// entries that do not parse to a positive number are skipped, and
-// `fallback` is returned when nothing survives (or text == nullptr).
-std::vector<double> ParseRateList(const char* text,
-                                  std::vector<double> fallback);
-
-// Comma-separated count list ("1,2,8"), e.g. from a sweep environment
-// knob; entries that do not parse to a positive integer are skipped, and
-// `fallback` is returned when nothing survives (or text == nullptr).
-std::vector<size_t> ParseCountList(const char* text,
-                                   std::vector<size_t> fallback);
-
-// The serving sweep's concurrency levels from HYDRA_CONCURRENCY
-// (default {1, 2, 4, 8}) — the knob the serving bench and the CI
-// serving-stress lane drive.
-std::vector<size_t> ConcurrencyLevelsFromEnv();
-
-// One positive count from the environment, `fallback` when the variable
-// is unset or does not parse to a positive integer. The benches' and
-// stress tests' sizing knobs (HYDRA_SWEEP_*, HYDRA_SERVING_*) all parse
-// through here.
-size_t EnvCount(const char* name, size_t fallback);
+// ---------------------------------------------------------------------------
+// The baseline comparison, for either runner's rows: speedup = baseline
+// seconds / row seconds (total_seconds serial, wall_seconds served; 0
+// when the row took no time), and match_serial stays true only if every
+// answer both rows returned is identical (ids + bit-identical
+// distances). A row compared against itself gets 1 and yes.
+// ---------------------------------------------------------------------------
+void CompareToBaseline(const RunResult& baseline, RunResult* row);
+void CompareToBaseline(const LoadResult& baseline, LoadResult* row);
 
 }  // namespace hydra
 

@@ -12,10 +12,9 @@ namespace hydra {
 
 double MTreeIndex::Distance(std::span<const float> a, int64_t id,
                             QueryCounters* counters) const {
-  std::span<const float> b =
-      provider_->GetSeries(static_cast<uint64_t>(id), counters);
+  PinnedRun b = provider_->PinSeries(static_cast<uint64_t>(id), counters);
   if (counters != nullptr) ++counters->full_distances;
-  return Euclidean(a, b);
+  return Euclidean(a, b.span());
 }
 
 Result<double> MTreeIndex::CheckedDistance(std::span<const float> a,
@@ -58,8 +57,10 @@ Result<std::unique_ptr<MTreeIndex>> MTreeIndex::Build(
 }
 
 void MTreeIndex::Insert(int64_t id, QueryCounters* counters) {
-  std::span<const float> series =
-      provider_->GetSeries(static_cast<uint64_t>(id), counters);
+  // Pinned: every Distance below fetches another series, and on a small
+  // pool an unpinned page could be evicted under `series`.
+  PinnedRun pinned = provider_->PinSeries(static_cast<uint64_t>(id), counters);
+  std::span<const float> series = pinned.span();
 
   // Descend to the leaf whose pivot is closest (the classic cheap policy:
   // minimize distance, preferring subtrees that need no radius growth).
@@ -97,6 +98,7 @@ void MTreeIndex::Insert(int64_t id, QueryCounters* counters) {
     entry.parent_distance = Distance(series, parent_pivot, counters);
   }
   leaf.entries.push_back(entry);
+  pinned.Release();
   if (leaf.entries.size() > options_.node_capacity) {
     SplitNode(node_id, counters);
   }
@@ -112,10 +114,10 @@ void MTreeIndex::SplitNode(int32_t node_id, QueryCounters* counters) {
   // Pairwise distances between member pivots (n <= capacity + 1: cheap).
   std::vector<double> dist(n * n, 0.0);
   for (size_t i = 0; i < n; ++i) {
-    auto si = provider_->GetSeries(
+    PinnedRun si = provider_->PinSeries(
         static_cast<uint64_t>(entries[i].pivot_id), counters);
     for (size_t j = i + 1; j < n; ++j) {
-      double d = Distance(si, entries[j].pivot_id, counters);
+      double d = Distance(si.span(), entries[j].pivot_id, counters);
       dist[i * n + j] = dist[j * n + i] = d;
     }
   }
@@ -203,16 +205,15 @@ void MTreeIndex::SplitNode(int32_t node_id, QueryCounters* counters) {
   // Replace the parent's entry for node_id with entry_a, append entry_b.
   int32_t parent = nodes_[node_id].parent;
   int32_t pe = nodes_[node_id].parent_entry;
-  auto pivot_series = provider_->GetSeries(
-      static_cast<uint64_t>(entry_a.pivot_id), counters);
   if (nodes_[parent].parent >= 0) {
     int64_t grand_pivot = nodes_[nodes_[parent].parent]
                               .entries[nodes_[parent].parent_entry]
                               .pivot_id;
-    entry_a.parent_distance = Distance(pivot_series, grand_pivot, counters);
-    auto pivot_b = provider_->GetSeries(
-        static_cast<uint64_t>(entry_b.pivot_id), counters);
-    entry_b.parent_distance = Distance(pivot_b, grand_pivot, counters);
+    for (Entry* e : {&entry_a, &entry_b}) {
+      PinnedRun pivot =
+          provider_->PinSeries(static_cast<uint64_t>(e->pivot_id), counters);
+      e->parent_distance = Distance(pivot.span(), grand_pivot, counters);
+    }
   }
   nodes_[parent].entries[pe] = entry_a;
   nodes_[parent].entries.push_back(entry_b);
@@ -310,7 +311,7 @@ size_t MTreeIndex::CountRadiusViolations() const {
   for (const Node& node : nodes_) {
     if (node.is_leaf) continue;
     for (const Entry& entry : node.entries) {
-      auto pivot = provider_->GetSeries(
+      PinnedRun pivot = provider_->PinSeries(
           static_cast<uint64_t>(entry.pivot_id), nullptr);
       // Collect leaf ids under entry.child.
       std::vector<int32_t> stack = {entry.child};
@@ -320,9 +321,10 @@ size_t MTreeIndex::CountRadiusViolations() const {
         const Node& n = nodes_[id];
         for (const Entry& e : n.entries) {
           if (n.is_leaf) {
-            auto obj = provider_->GetSeries(
+            PinnedRun obj = provider_->PinSeries(
                 static_cast<uint64_t>(e.pivot_id), nullptr);
-            if (Euclidean(pivot, obj) > entry.covering_radius + 1e-6) {
+            if (Euclidean(pivot.span(), obj.span()) >
+                entry.covering_radius + 1e-6) {
               ++violations;
             }
           } else {

@@ -1,8 +1,8 @@
 #include "net/conn_pool.h"
 
-#include <algorithm>
 #include <utility>
 
+#include "common/backoff.h"
 #include "common/options.h"
 
 namespace hydra {
@@ -169,16 +169,11 @@ bool ConnectionPool::WaitAnyHealthy(std::chrono::milliseconds timeout) {
 }
 
 bool ConnectionPool::BackoffWait(size_t i, uint64_t attempt) {
-  // Mirrors BufferManager::BackoffSleep: exponential with a cap plus
-  // deterministic jitter from (endpoint, attempt) so a fleet of
-  // reconnecting endpoints decorrelates without a shared RNG — but
-  // interruptible, so Stop() never waits out a backoff.
-  uint64_t delay = backoff_base_us_ << std::min<uint64_t>(attempt, 6);
-  delay = std::min<uint64_t>(delay, backoff_cap_us_);
-  uint64_t h = (i + 1) * 0x9E3779B97F4A7C15ull;
-  h ^= (attempt + 1) * 0xBF58476D1CE4E5B9ull;
-  h ^= h >> 29;
-  delay += h % (delay / 2 + 1);
+  // The shared backoff schedule keyed by endpoint, so a fleet of
+  // reconnecting endpoints decorrelates — but interruptible, so Stop()
+  // never waits out a backoff.
+  const uint64_t delay =
+      BackoffDelayUs(backoff_base_us_, backoff_cap_us_, i, attempt);
   std::unique_lock<std::mutex> lock(stop_mu_);
   return !stop_cv_.wait_for(lock, std::chrono::microseconds(delay),
                             [this] { return stopping_; });
@@ -211,6 +206,16 @@ void ConnectionPool::ManagerLoop(size_t i) {
       slot.client = client;
       ++slot.generation;
     }
+    // Stop() finishes the clients it finds published. One published
+    // after Stop() looked would wait in Next() forever, so the manager
+    // finishes it itself: either Stop() saw the client or this check
+    // sees stopping_ (Finish is idempotent).
+    bool stopping;
+    {
+      std::lock_guard<std::mutex> lock(stop_mu_);
+      stopping = stopping_;
+    }
+    if (stopping) client->Finish();
     SetHealth(i, EndpointHealth::kHealthy);
     // Drain until the connection dies (or Stop() finishes it). Next()
     // hands back every result — including the typed kUnavailable batch

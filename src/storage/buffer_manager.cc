@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <thread>
 
+#include "common/backoff.h"
 #include "common/options.h"
 
 namespace hydra {
@@ -96,17 +97,8 @@ Status BufferManager::ReadPageWithRetry(uint64_t first, uint64_t count,
 
 void BufferManager::BackoffSleep(uint64_t attempt, uint64_t key) {
   if (io_backoff_us_ == 0) return;
-  // Exponential with a cap (a pool stall should heal in microseconds to
-  // milliseconds, not seconds) plus deterministic jitter from (key,
-  // attempt) so concurrent retriers of different pages decorrelate
-  // without a shared RNG.
-  uint64_t delay = io_backoff_us_ << std::min<uint64_t>(attempt, 6);
-  delay = std::min<uint64_t>(delay, 20000);
-  uint64_t h = (key + 1) * 0x9E3779B97F4A7C15ull;
-  h ^= (attempt + 1) * 0xBF58476D1CE4E5B9ull;
-  h ^= h >> 29;
-  delay += h % (delay / 2 + 1);
-  std::this_thread::sleep_for(std::chrono::microseconds(delay));
+  std::this_thread::sleep_for(std::chrono::microseconds(
+      BackoffDelayUs(io_backoff_us_, /*cap_us=*/20000, key, attempt)));
 }
 
 void BufferManager::ReleasePrefetchCredit(

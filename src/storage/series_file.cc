@@ -7,16 +7,11 @@
 #include <thread>
 
 #include "common/crc32.h"
-#include "common/options.h"
 
 namespace hydra {
 namespace {
 
 constexpr size_t kHeaderBytes = 4 * sizeof(uint64_t);  // magic+ver+n+len
-
-// HYDRA_SIM_IO_DELAY_US, parsed at every Open so a bench can flip the
-// knob between sections (see the header comment).
-uint64_t SimIoDelayUs() { return EnvOrU64("HYDRA_SIM_IO_DELAY_US", 0); }
 
 // "path @ offset N" context appended to every I/O status message so a
 // failure in a multi-file experiment names the file and byte it died
@@ -124,12 +119,18 @@ Result<std::unique_ptr<SeriesFileReader>> SeriesFileReader::Open(
           .WithIoContext(Ctx(path, footer_at));
     }
   }
-  return std::unique_ptr<SeriesFileReader>(new SeriesFileReader(
-      f, header, path, std::move(checksums), SimIoDelayUs()));
+  return std::unique_ptr<SeriesFileReader>(
+      new SeriesFileReader(f, header, path, std::move(checksums)));
 }
 
 SeriesFileReader::~SeriesFileReader() {
   if (file_ != nullptr) std::fclose(file_);
+}
+
+void SeriesFileReader::set_fault_config(const FaultConfig& config) {
+  std::lock_guard<std::mutex> lock(injectors_mu_);
+  injectors_.push_back(std::make_unique<FaultInjector>(config));
+  injector_.store(injectors_.back().get(), std::memory_order_release);
 }
 
 Status SeriesFileReader::ReadSeries(uint64_t first, uint64_t count,
@@ -145,9 +146,10 @@ Status SeriesFileReader::ReadSeries(uint64_t first, uint64_t count,
   // Fault-injection verdict for this attempt, drawn before any real work
   // so injected failures cost no I/O (a failed device request returns
   // without transferring data).
+  FaultInjector* const injector = injector_.load(std::memory_order_acquire);
   FaultInjector::Decision fault;
-  if (injector_->enabled()) {
-    fault = injector_->Decide(first, count, count * header_.length);
+  if (injector->enabled()) {
+    fault = injector->Decide(first, count, count * header_.length);
     if (fault.latency_us > 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(fault.latency_us));
     }
@@ -165,12 +167,6 @@ Status SeriesFileReader::ReadSeries(uint64_t first, uint64_t count,
       return Status::Unavailable("injected short read: " + At(path_, offset))
           .WithIoContext(Ctx(path_, offset));
     }
-  }
-  if (sim_delay_us_ > 0) {
-    // Emulated device latency, outside the mutex: concurrent issuers
-    // (demand fetch + prefetch workers) overlap their waits, as requests
-    // overlap in a real disk's queue.
-    std::this_thread::sleep_for(std::chrono::microseconds(sim_delay_us_));
   }
   {
     std::lock_guard<std::mutex> lock(io_mu_);
@@ -211,7 +207,7 @@ Status SeriesFileReader::ReadSeries(uint64_t first, uint64_t count,
   // Injected corruption flips payload bits AFTER the (correct) disk read,
   // modeling the device lying; on version-2 files the checksum pass below
   // is what catches it.
-  injector_->CorruptPayload(fault, out, count * header_.length);
+  injector->CorruptPayload(fault, out, count * header_.length);
   if (!checksums_.empty()) {
     for (uint64_t i = 0; i < count; ++i) {
       const uint32_t actual =

@@ -1,6 +1,7 @@
 #ifndef HYDRA_STORAGE_SERIES_FILE_H_
 #define HYDRA_STORAGE_SERIES_FILE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -41,23 +42,22 @@ namespace hydra {
 // page loads may run from several threads at once. (Serializing reads
 // models one disk arm; the paper's seek accounting assumes it anyway.)
 //
-// Emulated latency: HYDRA_SIM_IO_DELAY_US (microseconds per ReadSeries
-// call, default 0 = off) injects a sleep BEFORE the mutex, emulating a
-// storage device whose request latency overlaps across issuers. On dev
-// boxes and CI the "disk" is the page cache — reads cost nanoseconds and
-// nothing overlaps — so this is the honest way to study I/O-bound
-// behavior (the async prefetch pipeline, pool thrashing) on such
-// machines. Benches that enable it print the value; it never changes
-// WHAT is read, only how long it takes.
-//
 // Fault injection: Open() arms a FaultInjector from the HYDRA_FAULT_*
-// environment knobs (storage/fault_injector.h); tests can override with
-// set_fault_config before issuing reads. Injected transient errors and
-// short reads surface as Status::Unavailable (retryable), injected
-// permanent errors as Status::IoError (not retryable), and injected
-// bit flips corrupt the returned payload AFTER the disk read — on a
-// version-2 file the checksum pass then catches them, which is exactly
-// the detection path real corruption would take.
+// environment knobs (storage/fault_injector.h); tests and benches can
+// replace it with set_fault_config, also while reads run. Its latency
+// channel doubles as the device-latency emulator: at
+// HYDRA_FAULT_LATENCY_RATE=1 every read sleeps HYDRA_FAULT_LATENCY_US
+// BEFORE the mutex, so concurrent issuers overlap their waits as
+// requests overlap in a real disk's queue. On dev boxes and CI the
+// "disk" is the page cache — reads cost nanoseconds and nothing
+// overlaps — so this is the honest way to study I/O-bound behavior (the
+// async prefetch pipeline, pool thrashing) on such machines; it never
+// changes WHAT is read, only how long it takes. Injected transient
+// errors and short reads surface as Status::Unavailable (retryable),
+// injected permanent errors as Status::IoError (not retryable), and
+// injected bit flips corrupt the returned payload AFTER the disk read —
+// on a version-2 file the checksum pass then catches them, which is
+// exactly the detection path real corruption would take.
 struct SeriesFileHeader {
   static constexpr uint32_t kMagic = 0x48594452;  // "HYDR"
   static constexpr uint32_t kVersion = 2;         // 1 = no checksum footer
@@ -98,31 +98,39 @@ class SeriesFileReader {
   Result<Dataset> ReadAll(QueryCounters* counters);
 
   // Replaces the fault-injection config (normally armed from the
-  // environment at Open). Call before issuing reads — the injector swap
-  // is not synchronized against concurrent ReadSeries.
-  void set_fault_config(const FaultConfig& config) {
-    injector_ = std::make_unique<FaultInjector>(config);
-  }
+  // environment at Open). Safe while other threads read: a read in
+  // progress finishes under the injector it loaded, later reads use the
+  // new one.
+  void set_fault_config(const FaultConfig& config);
 
-  // Injection telemetry for tests; never null.
-  const FaultInjector& fault_injector() const { return *injector_; }
+  // Injection telemetry of the current injector, for tests. The
+  // reference stays valid across later set_fault_config calls.
+  const FaultInjector& fault_injector() const {
+    return *injector_.load(std::memory_order_acquire);
+  }
 
  private:
   SeriesFileReader(std::FILE* file, SeriesFileHeader header, std::string path,
-                   std::vector<uint32_t> checksums, uint64_t sim_delay_us)
+                   std::vector<uint32_t> checksums)
       : file_(file),
         header_(header),
         path_(std::move(path)),
-        checksums_(std::move(checksums)),
-        sim_delay_us_(sim_delay_us),
-        injector_(std::make_unique<FaultInjector>(FaultConfig::FromEnv())) {}
+        checksums_(std::move(checksums)) {
+    set_fault_config(FaultConfig::FromEnv());
+  }
 
   std::FILE* file_;
   SeriesFileHeader header_;
   std::string path_;
   std::vector<uint32_t> checksums_;  // empty for version-1 files
-  uint64_t sim_delay_us_;  // emulated per-read latency (see above)
-  std::unique_ptr<FaultInjector> injector_;
+  // The current injector: one acquire load per ReadSeries. Every
+  // injector ever installed stays alive in `injectors_` until the reader
+  // closes, so a reader (or a telemetry reference) holding a replaced
+  // one never sees it freed. Swaps are rare (tests, benches), so the
+  // retired ones cost a few bytes each.
+  std::atomic<FaultInjector*> injector_{nullptr};
+  std::mutex injectors_mu_;
+  std::vector<std::unique_ptr<FaultInjector>> injectors_;
   std::mutex io_mu_;              // serializes seek+read+tracking below
   uint64_t next_sequential_ = 0;  // series index right after the last read
   bool any_read_ = false;

@@ -3,6 +3,7 @@
 #include <set>
 #include <string>
 
+#include "common/backoff.h"
 #include "common/counters.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -227,6 +228,21 @@ TEST(Timer, RestartResets) {
   double first = t.ElapsedSeconds();
   t.Restart();
   EXPECT_LE(t.ElapsedSeconds(), first + 1.0);
+}
+
+// The one retry schedule both retriers wait (the buffer pool's read
+// retries, the connection pool's reconnects), pinned so that a change to
+// either retrier's timing is a deliberate one.
+TEST(Backoff, DelaysArePinned) {
+  // BackoffDelayUs(base_us, cap_us, key, attempt).
+  EXPECT_EQ(BackoffDelayUs(100, 20000, 0, 0), 148u);
+  EXPECT_EQ(BackoffDelayUs(100, 20000, 7, 3), 864u);
+  EXPECT_EQ(BackoffDelayUs(100, 20000, 12345, 6), 9201u);
+  EXPECT_EQ(BackoffDelayUs(100, 20000, 1, 10), 7443u);   // shift capped
+  EXPECT_EQ(BackoffDelayUs(1000, 16000, 2, 5), 22342u);  // delay capped
+  EXPECT_EQ(BackoffDelayUs(0, 20000, 3, 2), 0u);         // no base, no wait
+  EXPECT_EQ(BackoffDelayUs(2000, 16000, 0, 1), 5868u);
+  EXPECT_EQ(BackoffDelayUs(1000, 250000, 1, 9), 73099u);  // pool defaults
 }
 
 }  // namespace

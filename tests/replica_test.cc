@@ -14,8 +14,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -521,6 +523,35 @@ TEST(ReplicaTest, BackendDestructionResolvesEveryTicket) {
   ExpectPinsDrain(fx.pools[1].get(), "backend dtor r1");
 }
 
+// Destroying a replica set right after Connect races its managers'
+// in-flight connects: a client published after Stop() looked must still
+// be finished, or its manager waits in Next() forever and the
+// destructor never returns. 200 connect/destroy cycles under a
+// watchdog; a hang fails the suite at once instead of timing it out.
+TEST(ReplicaTest, ImmediateDestructionNeverHangs) {
+  ReplicaFixture fx(/*replicas=*/2);
+  std::atomic<int> cycles{0};
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  std::thread worker([&] {
+    for (int i = 0; i < 200; ++i) {
+      auto connected = ReplicaSetBackend::Connect(
+          fx.endpoints, FastProbe(ReplicaPolicy::kRoundRobin));
+      EXPECT_TRUE(connected.ok());
+      cycles.fetch_add(1);
+    }
+    done.set_value();
+  });
+  if (finished.wait_for(std::chrono::seconds(60)) !=
+      std::future_status::ready) {
+    std::fprintf(stderr, "replica set teardown hung after %d cycles\n",
+                 cycles.load());
+    std::_Exit(1);
+  }
+  worker.join();
+  EXPECT_EQ(cycles.load(), 200);
+}
+
 // --- Stats surfacing (satellite) -----------------------------------
 
 // The server-side acceptor counters now cross the wire in StatsReply.
@@ -585,9 +616,9 @@ TEST(ReplicaTest, ReplicaKillAvailabilitySweep) {
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
     fx.Restart(0);
   };
-  AvailabilityPoint point = RunAvailabilityPoint(
-      factory, fx.queries, base, rate, /*concurrency=*/4, total, reference,
-      chaos);
+  Load load{.concurrency = 4, .rate = rate, .total = total, .chaos = chaos};
+  LoadResult point =
+      RunLoad(factory, fx.queries, /*ground_truth=*/{}, base, reference, load);
 
   EXPECT_EQ(point.completions, total);  // right-or-typed, no hangs
   EXPECT_TRUE(point.matches_serial);    // failover never changes answers

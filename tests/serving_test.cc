@@ -24,11 +24,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/options.h"
 #include "common/rng.h"
 #include "core/generators.h"
 #include "core/ground_truth.h"
 #include "exec/query_scheduler.h"
-#include "harness/experiment.h"
 #include "index/adsplus/adsplus.h"
 #include "index/dstree/dstree.h"
 #include "index/isax/isax_index.h"
@@ -55,7 +55,7 @@ std::vector<size_t> ConcurrencyLevels() {
   return levels;
 }
 
-uint64_t PoolPages() { return EnvCount("HYDRA_SERVING_POOL_PAGES", 16); }
+uint64_t PoolPages() { return EnvOrSize("HYDRA_SERVING_POOL_PAGES", 16); }
 
 struct Workload {
   Dataset data;

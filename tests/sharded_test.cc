@@ -21,10 +21,10 @@
 #include <string>
 #include <vector>
 
+#include "common/options.h"
 #include "common/rng.h"
 #include "core/generators.h"
 #include "exec/query_scheduler.h"
-#include "harness/experiment.h"
 #include "index/factory.h"
 #include "index/sharded/sharded_index.h"
 #include "storage/buffer_manager.h"
