@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "bench/bench_common.h"
+#include "index/vafile/vafile.h"
 
 namespace hydra::bench {
 namespace {
@@ -19,13 +20,12 @@ void Run() {
                "index_KB"});
 
   auto run_variant = [&](const std::string& name, VaFileOptions opts) {
-    auto idx = VaFileIndex::Build(ds.data, &provider, opts);
-    if (!idx.ok()) return;
+    const auto idx =
+        BuiltOrExit("vafile", VaFileIndex::Build(ds.data, &provider, opts));
     SearchParams params;
     params.mode = SearchMode::kExact;
     params.k = k;
-    RunResult r =
-        RunWorkload(*idx.value(), ds.queries, truth, params, "exact");
+    RunResult r = RunWorkload(*idx, ds.queries, truth, params, "exact");
     table.AddRow(
         {name, FormatDouble(r.accuracy.map),
          FormatDouble(static_cast<double>(r.counters.series_accessed) /
@@ -34,23 +34,23 @@ void Run() {
          FormatDouble(static_cast<double>(r.counters.lb_distances) /
                           static_cast<double>(r.num_queries),
                       1),
-         FormatDouble(static_cast<double>(idx.value()->MemoryBytes()) /
-                          1024.0,
-                      1)});
+         FormatDouble(static_cast<double>(idx->MemoryBytes()) / 1024.0, 1)});
   };
 
-  VaFileOptions adaptive = BenchVaFileOptions();
+  // The bench preset: 16 DFT features and 64 bits are the defaults.
+  VaFileOptions adaptive;
+  adaptive.histogram_pairs = kBenchHistogramPairs;
   run_variant("lloyd+var-bits(16 dft)", adaptive);
 
-  VaFileOptions flat_bits = BenchVaFileOptions();
+  VaFileOptions flat_bits = adaptive;
   flat_bits.max_bits_per_dim = 4;  // forces 4 bits everywhere (64/16)
   run_variant("lloyd+flat-bits", flat_bits);
 
-  VaFileOptions few_features = BenchVaFileOptions();
+  VaFileOptions few_features = adaptive;
   few_features.num_features = 8;
   run_variant("lloyd+var-bits(8 dft)", few_features);
 
-  VaFileOptions more_bits = BenchVaFileOptions();
+  VaFileOptions more_bits = adaptive;
   more_bits.total_bits = 128;
   run_variant("lloyd+var-bits,128b", more_bits);
 

@@ -5,6 +5,7 @@
 // power at equal ε.
 
 #include "bench/bench_common.h"
+#include "index/dstree/dstree.h"
 
 namespace hydra::bench {
 namespace {
@@ -19,12 +20,10 @@ void Run() {
                "full_dists_per_q", "leaves", "max_depth"});
 
   auto run_variant = [&](const std::string& name, DSTreeOptions opts) {
-    Timer t;
-    auto idx = DSTreeIndex::Build(ds.data, &provider, opts);
-    if (!idx.ok()) return;
+    const auto idx =
+        BuiltOrExit("dstree", DSTreeIndex::Build(ds.data, &provider, opts));
     for (double eps : {0.0, 1.0, 2.0}) {
-      auto results =
-          RunSweep(*idx.value(), ds.queries, truth, EpsilonSweep(k, {eps}));
+      auto results = RunSweep(*idx, ds.queries, truth, EpsilonSweep(k, {eps}));
       const RunResult& r = results.front();
       table.AddRow(
           {name, FormatDouble(eps, 1), FormatDouble(r.accuracy.map),
@@ -32,19 +31,21 @@ void Run() {
            FormatDouble(static_cast<double>(r.counters.full_distances) /
                             static_cast<double>(r.num_queries),
                         1),
-           std::to_string(idx.value()->num_leaves()),
-           std::to_string(idx.value()->max_depth())});
+           std::to_string(idx->num_leaves()),
+           std::to_string(idx->max_depth())});
     }
   };
 
-  DSTreeOptions hybrid = BenchDSTreeOptions();
+  DSTreeOptions hybrid;
+  hybrid.leaf_capacity = kBenchLeafCapacity;
+  hybrid.histogram_pairs = kBenchHistogramPairs;
   run_variant("hybrid(v+h)", hybrid);
 
-  DSTreeOptions horizontal = BenchDSTreeOptions();
+  DSTreeOptions horizontal = hybrid;
   horizontal.min_segment_length = 1 << 20;  // vertical splits impossible
   run_variant("horizontal-only", horizontal);
 
-  DSTreeOptions coarse = BenchDSTreeOptions();
+  DSTreeOptions coarse = hybrid;
   coarse.initial_segments = 1;  // fully adaptive segmentation from scratch
   run_variant("hybrid-from-1seg", coarse);
 

@@ -2,14 +2,16 @@
 #define HYDRA_BENCH_BENCH_COMMON_H_
 
 // Shared setup for the figure benches: dataset construction at bench
-// scale, index builders with the paper's tuning (§4.2.1) scaled down, and
-// printing conventions. Every bench binary prints the rows/series of one
+// scale, index construction by method name with the paper's tuning
+// (§4.2.1) scaled down, and printing conventions. Every bench binary prints the rows/series of one
 // paper figure; absolute numbers differ from the paper (simulated scale)
 // but the shapes are comparable — see EXPERIMENTS.md.
 
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -18,18 +20,8 @@
 #include "core/ground_truth.h"
 #include "harness/experiment.h"
 #include "harness/table.h"
-#include "index/adsplus/adsplus.h"
-#include "index/dstree/dstree.h"
-#include "index/flann/flann.h"
-#include "index/mtree/mtree.h"
-#include "index/hnsw/hnsw.h"
-#include "index/imi/imi.h"
-#include "index/isax/isax_index.h"
-#include "index/qalsh/qalsh.h"
+#include "index/factory.h"
 #include "index/scan/linear_scan.h"
-#include "index/sfa/sfa.h"
-#include "index/srs/srs.h"
-#include "index/vafile/vafile.h"
 #include "storage/buffer_manager.h"
 
 namespace hydra::bench {
@@ -69,131 +61,49 @@ inline NamedDataset MakeBenchDataset(const std::string& kind, size_t n,
   return out;
 }
 
-// Index builders with bench-scale defaults (leaf sizes etc. scaled from
-// the paper's 100K-leaf / 16-segment configuration).
+// The paper's tuning (§4.2.1) scaled down to bench size: 32-series
+// leaves (DSTree, iSAX2+, SFA, ADS+'s query-time leaves, M-tree nodes),
+// 5,000 histogram pairs and 32 IMI codewords per half. Every other value
+// is the method's own default. The ablations start their typed options
+// from the same constants.
+constexpr size_t kBenchLeafCapacity = 32;
+constexpr size_t kBenchHistogramPairs = 5000;
+constexpr size_t kBenchImiCoarseK = 32;
+
+// A failed build ends the bench: a method missing from its figure would
+// otherwise pass unnoticed. Prints the method and its typed status and
+// exits 1.
+template <typename T>
+T BuiltOrExit(const std::string& method, Result<T> built) {
+  if (!built.ok()) {
+    std::fprintf(stderr, "%s: build failed: %s\n", method.c_str(),
+                 built.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(built).value();
+}
+
 struct BuiltIndex {
-  std::string name;
   std::unique_ptr<Index> index;
   double build_seconds = 0.0;
 };
 
-inline DSTreeOptions BenchDSTreeOptions() {
-  DSTreeOptions o;
-  o.leaf_capacity = 32;
-  o.histogram_pairs = 5000;
-  return o;
-}
-
-inline IsaxOptions BenchIsaxOptions() {
-  IsaxOptions o;
-  o.segments = 16;
-  o.leaf_capacity = 32;
-  o.histogram_pairs = 5000;
-  return o;
-}
-
-inline VaFileOptions BenchVaFileOptions() {
-  VaFileOptions o;
-  o.num_features = 16;
-  o.total_bits = 64;
-  o.histogram_pairs = 5000;
-  return o;
-}
-
-inline BuiltIndex BuildDSTree(const Dataset& data, SeriesProvider* provider) {
+// Builds `method` (a BuildIndex name, index/factory.h) over `data` with
+// the bench preset; raw series come from `provider`, which the in-memory
+// methods ignore.
+inline BuiltIndex BuildBenchIndex(const std::string& method,
+                                  const Dataset& data,
+                                  SeriesProvider* provider) {
+  BuildOptions options;
+  options.method = method;
+  options.leaf_capacity = kBenchLeafCapacity;
+  options.histogram_pairs = kBenchHistogramPairs;
+  options.imi_coarse_k = kBenchImiCoarseK;
   Timer t;
-  auto idx = DSTreeIndex::Build(data, provider, BenchDSTreeOptions());
-  return {"dstree", idx.ok() ? std::move(idx).value() : nullptr,
-          t.ElapsedSeconds()};
-}
-
-inline BuiltIndex BuildIsax(const Dataset& data, SeriesProvider* provider) {
-  Timer t;
-  auto idx = IsaxIndex::Build(data, provider, BenchIsaxOptions());
-  return {"isax2plus", idx.ok() ? std::move(idx).value() : nullptr,
-          t.ElapsedSeconds()};
-}
-
-inline BuiltIndex BuildVaFile(const Dataset& data, SeriesProvider* provider) {
-  Timer t;
-  auto idx = VaFileIndex::Build(data, provider, BenchVaFileOptions());
-  return {"vafile", idx.ok() ? std::move(idx).value() : nullptr,
-          t.ElapsedSeconds()};
-}
-
-inline BuiltIndex BuildHnsw(const Dataset& data) {
-  Timer t;
-  HnswOptions o;
-  o.M = 16;
-  o.ef_construction = 200;
-  auto idx = HnswIndex::Build(data, o);
-  return {"hnsw", idx.ok() ? std::move(idx).value() : nullptr,
-          t.ElapsedSeconds()};
-}
-
-inline BuiltIndex BuildImi(const Dataset& data) {
-  Timer t;
-  ImiOptions o;
-  o.coarse_k = 32;
-  o.train_sample = 2048;
-  auto idx = ImiIndex::Build(data, o);
-  return {"imi", idx.ok() ? std::move(idx).value() : nullptr,
-          t.ElapsedSeconds()};
-}
-
-inline BuiltIndex BuildSrs(const Dataset& data, SeriesProvider* provider) {
-  Timer t;
-  auto idx = SrsIndex::Build(data, provider, SrsOptions{});
-  return {"srs", idx.ok() ? std::move(idx).value() : nullptr,
-          t.ElapsedSeconds()};
-}
-
-inline BuiltIndex BuildQalsh(const Dataset& data, SeriesProvider* provider) {
-  Timer t;
-  auto idx = QalshIndex::Build(data, provider, QalshOptions{});
-  return {"qalsh", idx.ok() ? std::move(idx).value() : nullptr,
-          t.ElapsedSeconds()};
-}
-
-inline BuiltIndex BuildAdsPlus(const Dataset& data,
-                               SeriesProvider* provider) {
-  Timer t;
-  AdsPlusOptions o;
-  o.segments = 16;
-  o.build_leaf_capacity = 512;
-  o.query_leaf_capacity = 32;
-  o.histogram_pairs = 5000;
-  auto idx = AdsPlusIndex::Build(data, provider, o);
-  return {"adsplus", idx.ok() ? std::move(idx).value() : nullptr,
-          t.ElapsedSeconds()};
-}
-
-inline BuiltIndex BuildSfa(const Dataset& data, SeriesProvider* provider) {
-  Timer t;
-  SfaOptions o;
-  o.num_features = 16;
-  o.leaf_capacity = 32;
-  o.histogram_pairs = 5000;
-  auto idx = SfaIndex::Build(data, provider, o);
-  return {"sfa", idx.ok() ? std::move(idx).value() : nullptr,
-          t.ElapsedSeconds()};
-}
-
-inline BuiltIndex BuildMTree(const Dataset& data, SeriesProvider* provider) {
-  Timer t;
-  MTreeOptions o;
-  o.node_capacity = 16;
-  o.histogram_pairs = 5000;
-  auto idx = MTreeIndex::Build(data, provider, o);
-  return {"mtree", idx.ok() ? std::move(idx).value() : nullptr,
-          t.ElapsedSeconds()};
-}
-
-inline BuiltIndex BuildFlann(const Dataset& data) {
-  Timer t;
-  auto idx = FlannIndex::Build(data, FlannOptions{});
-  return {"flann", idx.ok() ? std::move(idx).value() : nullptr,
-          t.ElapsedSeconds()};
+  BuiltIndex out;
+  out.index = BuiltOrExit(method, BuildIndex(data, provider, options));
+  out.build_seconds = t.ElapsedSeconds();
+  return out;
 }
 
 // The prefetch-depth rows of one disk-resident index (bench_fig4_ondisk

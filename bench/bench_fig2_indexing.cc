@@ -18,19 +18,10 @@ void Run() {
     Dataset data = MakeRandomWalk(n, kLength, rng);
     InMemoryProvider provider(&data);
 
-    std::vector<BuiltIndex> builds;
-    builds.push_back(BuildIsax(data, &provider));
-    builds.push_back(BuildVaFile(data, &provider));
-    builds.push_back(BuildSrs(data, &provider));
-    builds.push_back(BuildDSTree(data, &provider));
-    builds.push_back(BuildFlann(data));
-    builds.push_back(BuildQalsh(data, &provider));
-    builds.push_back(BuildImi(data));
-    builds.push_back(BuildHnsw(data));
-
-    for (const BuiltIndex& b : builds) {
-      if (b.index == nullptr) continue;
-      table.AddRow({std::to_string(n), b.name,
+    for (const char* method : {"isax", "vafile", "srs", "dstree", "flann",
+                               "qalsh", "imi", "hnsw"}) {
+      const BuiltIndex b = BuildBenchIndex(method, data, &provider);
+      table.AddRow({std::to_string(n), b.index->name(),
                     FormatDouble(b.build_seconds, 3),
                     FormatDouble(static_cast<double>(b.index->MemoryBytes()) /
                                      (1024.0 * 1024.0),

@@ -16,62 +16,29 @@ void RunDataset(const std::string& kind, size_t n, size_t len, Table* table) {
   auto truth = ExactKnnWorkload(ds.data, ds.queries, k);
   InMemoryProvider provider(&ds.data);
 
-  // ng-approximate methods: trees + HNSW + IMI + Flann + VA+file.
-  struct NgEntry {
-    BuiltIndex built;
-    std::vector<size_t> knob;
-  };
-  std::vector<NgEntry> ng_entries;
-  ng_entries.push_back({BuildDSTree(ds.data, &provider), {1, 4, 16, 64}});
-  ng_entries.push_back({BuildIsax(ds.data, &provider), {1, 4, 16, 64}});
-  ng_entries.push_back(
-      {BuildVaFile(ds.data, &provider), {100, 400, 1600}});
-  ng_entries.push_back({BuildHnsw(ds.data), {100, 200, 400}});
-  ng_entries.push_back({BuildImi(ds.data), {1, 8, 64, 256}});
-  ng_entries.push_back({BuildFlann(ds.data), {64, 256, 1024}});
-
-  for (auto& e : ng_entries) {
-    if (e.built.index == nullptr) continue;
-    for (RunResult& r :
-         RunSweep(*e.built.index, ds.queries, truth, NgSweep(k, e.knob))) {
-      r.setting = "ng," + r.setting;
-      AddResultRow(table, ds.name, r, e.built.build_seconds, ds.data.size());
+  auto add = [&](const char* method, const std::vector<SweepPoint>& points,
+                 const std::string& prefix) {
+    const BuiltIndex b = BuildBenchIndex(method, ds.data, &provider);
+    for (RunResult& r : RunSweep(*b.index, ds.queries, truth, points)) {
+      r.setting = prefix + r.setting;
+      AddResultRow(table, ds.name, r, b.build_seconds, ds.data.size());
     }
-  }
+  };
+
+  // ng-approximate methods: trees + HNSW + IMI + Flann + VA+file.
+  add("dstree", NgSweep(k, {1, 4, 16, 64}), "ng,");
+  add("isax", NgSweep(k, {1, 4, 16, 64}), "ng,");
+  add("vafile", NgSweep(k, {100, 400, 1600}), "ng,");
+  add("hnsw", NgSweep(k, {100, 200, 400}), "ng,");
+  add("imi", NgSweep(k, {1, 8, 64, 256}), "ng,");
+  add("flann", NgSweep(k, {64, 256, 1024}), "ng,");
 
   // δ-ε methods: extended trees + VA+file (ε sweep) and SRS/QALSH.
-  std::vector<BuiltIndex> de_entries;
-  de_entries.push_back(BuildDSTree(ds.data, &provider));
-  de_entries.push_back(BuildIsax(ds.data, &provider));
-  de_entries.push_back(BuildVaFile(ds.data, &provider));
-  for (auto& e : de_entries) {
-    if (e.index == nullptr) continue;
-    for (RunResult& r : RunSweep(*e.index, ds.queries, truth,
-                                 EpsilonSweep(k, {0.0, 0.5, 1.0, 2.0}))) {
-      r.setting = "de," + r.setting;
-      AddResultRow(table, ds.name, r, e.build_seconds, ds.data.size());
-    }
+  for (const char* method : {"dstree", "isax", "vafile"}) {
+    add(method, EpsilonSweep(k, {0.0, 0.5, 1.0, 2.0}), "de,");
   }
-  {
-    BuiltIndex srs = BuildSrs(ds.data, &provider);
-    if (srs.index != nullptr) {
-      for (RunResult& r :
-           RunSweep(*srs.index, ds.queries, truth,
-                    EpsilonSweep(k, {0.0, 1.0, 2.0}, /*delta=*/0.99))) {
-        r.setting = "de," + r.setting;
-        AddResultRow(table, ds.name, r, srs.build_seconds, ds.data.size());
-      }
-    }
-    BuiltIndex qalsh = BuildQalsh(ds.data, &provider);
-    if (qalsh.index != nullptr) {
-      for (RunResult& r :
-           RunSweep(*qalsh.index, ds.queries, truth,
-                    EpsilonSweep(k, {1.0, 2.0}, /*delta=*/0.9))) {
-        r.setting = "de," + r.setting;
-        AddResultRow(table, ds.name, r, qalsh.build_seconds, ds.data.size());
-      }
-    }
-  }
+  add("srs", EpsilonSweep(k, {0.0, 1.0, 2.0}, /*delta=*/0.99), "de,");
+  add("qalsh", EpsilonSweep(k, {1.0, 2.0}, /*delta=*/0.9), "de,");
 }
 
 void Run(bool longs, bool sift, bool deep) {

@@ -32,36 +32,30 @@ void RunDataset(const std::string& kind, size_t n, size_t len,
   SeriesProvider* provider = bm.value().get();
 
   struct Entry {
-    BuiltIndex built;
+    const char* method;
     std::vector<size_t> ng_knob;
     bool delta_eps;
   };
-  std::vector<Entry> entries;
-  entries.push_back({BuildDSTree(ds.data, provider), {1, 4, 16, 64}, true});
-  entries.push_back({BuildIsax(ds.data, provider), {1, 4, 16, 64}, true});
-  entries.push_back(
-      {BuildVaFile(ds.data, provider), {100, 400, 1600}, true});
-  entries.push_back({BuildImi(ds.data), {1, 8, 64}, false});
-  entries.push_back({BuildSrs(ds.data, provider), {}, true});
-
-  for (auto& e : entries) {
-    if (e.built.index == nullptr) continue;
+  const std::vector<Entry> entries = {{"dstree", {1, 4, 16, 64}, true},
+                                      {"isax", {1, 4, 16, 64}, true},
+                                      {"vafile", {100, 400, 1600}, true},
+                                      {"imi", {1, 8, 64}, false},
+                                      {"srs", {}, true}};
+  for (const Entry& e : entries) {
+    const BuiltIndex b = BuildBenchIndex(e.method, ds.data, provider);
     if (!e.ng_knob.empty()) {
-      for (RunResult& r : RunSweep(*e.built.index, ds.queries, truth,
-                                   NgSweep(k, e.ng_knob))) {
+      for (RunResult& r :
+           RunSweep(*b.index, ds.queries, truth, NgSweep(k, e.ng_knob))) {
         r.setting = "ng," + r.setting;
-        AddResultRow(table, ds.name, r, e.built.build_seconds,
-                     ds.data.size());
+        AddResultRow(table, ds.name, r, b.build_seconds, ds.data.size());
       }
     }
     if (e.delta_eps) {
-      double delta = e.built.name == "srs" ? 0.99 : 1.0;
-      for (RunResult& r :
-           RunSweep(*e.built.index, ds.queries, truth,
-                    EpsilonSweep(k, {0.0, 1.0, 2.0}, delta))) {
+      double delta = b.index->name() == "srs" ? 0.99 : 1.0;
+      for (RunResult& r : RunSweep(*b.index, ds.queries, truth,
+                                   EpsilonSweep(k, {0.0, 1.0, 2.0}, delta))) {
         r.setting = "de," + r.setting;
-        AddResultRow(table, ds.name, r, e.built.build_seconds,
-                     ds.data.size());
+        AddResultRow(table, ds.name, r, b.build_seconds, ds.data.size());
       }
     }
   }
@@ -88,9 +82,8 @@ void RunThreadScaling(const std::filesystem::path& dir) {
   SearchParams params;
   params.mode = SearchMode::kExact;
   params.k = k;
-  for (auto build : {&BuildDSTree, &BuildIsax}) {
-    BuiltIndex built = build(ds.data, provider);
-    if (built.index == nullptr) continue;
+  for (const char* method : {"dstree", "isax"}) {
+    const BuiltIndex built = BuildBenchIndex(method, ds.data, provider);
     Table table = SerialTable(RunSweep(*built.index, ds.queries, truth,
                                        ThreadSweep(params, {1, 2, 4, 8})),
                               ds.data.size());
@@ -141,9 +134,8 @@ void RunPrefetchPipeline(const std::filesystem::path& dir) {
     std::printf("# csv\n%s", table.ToCsv().c_str());
   };
   print(LinearScanIndex(pool));
-  for (auto build : {&BuildDSTree, &BuildIsax}) {
-    BuiltIndex built = build(ds.data, pool);
-    if (built.index != nullptr) print(*built.index);
+  for (const char* method : {"dstree", "isax"}) {
+    print(*BuildBenchIndex(method, ds.data, pool).index);
   }
   std::printf(
       "# pool: prefetch_issued=%llu prefetch_useful=%llu\n",

@@ -18,9 +18,8 @@ void Run() {
   Table table({"method", "setting", "MAP", "avg_recall", "MRE",
                "recall_minus_map"});
 
-  auto add = [&](const BuiltIndex& built,
-                 const std::vector<SweepPoint>& points) {
-    if (built.index == nullptr) return;
+  auto add = [&](const char* method, const std::vector<SweepPoint>& points) {
+    const BuiltIndex built = BuildBenchIndex(method, ds.data, &provider);
     for (const RunResult& r :
          RunSweep(*built.index, ds.queries, truth, points)) {
       table.AddRow({r.method, r.setting, FormatDouble(r.accuracy.map),
@@ -30,12 +29,12 @@ void Run() {
     }
   };
 
-  add(BuildDSTree(ds.data, &provider), NgSweep(k, {1, 8, 64}));
-  add(BuildIsax(ds.data, &provider), NgSweep(k, {1, 8, 64}));
-  add(BuildVaFile(ds.data, &provider), NgSweep(k, {100, 800}));
-  add(BuildHnsw(ds.data), NgSweep(k, {100, 400}));
-  add(BuildImi(ds.data), NgSweep(k, {4, 32, 256}));
-  add(BuildSrs(ds.data, &provider), EpsilonSweep(k, {0.0, 2.0}, 0.99));
+  add("dstree", NgSweep(k, {1, 8, 64}));
+  add("isax", NgSweep(k, {1, 8, 64}));
+  add("vafile", NgSweep(k, {100, 800}));
+  add("hnsw", NgSweep(k, {100, 400}));
+  add("imi", NgSweep(k, {4, 32, 256}));
+  add("srs", EpsilonSweep(k, {0.0, 2.0}, 0.99));
 
   PrintFigure("Figure 5: accuracy measures compared (Sift analog, 100-NN)",
               table);

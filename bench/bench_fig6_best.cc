@@ -24,11 +24,8 @@ void RunDataset(const std::string& kind, size_t n, size_t len,
                                 std::max<uint64_t>(2, n / 16 / 50));
   if (!bm.ok()) return;
 
-  std::vector<BuiltIndex> builds;
-  builds.push_back(BuildDSTree(ds.data, bm.value().get()));
-  builds.push_back(BuildIsax(ds.data, bm.value().get()));
-  for (auto& b : builds) {
-    if (b.index == nullptr) continue;
+  for (const char* method : {"dstree", "isax"}) {
+    const BuiltIndex b = BuildBenchIndex(method, ds.data, bm.value().get());
     for (const RunResult& r :
          RunSweep(*b.index, ds.queries, truth,
                   EpsilonSweep(k, {0.0, 0.25, 0.5, 1.0, 2.0, 4.0}))) {

@@ -14,17 +14,14 @@ namespace {
 void RunRegime(const std::string& regime, const std::string& kind, size_t n,
                size_t len, SeriesProvider* provider, const Dataset& data,
                const Dataset& queries, Table* table) {
-  std::vector<BuiltIndex> builds;
-  builds.push_back(BuildDSTree(data, provider));
-  builds.push_back(BuildIsax(data, provider));
-  for (auto& b : builds) {
-    if (b.index == nullptr) continue;
+  for (const char* method : {"dstree", "isax"}) {
+    const BuiltIndex b = BuildBenchIndex(method, data, provider);
     for (size_t k : {1, 10, 100}) {
       auto truth = ExactKnnWorkload(data, queries, k);
       auto results = RunSweep(*b.index, queries, truth,
                               EpsilonSweep(k, {1.0}));
       const RunResult& r = results.front();
-      table->AddRow({regime, kind, b.name, std::to_string(k),
+      table->AddRow({regime, kind, b.index->name(), std::to_string(k),
                      FormatDouble(r.timing.total_seconds, 4),
                      FormatDouble(r.accuracy.map)});
     }

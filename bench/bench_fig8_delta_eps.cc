@@ -18,19 +18,19 @@ void Run() {
   InMemoryProvider provider(&ds.data);
 
   std::vector<BuiltIndex> builds;
-  builds.push_back(BuildDSTree(ds.data, &provider));
-  builds.push_back(BuildIsax(ds.data, &provider));
+  for (const char* method : {"dstree", "isax"}) {
+    builds.push_back(BuildBenchIndex(method, ds.data, &provider));
+  }
 
   Table eps_table({"method", "epsilon", "qrs_per_min", "MAP", "MRE",
                    "full_dists_per_q"});
-  for (auto& b : builds) {
-    if (b.index == nullptr) continue;
+  for (const BuiltIndex& b : builds) {
     for (double eps : {0.0, 0.5, 1.0, 2.0, 4.0, 6.0}) {
       auto results =
           RunSweep(*b.index, ds.queries, truth, EpsilonSweep(k, {eps}));
       const RunResult& r = results.front();
       eps_table.AddRow(
-          {b.name, FormatDouble(eps, 2),
+          {b.index->name(), FormatDouble(eps, 2),
            FormatDouble(r.timing.throughput_per_min, 1),
            FormatDouble(r.accuracy.map), FormatDouble(r.accuracy.mre, 4),
            FormatDouble(static_cast<double>(r.counters.full_distances) /
@@ -42,14 +42,13 @@ void Run() {
 
   Table delta_table({"method", "delta", "qrs_per_min", "MAP",
                      "full_dists_per_q"});
-  for (auto& b : builds) {
-    if (b.index == nullptr) continue;
+  for (const BuiltIndex& b : builds) {
     for (double delta : {0.2, 0.4, 0.6, 0.8, 0.99, 1.0}) {
       auto results = RunSweep(*b.index, ds.queries, truth,
                               EpsilonSweep(k, {0.0}, delta));
       const RunResult& r = results.front();
       delta_table.AddRow(
-          {b.name, FormatDouble(delta, 2),
+          {b.index->name(), FormatDouble(delta, 2),
            FormatDouble(r.timing.throughput_per_min, 1),
            FormatDouble(r.accuracy.map),
            FormatDouble(static_cast<double>(r.counters.full_distances) /

@@ -12,29 +12,15 @@ void Run() {
   Dataset data = MakeRandomWalk(300, 64, rng);
   InMemoryProvider provider(&data);
 
-  std::vector<std::unique_ptr<Index>> indexes;
-  auto push = [&](BuiltIndex b) {
-    if (b.index != nullptr) indexes.push_back(std::move(b.index));
-  };
-  push(BuildDSTree(data, &provider));
-  push(BuildIsax(data, &provider));
-  push(BuildAdsPlus(data, &provider));
-  push(BuildSfa(data, &provider));
-  push(BuildVaFile(data, &provider));
-  push(BuildMTree(data, &provider));
-  push(BuildHnsw(data));
-  push(BuildImi(data));
-  push(BuildSrs(data, &provider));
-  push(BuildQalsh(data, &provider));
-  push(BuildFlann(data));
-  indexes.push_back(std::make_unique<LinearScanIndex>(&provider));
-
   Table table({"method", "exact", "ng-approx", "eps-approx",
                "delta-eps-approx", "disk-resident", "summarization"});
   auto mark = [](bool b) { return b ? std::string("x") : std::string(""); };
-  for (const auto& idx : indexes) {
-    IndexCapabilities c = idx->capabilities();
-    table.AddRow({idx->name(), mark(c.exact), mark(c.ng_approximate),
+  for (const char* method : {"dstree", "isax", "adsplus", "sfa", "vafile",
+                             "mtree", "hnsw", "imi", "srs", "qalsh", "flann",
+                             "scan"}) {
+    const BuiltIndex built = BuildBenchIndex(method, data, &provider);
+    IndexCapabilities c = built.index->capabilities();
+    table.AddRow({built.index->name(), mark(c.exact), mark(c.ng_approximate),
                   mark(c.epsilon_approximate),
                   mark(c.delta_epsilon_approximate),
                   mark(c.disk_resident), c.summarization});

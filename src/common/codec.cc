@@ -1,5 +1,7 @@
 #include "common/codec.h"
 
+#include <cstdio>
+
 namespace hydra {
 
 void EncodeStatus(const Status& st, ByteWriter* w) {
@@ -36,6 +38,31 @@ Status DecodeStatus(ByteReader* r, Status* out) {
     out->WithIoContext(std::move(ctx));
   }
   return Status::OK();
+}
+
+Status WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return Status::IoError("cannot open for write: " + path);
+  const bool wrote =
+      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+  const bool closed = std::fclose(f) == 0;
+  if (!wrote || !closed) return Status::IoError("short write: " + path);
+  return Status::OK();
+}
+
+Result<std::string> ReadFileBytes(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return Status::IoError("cannot open for read: " + path);
+  std::string bytes;
+  char chunk[1 << 16];
+  size_t got = 0;
+  while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
+    bytes.append(chunk, got);
+  }
+  const bool failed = std::ferror(f) != 0;
+  std::fclose(f);
+  if (failed) return Status::IoError("read failed: " + path);
+  return bytes;
 }
 
 }  // namespace hydra

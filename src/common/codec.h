@@ -12,13 +12,14 @@
 namespace hydra {
 
 // Little-endian byte codec shared by every serialized structure in the
-// system (Status on the wire, the src/net/ frame payloads). Encoding is
-// infallible appends into a growing buffer; decoding is bounds-checked
-// and returns typed InvalidArgument on truncation — a corrupt or
-// malicious byte stream can make a Decode fail, never read out of
-// bounds. Multi-byte integers are written little-endian explicitly so
-// the format is identical across hosts; floats round-trip bit for bit
-// via their IEEE-754 representation (memcpy, no text conversion).
+// system (Status on the wire, the src/net/ frame payloads, the DSTree and
+// iSAX2+ index files). Encoding is infallible appends into a growing
+// buffer; decoding is bounds-checked and returns typed InvalidArgument
+// on truncation — a corrupt or malicious byte stream can make a Decode
+// fail, never read out of bounds. Multi-byte integers are written
+// little-endian explicitly so the format is identical across hosts;
+// floats round-trip bit for bit via their IEEE-754 representation
+// (memcpy, no text conversion).
 class ByteWriter {
  public:
   explicit ByteWriter(std::string* out) : out_(out) {}
@@ -27,6 +28,7 @@ class ByteWriter {
   void U16(uint16_t v) { Little(v, 2); }
   void U32(uint32_t v) { Little(v, 4); }
   void U64(uint64_t v) { Little(v, 8); }
+  void I32(int32_t v) { U32(static_cast<uint32_t>(v)); }
   void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
   void F32(float v) {
     uint32_t bits;
@@ -51,12 +53,21 @@ class ByteWriter {
     U64(v.size());
     for (double d : v) F64(d);
   }
-  void I64Span(std::span<const int64_t> v) {
-    U64(v.size());
-    for (int64_t i : v) I64(i);
-  }
+  // Integer vectors, each element at its own width.
+  void U8Span(std::span<const uint8_t> v) { IntSpan(v); }
+  void U16Span(std::span<const uint16_t> v) { IntSpan(v); }
+  void I32Span(std::span<const int32_t> v) { IntSpan(v); }
+  void U64Span(std::span<const uint64_t> v) { IntSpan(v); }
+  void I64Span(std::span<const int64_t> v) { IntSpan(v); }
 
  private:
+  template <typename T>
+  void IntSpan(std::span<const T> v) {
+    U64(v.size());
+    for (T x : v) {
+      Little(static_cast<uint64_t>(x), static_cast<int>(sizeof(T)));
+    }
+  }
   void Little(uint64_t v, int bytes) {
     for (int i = 0; i < bytes; ++i) {
       out_->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
@@ -93,6 +104,12 @@ class ByteReader {
     return Status::OK();
   }
   Status U64(uint64_t* v) { return Little(v, 8, "u64"); }
+  Status I32(int32_t* v) {
+    uint64_t w = 0;
+    HYDRA_RETURN_IF_ERROR(Little(&w, 4, "i32"));
+    *v = static_cast<int32_t>(static_cast<uint32_t>(w));
+    return Status::OK();
+  }
   Status I64(int64_t* v) {
     uint64_t w = 0;
     HYDRA_RETURN_IF_ERROR(Little(&w, 8, "i64"));
@@ -139,16 +156,26 @@ class ByteReader {
     for (double& d : *v) HYDRA_RETURN_IF_ERROR(F64(&d));
     return Status::OK();
   }
-  Status I64Vec(std::vector<int64_t>* v) {
-    uint64_t n = 0;
-    HYDRA_RETURN_IF_ERROR(U64(&n));
-    if (n > remaining() / 8) return Truncated("i64 vector body");
-    v->resize(static_cast<size_t>(n));
-    for (int64_t& i : *v) HYDRA_RETURN_IF_ERROR(I64(&i));
-    return Status::OK();
-  }
+  Status U8Vec(std::vector<uint8_t>* v) { return IntVec(v, "u8 vector"); }
+  Status U16Vec(std::vector<uint16_t>* v) { return IntVec(v, "u16 vector"); }
+  Status I32Vec(std::vector<int32_t>* v) { return IntVec(v, "i32 vector"); }
+  Status U64Vec(std::vector<uint64_t>* v) { return IntVec(v, "u64 vector"); }
+  Status I64Vec(std::vector<int64_t>* v) { return IntVec(v, "i64 vector"); }
 
  private:
+  template <typename T>
+  Status IntVec(std::vector<T>* v, const char* what) {
+    uint64_t n = 0;
+    HYDRA_RETURN_IF_ERROR(U64(&n));
+    if (n > remaining() / sizeof(T)) return Truncated(what);
+    v->resize(static_cast<size_t>(n));
+    for (T& x : *v) {
+      uint64_t w = 0;
+      HYDRA_RETURN_IF_ERROR(Little(&w, static_cast<int>(sizeof(T)), what));
+      x = static_cast<T>(w);
+    }
+    return Status::OK();
+  }
   Status Little(uint64_t* v, int bytes, const char* what) {
     if (remaining() < static_cast<size_t>(bytes)) return Truncated(what);
     uint64_t w = 0;
@@ -176,6 +203,11 @@ class ByteReader {
 // client and an in-process caller.
 void EncodeStatus(const Status& st, ByteWriter* w);
 Status DecodeStatus(ByteReader* r, Status* out);
+
+// Whole-file I/O for encoded files (the index files): a file that cannot
+// be opened, read or fully written is IoError.
+Status WriteFileBytes(const std::string& path, const std::string& bytes);
+Result<std::string> ReadFileBytes(const std::string& path);
 
 }  // namespace hydra
 

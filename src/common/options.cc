@@ -66,24 +66,6 @@ std::vector<size_t> ParseCountList(const char* text,
   return counts.empty() ? fallback : counts;
 }
 
-uint64_t ResolveOptionU64(uint64_t explicit_value, const char* env_name,
-                          uint64_t fallback, uint64_t unset) {
-  if (explicit_value != unset) return explicit_value;
-  return EnvOrU64(env_name, fallback);
-}
-
-size_t ResolveOptionSize(size_t explicit_value, const char* env_name,
-                         size_t fallback, size_t unset) {
-  if (explicit_value != unset) return explicit_value;
-  return EnvOrSize(env_name, fallback);
-}
-
-double ResolveOptionDouble(double explicit_value, const char* env_name,
-                           double fallback, double unset) {
-  if (explicit_value != unset) return explicit_value;
-  return EnvOrDouble(env_name, fallback);
-}
-
 const std::vector<KnobInfo>& KnobTable() {
   // Grouped by scope; ordering is the README presentation order.
   static const std::vector<KnobInfo> kKnobs = {
@@ -99,9 +81,6 @@ const std::vector<KnobInfo>& KnobTable() {
       {"HYDRA_BATCH_WINDOW", "1 (no coalescing)", "serving",
        "Default scheduler coalescing window when "
        "ServingOptions::batch_window is unset."},
-      {"HYDRA_TENANT_QUEUE", "0 (shared cap only)", "serving",
-       "Default per-tenant pending-queue cap when "
-       "ServingOptions::tenant_queue_capacity is unset."},
       // Storage.
       {"HYDRA_IO_RETRIES", "3", "storage",
        "Transient-read retry budget per page load (fixed at pool open)."},
@@ -127,22 +106,10 @@ const std::vector<KnobInfo>& KnobTable() {
        "HYDRA_FAULT_LATENCY_US emulates a slow device)."},
       {"HYDRA_FAULT_LATENCY_US", "0", "faults",
        "Injected delay in microseconds for delayed attempts."},
-      // Replicated serving (net/replica_set.h, net/conn_pool.h).
-      {"HYDRA_HEDGE_MS", "20", "replication",
-       "Hedged-request delay before a backup attempt launches when "
-       "ReplicaSetOptions::hedge_ms is unset (kHedged policy only)."},
-      {"HYDRA_PROBE_MS", "100", "replication",
-       "Connection-pool health probe period (StatsRequest ping) when "
-       "ConnPoolOptions::probe_ms is unset."},
-      {"HYDRA_REPLICA_RETRIES", "2", "replication",
-       "Per-query re-submission budget after retry-safe typed failures "
-       "when ReplicaSetOptions::retry_budget is unset."},
       // Test stress levels (the CI lanes raise them).
       {"HYDRA_CONCURRENCY", "none", "tests",
        "Extra concurrency levels for the serving and sharded suites "
        "(comma-separated)."},
-      {"HYDRA_SHARDS", "1,2,4,8", "tests",
-       "Shard counts the sharded serving suite sweeps."},
       {"HYDRA_SERVING_POOL_PAGES", "16", "tests",
        "Pool capacity of the serving/chaos test suites."},
   };

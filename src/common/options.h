@@ -44,16 +44,6 @@ const char* EnvOrString(const char* name, const char* fallback);
 std::vector<size_t> ParseCountList(const char* text,
                                    std::vector<size_t> fallback);
 
-// Full precedence: a non-sentinel explicit value wins outright; otherwise
-// the environment layer applies. `unset` is the sentinel meaning "caller
-// did not choose" (0 for every current caller).
-uint64_t ResolveOptionU64(uint64_t explicit_value, const char* env_name,
-                          uint64_t fallback, uint64_t unset = 0);
-size_t ResolveOptionSize(size_t explicit_value, const char* env_name,
-                         size_t fallback, size_t unset = 0);
-double ResolveOptionDouble(double explicit_value, const char* env_name,
-                           double fallback, double unset = 0.0);
-
 // ---- Knob registry ----
 //
 // Every HYDRA_* knob the system reads, with its default and one-line

@@ -39,12 +39,19 @@ DistanceHistogram::DistanceHistogram(const Dataset& data, size_t sample_pairs,
   total_ = counts_.back();
 }
 
-DistanceHistogram DistanceHistogram::FromState(State state) {
+void DistanceHistogram::Encode(ByteWriter* w) const {
+  w->DoubleSpan(counts_);
+  w->F64(min_);
+  w->F64(max_);
+  w->F64(total_);
+}
+
+Result<DistanceHistogram> DistanceHistogram::Decode(ByteReader* r) {
   DistanceHistogram h;
-  h.counts_ = std::move(state.cumulative_counts);
-  h.min_ = state.min;
-  h.max_ = state.max;
-  h.total_ = state.total;
+  HYDRA_RETURN_IF_ERROR(r->DoubleVec(&h.counts_));
+  HYDRA_RETURN_IF_ERROR(r->F64(&h.min_));
+  HYDRA_RETURN_IF_ERROR(r->F64(&h.max_));
+  HYDRA_RETURN_IF_ERROR(r->F64(&h.total_));
   if (h.counts_.empty()) h.counts_.assign(1, 0.0);
   return h;
 }

@@ -4,7 +4,9 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/rng.h"
+#include "common/status.h"
 #include "core/dataset.h"
 
 namespace hydra {
@@ -41,15 +43,10 @@ class DistanceHistogram {
   double min_distance() const { return min_; }
   double max_distance() const { return max_; }
 
-  // Persistence hooks used by index Save/Load (storage/serialize.h).
-  struct State {
-    std::vector<double> cumulative_counts;
-    double min = 0.0;
-    double max = 0.0;
-    double total = 0.0;
-  };
-  State ExportState() const { return {counts_, min_, max_, total_}; }
-  static DistanceHistogram FromState(State state);
+  // The histogram's part of an index file (common/codec.h): cumulative
+  // counts, min, max, total.
+  void Encode(ByteWriter* w) const;
+  static Result<DistanceHistogram> Decode(ByteReader* r);
 
  private:
   DistanceHistogram() = default;

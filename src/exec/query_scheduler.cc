@@ -35,9 +35,7 @@ QueryScheduler::QueryScheduler(const Index& index,
                                                   ? options.batch_window
                                                   : DefaultBatchWindow())
                         : 1),
-      // Per-tenant cap: explicit option > HYDRA_TENANT_QUEUE > 0 (off).
-      tenant_queue_capacity_(ResolveOptionSize(
-          options.tenant_queue_capacity, "HYDRA_TENANT_QUEUE", 0)) {}
+      tenant_queue_capacity_(options.tenant_queue_capacity) {}
 
 QueryScheduler::~QueryScheduler() {
   std::unique_lock<std::mutex> lock(mu_);

@@ -84,8 +84,8 @@ struct ServingOptions {
   // tenant may sit in the submission queue; a tenant at its cap blocks in
   // Submit (tenant-local backpressure) while other tenants keep being
   // admitted — one flooding tenant can no longer occupy the whole shared
-  // queue. 0 = the HYDRA_TENANT_QUEUE env default (itself 0 = no
-  // per-tenant bound, the shared queue_capacity alone applies).
+  // queue. 0 = no per-tenant bound: the shared queue_capacity alone
+  // applies.
   size_t tenant_queue_capacity = 0;
 };
 

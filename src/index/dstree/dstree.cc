@@ -4,9 +4,9 @@
 #include <cmath>
 #include <limits>
 
+#include "common/codec.h"
 #include "common/rng.h"
 #include "index/tree_search.h"
-#include "storage/serialize.h"
 
 namespace hydra {
 namespace {
@@ -344,39 +344,34 @@ constexpr uint32_t kDSTreeVersion = 1;
 }  // namespace
 
 Status DSTreeIndex::Save(const std::string& path) const {
-  BinaryWriter w(path);
-  if (!w.ok()) return Status::IoError("cannot open for write: " + path);
-  w.WriteU32(kDSTreeMagic);
-  w.WriteU32(kDSTreeVersion);
-  w.WriteU64(series_length_);
-  w.WriteU64(options_.leaf_capacity);
-  w.WriteU64(options_.initial_segments);
-  w.WriteU64(options_.min_segment_length);
+  std::string bytes;
+  ByteWriter w(&bytes);
+  w.U32(kDSTreeMagic);
+  w.U32(kDSTreeVersion);
+  w.U64(series_length_);
+  w.U64(options_.leaf_capacity);
+  w.U64(options_.initial_segments);
+  w.U64(options_.min_segment_length);
 
-  w.WriteU64(nodes_.size());
+  w.U64(nodes_.size());
   for (const DSTreeNode& n : nodes_) {
-    w.WriteVector(n.segmentation);
-    w.WriteVector(n.min_mean);
-    w.WriteVector(n.max_mean);
-    w.WriteVector(n.min_std);
-    w.WriteVector(n.max_std);
-    w.WriteU64(n.count);
-    w.WriteBool(n.is_leaf);
-    w.WriteU64(n.split_start);
-    w.WriteU64(n.split_end);
-    w.WriteBool(n.split_on_std);
-    w.WriteDouble(n.split_value);
-    w.WriteI32(n.left);
-    w.WriteI32(n.right);
-    w.WriteVector(n.series_ids);
+    w.U64Span(n.segmentation);
+    w.DoubleSpan(n.min_mean);
+    w.DoubleSpan(n.max_mean);
+    w.DoubleSpan(n.min_std);
+    w.DoubleSpan(n.max_std);
+    w.U64(n.count);
+    w.U8(n.is_leaf ? 1 : 0);
+    w.U64(n.split_start);
+    w.U64(n.split_end);
+    w.U8(n.split_on_std ? 1 : 0);
+    w.F64(n.split_value);
+    w.I32(n.left);
+    w.I32(n.right);
+    w.I64Span(n.series_ids);
   }
-
-  DistanceHistogram::State hs = histogram_->ExportState();
-  w.WriteVector(hs.cumulative_counts);
-  w.WriteDouble(hs.min);
-  w.WriteDouble(hs.max);
-  w.WriteDouble(hs.total);
-  return w.Close();
+  histogram_->Encode(&w);
+  return WriteFileBytes(path, bytes);
 }
 
 Result<std::unique_ptr<DSTreeIndex>> DSTreeIndex::Load(
@@ -384,19 +379,22 @@ Result<std::unique_ptr<DSTreeIndex>> DSTreeIndex::Load(
   if (provider == nullptr) {
     return Status::InvalidArgument("provider must not be null");
   }
-  BinaryReader r(path);
-  if (!r.ok()) return Status::IoError("cannot open for read: " + path);
-  if (r.ReadU32() != kDSTreeMagic) {
+  HYDRA_ASSIGN_OR_RETURN(const std::string bytes, ReadFileBytes(path));
+  ByteReader r(bytes);
+  uint32_t magic = 0;
+  uint32_t version = 0;
+  if (!r.U32(&magic).ok() || magic != kDSTreeMagic) {
     return Status::InvalidArgument("not a dstree index file: " + path);
   }
-  if (r.ReadU32() != kDSTreeVersion) {
+  if (!r.U32(&version).ok() || version != kDSTreeVersion) {
     return Status::InvalidArgument("unsupported dstree version: " + path);
   }
   DSTreeOptions options;
-  uint64_t series_length = r.ReadU64();
-  options.leaf_capacity = r.ReadU64();
-  options.initial_segments = r.ReadU64();
-  options.min_segment_length = r.ReadU64();
+  uint64_t series_length = 0;
+  HYDRA_RETURN_IF_ERROR(r.U64(&series_length));
+  HYDRA_RETURN_IF_ERROR(r.U64(&options.leaf_capacity));
+  HYDRA_RETURN_IF_ERROR(r.U64(&options.initial_segments));
+  HYDRA_RETURN_IF_ERROR(r.U64(&options.min_segment_length));
   if (provider->series_length() != series_length) {
     return Status::FailedPrecondition(
         "provider series length does not match saved index");
@@ -404,38 +402,54 @@ Result<std::unique_ptr<DSTreeIndex>> DSTreeIndex::Load(
 
   std::unique_ptr<DSTreeIndex> index(new DSTreeIndex(provider, options));
   index->series_length_ = series_length;
-  uint64_t num_nodes = r.ReadU64();
-  index->nodes_.reserve(num_nodes);
-  for (uint64_t i = 0; i < num_nodes && r.ok(); ++i) {
+  uint64_t num_nodes = 0;
+  HYDRA_RETURN_IF_ERROR(r.U64(&num_nodes));
+  for (uint64_t i = 0; i < num_nodes; ++i) {
     DSTreeNode n;
-    n.segmentation = r.ReadVector<size_t>();
-    n.min_mean = r.ReadVector<double>();
-    n.max_mean = r.ReadVector<double>();
-    n.min_std = r.ReadVector<double>();
-    n.max_std = r.ReadVector<double>();
-    n.count = r.ReadU64();
-    n.is_leaf = r.ReadBool();
-    n.split_start = r.ReadU64();
-    n.split_end = r.ReadU64();
-    n.split_on_std = r.ReadBool();
-    n.split_value = r.ReadDouble();
-    n.left = r.ReadI32();
-    n.right = r.ReadI32();
-    n.series_ids = r.ReadVector<int64_t>();
+    uint8_t is_leaf = 0;
+    uint8_t split_on_std = 0;
+    HYDRA_RETURN_IF_ERROR(r.U64Vec(&n.segmentation));
+    HYDRA_RETURN_IF_ERROR(r.DoubleVec(&n.min_mean));
+    HYDRA_RETURN_IF_ERROR(r.DoubleVec(&n.max_mean));
+    HYDRA_RETURN_IF_ERROR(r.DoubleVec(&n.min_std));
+    HYDRA_RETURN_IF_ERROR(r.DoubleVec(&n.max_std));
+    HYDRA_RETURN_IF_ERROR(r.U64(&n.count));
+    HYDRA_RETURN_IF_ERROR(r.U8(&is_leaf));
+    HYDRA_RETURN_IF_ERROR(r.U64(&n.split_start));
+    HYDRA_RETURN_IF_ERROR(r.U64(&n.split_end));
+    HYDRA_RETURN_IF_ERROR(r.U8(&split_on_std));
+    HYDRA_RETURN_IF_ERROR(r.F64(&n.split_value));
+    HYDRA_RETURN_IF_ERROR(r.I32(&n.left));
+    HYDRA_RETURN_IF_ERROR(r.I32(&n.right));
+    HYDRA_RETURN_IF_ERROR(r.I64Vec(&n.series_ids));
+    n.is_leaf = is_leaf != 0;
+    n.split_on_std = split_on_std != 0;
+    // MinDistSq reads one envelope entry per segment, and the query's
+    // prefix sums up to each boundary.
+    const size_t segments = n.segmentation.size();
+    if (n.min_mean.size() != segments || n.max_mean.size() != segments ||
+        n.min_std.size() != segments || n.max_std.size() != segments) {
+      return Status::InvalidArgument(
+          "dstree node envelope does not match its segmentation: " + path);
+    }
+    for (size_t end : n.segmentation) {
+      if (end > series_length) {
+        return Status::InvalidArgument(
+            "dstree segment ends past the series: " + path);
+      }
+    }
     std::sort(n.series_ids.begin(), n.series_ids.end());  // run coalescing
     index->nodes_.push_back(std::move(n));
   }
-  DistanceHistogram::State hs;
-  hs.cumulative_counts = r.ReadVector<double>();
-  hs.min = r.ReadDouble();
-  hs.max = r.ReadDouble();
-  hs.total = r.ReadDouble();
-  HYDRA_RETURN_IF_ERROR(r.status());
-  index->histogram_ = std::make_unique<DistanceHistogram>(
-      DistanceHistogram::FromState(std::move(hs)));
+  HYDRA_ASSIGN_OR_RETURN(DistanceHistogram histogram,
+                         DistanceHistogram::Decode(&r));
+  index->histogram_ =
+      std::make_unique<DistanceHistogram>(std::move(histogram));
   if (index->nodes_.empty()) {
     return Status::InvalidArgument("saved index has no nodes");
   }
+  HYDRA_RETURN_IF_ERROR(CheckLoadedTree(
+      index->nodes_, index->SearchRoots(), provider->num_series()));
   return index;
 }
 

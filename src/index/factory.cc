@@ -157,6 +157,8 @@ Result<std::unique_ptr<Index>> BuildIndex(const Dataset& data,
   if (m == "imi") {
     ImiOptions o;
     SetIfNonZero(&o.coarse_k, options.imi_coarse_k);
+    // 64 training series per codeword: the default 4,096 at K = 64.
+    o.train_sample = 64 * o.coarse_k;
     HYDRA_ASSIGN_OR_RETURN(auto idx, ImiIndex::Build(data, o));
     return std::unique_ptr<Index>(std::move(idx));
   }

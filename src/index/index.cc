@@ -1,6 +1,10 @@
 #include "index/index.h"
 
+#include <algorithm>
+
 #include "common/options.h"
+#include "index/answer_set.h"
+#include "index/leaf_scanner.h"
 
 // Index is an interface; this translation unit anchors its vtable and
 // holds the reference BatchSearch implementation, plus the SearchParams
@@ -17,7 +21,7 @@ size_t DefaultPrefetchDepth() {
 size_t ResolvePrefetchDepth(const SearchParams& params) {
   if (params.prefetch_depth == SearchParams::kPrefetchOff) return 0;
   // explicit param > HYDRA_PREFETCH > 0 (off) — the system-wide
-  // ResolveOption precedence, with the parse-once default above.
+  // precedence of common/options.h, with the parse-once default above.
   return params.prefetch_depth != 0 ? params.prefetch_depth
                                     : DefaultPrefetchDepth();
 }
@@ -70,6 +74,28 @@ std::vector<size_t> SplitBatch(const Index& index,
     shared.clear();
   }
   return shared;
+}
+
+void ScanBatchMembers(std::span<const BatchQuery> batch,
+                      std::span<const size_t> members,
+                      std::vector<Result<KnnAnswer>>* results,
+                      const std::function<void(LeafScanner*)>& scan) {
+  size_t prefetch_depth = 0;
+  for (size_t i : members) {
+    prefetch_depth =
+        std::max(prefetch_depth, ResolvePrefetchDepth(batch[i].params));
+  }
+  LeafScanner scanner(prefetch_depth);
+  std::vector<AnswerSet> answers;
+  answers.reserve(members.size());
+  for (size_t i : members) {
+    scanner.AddQuery(batch[i].query, &answers.emplace_back(batch[i].params.k),
+                     batch[i].counters, ResolveCancellation(batch[i].params));
+  }
+  scan(&scanner);
+  for (size_t m = 0; m < members.size(); ++m) {
+    (*results)[members[m]] = scanner.Finish(m);
+  }
 }
 
 }  // namespace hydra

@@ -2,6 +2,7 @@
 #define HYDRA_INDEX_INDEX_H_
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <span>
@@ -202,6 +203,17 @@ std::vector<size_t> SplitBatch(const Index& index,
                                std::span<const BatchQuery> batch,
                                size_t series_length, bool exact_only,
                                std::vector<Result<KnnAnswer>>* results);
+
+class LeafScanner;  // index/leaf_scanner.h
+
+// Runs the `members` of `batch` that SplitBatch left to share through one
+// LeafScanner: one slot per member, in order, with the largest readahead
+// any member asks for (a cache hint serves them all). Calls `scan` once,
+// then stores each member's answers or failure in its `results` entry.
+void ScanBatchMembers(std::span<const BatchQuery> batch,
+                      std::span<const size_t> members,
+                      std::vector<Result<KnnAnswer>>* results,
+                      const std::function<void(LeafScanner*)>& scan);
 
 }  // namespace hydra
 

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/codec.h"
 #include "common/rng.h"
 #include "index/tree_search.h"
-#include "storage/serialize.h"
 
 namespace hydra {
 
@@ -237,28 +237,28 @@ constexpr uint32_t kIsaxVersion = 1;
 }  // namespace
 
 Status IsaxIndex::Save(const std::string& path) const {
-  BinaryWriter w(path);
-  if (!w.ok()) return Status::IoError("cannot open for write: " + path);
-  w.WriteU32(kIsaxMagic);
-  w.WriteU32(kIsaxVersion);
-  w.WriteU64(series_length_);
-  w.WriteU64(options_.segments);
-  w.WriteU64(options_.max_bits);
-  w.WriteU64(options_.leaf_capacity);
+  std::string bytes;
+  ByteWriter w(&bytes);
+  w.U32(kIsaxMagic);
+  w.U32(kIsaxVersion);
+  w.U64(series_length_);
+  w.U64(options_.segments);
+  w.U64(options_.max_bits);
+  w.U64(options_.leaf_capacity);
 
-  w.WriteU64(nodes_.size());
+  w.U64(nodes_.size());
   for (const IsaxNode& n : nodes_) {
-    w.WriteVector(n.word);
-    w.WriteVector(n.bits);
-    w.WriteBool(n.is_leaf);
-    w.WriteU32(n.split_segment);
-    w.WriteI32(n.left);
-    w.WriteI32(n.right);
-    w.WriteU64(n.count);
-    w.WriteVector(n.series_ids);
-    w.WriteVector(n.leaf_words);
+    w.U16Span(n.word);
+    w.U8Span(n.bits);
+    w.U8(n.is_leaf ? 1 : 0);
+    w.U32(n.split_segment);
+    w.I32(n.left);
+    w.I32(n.right);
+    w.U64(n.count);
+    w.I64Span(n.series_ids);
+    w.U16Span(n.leaf_words);
   }
-  w.WriteVector(root_children_);
+  w.I32Span(root_children_);
   std::vector<uint64_t> root_keys;
   std::vector<int32_t> root_values;
   root_keys.reserve(root_map_.size());
@@ -267,15 +267,10 @@ Status IsaxIndex::Save(const std::string& path) const {
     root_keys.push_back(key);
     root_values.push_back(value);
   }
-  w.WriteVector(root_keys);
-  w.WriteVector(root_values);
-
-  DistanceHistogram::State hs = histogram_->ExportState();
-  w.WriteVector(hs.cumulative_counts);
-  w.WriteDouble(hs.min);
-  w.WriteDouble(hs.max);
-  w.WriteDouble(hs.total);
-  return w.Close();
+  w.U64Span(root_keys);
+  w.I32Span(root_values);
+  histogram_->Encode(&w);
+  return WriteFileBytes(path, bytes);
 }
 
 Result<std::unique_ptr<IsaxIndex>> IsaxIndex::Load(const std::string& path,
@@ -283,65 +278,94 @@ Result<std::unique_ptr<IsaxIndex>> IsaxIndex::Load(const std::string& path,
   if (provider == nullptr) {
     return Status::InvalidArgument("provider must not be null");
   }
-  BinaryReader r(path);
-  if (!r.ok()) return Status::IoError("cannot open for read: " + path);
-  if (r.ReadU32() != kIsaxMagic) {
+  HYDRA_ASSIGN_OR_RETURN(const std::string bytes, ReadFileBytes(path));
+  ByteReader r(bytes);
+  uint32_t magic = 0;
+  uint32_t version = 0;
+  if (!r.U32(&magic).ok() || magic != kIsaxMagic) {
     return Status::InvalidArgument("not an isax index file: " + path);
   }
-  if (r.ReadU32() != kIsaxVersion) {
+  if (!r.U32(&version).ok() || version != kIsaxVersion) {
     return Status::InvalidArgument("unsupported isax version: " + path);
   }
   IsaxOptions options;
-  uint64_t series_length = r.ReadU64();
-  options.segments = r.ReadU64();
-  options.max_bits = r.ReadU64();
-  options.leaf_capacity = r.ReadU64();
+  uint64_t series_length = 0;
+  HYDRA_RETURN_IF_ERROR(r.U64(&series_length));
+  HYDRA_RETURN_IF_ERROR(r.U64(&options.segments));
+  HYDRA_RETURN_IF_ERROR(r.U64(&options.max_bits));
+  HYDRA_RETURN_IF_ERROR(r.U64(&options.leaf_capacity));
   if (provider->series_length() != series_length) {
     return Status::FailedPrecondition(
         "provider series length does not match saved index");
   }
+  // The ranges Build accepts; the encoder's tables are sized by them.
+  if (options.segments == 0 || options.segments > 64 ||
+      options.max_bits == 0 || options.max_bits > 16) {
+    return Status::InvalidArgument(
+        "isax segments or bits out of range: " + path);
+  }
+  const size_t segments = options.segments;
 
   std::unique_ptr<IsaxIndex> index(new IsaxIndex(provider, options));
   index->series_length_ = series_length;
-  index->encoder_ = std::make_unique<SaxEncoder>(
-      series_length, options.segments, options.max_bits);
-  uint64_t num_nodes = r.ReadU64();
-  index->nodes_.reserve(num_nodes);
-  for (uint64_t i = 0; i < num_nodes && r.ok(); ++i) {
+  index->encoder_ = std::make_unique<SaxEncoder>(series_length, segments,
+                                                 options.max_bits);
+  uint64_t num_nodes = 0;
+  HYDRA_RETURN_IF_ERROR(r.U64(&num_nodes));
+  for (uint64_t i = 0; i < num_nodes; ++i) {
     IsaxNode n;
-    n.word = r.ReadVector<uint16_t>();
-    n.bits = r.ReadVector<uint8_t>();
-    n.is_leaf = r.ReadBool();
-    n.split_segment = static_cast<uint8_t>(r.ReadU32());
-    n.left = r.ReadI32();
-    n.right = r.ReadI32();
-    n.count = r.ReadU64();
-    n.series_ids = r.ReadVector<int64_t>();
-    n.leaf_words = r.ReadVector<uint16_t>();
-    n.SortLeafByIds(options.segments);  // run-coalescing invariant
+    uint8_t is_leaf = 0;
+    uint32_t split_segment = 0;
+    HYDRA_RETURN_IF_ERROR(r.U16Vec(&n.word));
+    HYDRA_RETURN_IF_ERROR(r.U8Vec(&n.bits));
+    HYDRA_RETURN_IF_ERROR(r.U8(&is_leaf));
+    HYDRA_RETURN_IF_ERROR(r.U32(&split_segment));
+    HYDRA_RETURN_IF_ERROR(r.I32(&n.left));
+    HYDRA_RETURN_IF_ERROR(r.I32(&n.right));
+    HYDRA_RETURN_IF_ERROR(r.U64(&n.count));
+    HYDRA_RETURN_IF_ERROR(r.I64Vec(&n.series_ids));
+    HYDRA_RETURN_IF_ERROR(r.U16Vec(&n.leaf_words));
+    n.is_leaf = is_leaf != 0;
+    n.split_segment = static_cast<uint8_t>(split_segment);
+    // MinDistSq decodes one symbol per segment at no more than max_bits,
+    // and the leaf sort permutes one word per id.
+    bool valid = n.word.size() == segments && n.bits.size() == segments &&
+                 n.leaf_words.size() == n.series_ids.size() * segments;
+    for (size_t s = 0; valid && s < segments; ++s) {
+      valid = n.bits[s] <= options.max_bits &&
+              (n.word[s] >> options.max_bits) == 0;
+    }
+    if (!valid) {
+      return Status::InvalidArgument(
+          "isax node word does not match the segments: " + path);
+    }
+    n.SortLeafByIds(segments);  // run-coalescing invariant
     index->nodes_.push_back(std::move(n));
   }
-  index->root_children_ = r.ReadVector<int32_t>();
-  std::vector<uint64_t> root_keys = r.ReadVector<uint64_t>();
-  std::vector<int32_t> root_values = r.ReadVector<int32_t>();
+  HYDRA_RETURN_IF_ERROR(r.I32Vec(&index->root_children_));
+  std::vector<uint64_t> root_keys;
+  std::vector<int32_t> root_values;
+  HYDRA_RETURN_IF_ERROR(r.U64Vec(&root_keys));
+  HYDRA_RETURN_IF_ERROR(r.I32Vec(&root_values));
   if (root_keys.size() != root_values.size()) {
     return Status::InvalidArgument("corrupt root map in " + path);
   }
   for (size_t i = 0; i < root_keys.size(); ++i) {
+    if (root_values[i] < 0 ||
+        static_cast<uint64_t>(root_values[i]) >= num_nodes) {
+      return Status::InvalidArgument("corrupt root map in " + path);
+    }
     index->root_map_[root_keys[i]] = root_values[i];
   }
-
-  DistanceHistogram::State hs;
-  hs.cumulative_counts = r.ReadVector<double>();
-  hs.min = r.ReadDouble();
-  hs.max = r.ReadDouble();
-  hs.total = r.ReadDouble();
-  HYDRA_RETURN_IF_ERROR(r.status());
-  index->histogram_ = std::make_unique<DistanceHistogram>(
-      DistanceHistogram::FromState(std::move(hs)));
+  HYDRA_ASSIGN_OR_RETURN(DistanceHistogram histogram,
+                         DistanceHistogram::Decode(&r));
+  index->histogram_ =
+      std::make_unique<DistanceHistogram>(std::move(histogram));
   if (index->nodes_.empty()) {
     return Status::InvalidArgument("saved index has no nodes");
   }
+  HYDRA_RETURN_IF_ERROR(CheckLoadedTree(index->nodes_, index->root_children_,
+                                        provider->num_series()));
   return index;
 }
 

@@ -1,7 +1,5 @@
 #include "index/scan/linear_scan.h"
 
-#include <algorithm>
-
 #include "index/answer_set.h"
 #include "index/leaf_scanner.h"
 
@@ -34,25 +32,10 @@ std::vector<Result<KnnAnswer>> LinearScanIndex::BatchSearch(
       SplitBatch(*this, batch, provider_->series_length(),
                  /*exact_only=*/false, &results);
   if (members.empty()) return results;
-  // The shared scan walks the collection once for every member. Its
-  // readahead window is a cache hint, so the largest requested depth
-  // serves the whole batch.
-  size_t prefetch_depth = 0;
-  for (size_t i : members) {
-    prefetch_depth =
-        std::max(prefetch_depth, ResolvePrefetchDepth(batch[i].params));
-  }
-  LeafScanner scanner(prefetch_depth);
-  std::vector<AnswerSet> answers;
-  answers.reserve(members.size());
-  for (size_t i : members) {
-    scanner.AddQuery(batch[i].query, &answers.emplace_back(batch[i].params.k),
-                     batch[i].counters, ResolveCancellation(batch[i].params));
-  }
-  scanner.ScanRange(provider_, 0, provider_->num_series());
-  for (size_t m = 0; m < members.size(); ++m) {
-    results[members[m]] = scanner.Finish(m);
-  }
+  // The shared scan walks the collection once for every member.
+  ScanBatchMembers(batch, members, &results, [&](LeafScanner* scanner) {
+    scanner->ScanRange(provider_, 0, provider_->num_series());
+  });
   return results;
 }
 

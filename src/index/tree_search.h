@@ -6,6 +6,7 @@
 #include <functional>
 #include <limits>
 #include <span>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -302,29 +303,17 @@ std::vector<Result<KnnAnswer>> TreeBatchSearch(
       SplitBatch(index, batch, index.provider()->series_length(),
                  /*exact_only=*/true, &results);
   if (exact.empty()) return results;
-  // Readahead is a cache hint, so the largest requested depth serves all.
-  size_t prefetch_depth = 0;
-  for (size_t i : exact) {
-    prefetch_depth =
-        std::max(prefetch_depth, ResolvePrefetchDepth(batch[i].params));
-  }
   using Ctx = decltype(index.MakeQueryContext(batch.front().query));
-  LeafScanner scanner(prefetch_depth);
-  std::vector<AnswerSet> answers;
   std::vector<Ctx> ctxs;
-  answers.reserve(exact.size());
   ctxs.reserve(exact.size());
   std::vector<TreeQuery<Ctx>> queries;
   for (size_t i : exact) {
-    scanner.AddQuery(batch[i].query, &answers.emplace_back(batch[i].params.k),
-                     batch[i].counters, ResolveCancellation(batch[i].params));
     const Ctx& ctx = ctxs.emplace_back(index.MakeQueryContext(batch[i].query));
     queries.emplace_back(ctx, batch[i].params, 0.0);
   }
-  TreeSearch(index, std::span<TreeQuery<Ctx>>(queries), &scanner);
-  for (size_t m = 0; m < exact.size(); ++m) {
-    results[exact[m]] = scanner.Finish(m);
-  }
+  ScanBatchMembers(batch, exact, &results, [&](LeafScanner* scanner) {
+    TreeSearch(index, std::span<TreeQuery<Ctx>>(queries), scanner);
+  });
   return results;
 }
 
@@ -376,6 +365,49 @@ Result<KnnAnswer> TreeRangeSearch(const Tree& tree, const Ctx& ctx,
     result.distances.push_back(all.distances[i]);
   }
   return result;
+}
+
+// Checks what a search trusts in the nodes of a tree read from a file
+// (DSTree and iSAX2+ Load). Each link (`left`/`right`, -1 = none, and
+// each of `roots`) names a node past its parent, and no node is linked
+// twice: both Build()s append children after their parent, and the
+// order also rules out a cycle. Each leaf id names a series of a
+// provider holding `num_series`.
+template <typename Node>
+Status CheckLoadedTree(const std::vector<Node>& nodes,
+                       std::span<const int32_t> roots, uint64_t num_series) {
+  std::vector<bool> linked(nodes.size(), false);
+  auto link = [&](int32_t child, int64_t parent) {
+    if (child <= parent || static_cast<size_t>(child) >= nodes.size() ||
+        linked[child]) {
+      return false;
+    }
+    linked[child] = true;
+    return true;
+  };
+  for (int32_t root : roots) {
+    if (!link(root, -1)) {
+      return Status::InvalidArgument("corrupt index file: root link " +
+                                     std::to_string(root));
+    }
+  }
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    for (int32_t child : {nodes[i].left, nodes[i].right}) {
+      if (child != -1 && !link(child, static_cast<int64_t>(i))) {
+        return Status::InvalidArgument(
+            "corrupt index file: node " + std::to_string(i) + " links " +
+            std::to_string(child));
+      }
+    }
+    for (int64_t id : nodes[i].series_ids) {
+      if (id < 0 || static_cast<uint64_t>(id) >= num_series) {
+        return Status::FailedPrecondition(
+            "index file names series " + std::to_string(id) +
+            " outside the provider's " + std::to_string(num_series));
+      }
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace hydra

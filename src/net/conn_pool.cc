@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/backoff.h"
-#include "common/options.h"
 
 namespace hydra {
 
@@ -60,7 +59,7 @@ ConnectionPool::ConnectionPool(std::vector<Endpoint> endpoints,
                                ResultHandler on_result,
                                HealthHandler on_health)
     : on_result_(std::move(on_result)), on_health_(std::move(on_health)) {
-  probe_ms_ = ResolveOptionDouble(opts.probe_ms, "HYDRA_PROBE_MS", 100.0);
+  probe_ms_ = opts.probe_ms != 0 ? opts.probe_ms : 100.0;
   backoff_base_us_ =
       opts.backoff_base_us != 0 ? opts.backoff_base_us : uint64_t{1000};
   backoff_cap_us_ =

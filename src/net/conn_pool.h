@@ -50,7 +50,7 @@ enum class EndpointHealth : uint8_t {
 const char* EndpointHealthName(EndpointHealth health);
 
 struct ConnPoolOptions {
-  // Health probe period. 0 = resolve HYDRA_PROBE_MS (default 100).
+  // Health probe period. 0 = 100 ms.
   double probe_ms = 0;
   // Reconnect backoff: base << min(attempt, 6), capped, plus
   // deterministic decorrelation jitter from (endpoint, attempt). 0 =

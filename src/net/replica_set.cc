@@ -3,7 +3,6 @@
 #include <cassert>
 #include <utility>
 
-#include "common/options.h"
 
 namespace hydra {
 
@@ -31,11 +30,9 @@ Result<std::unique_ptr<ReplicaSetBackend>> ReplicaSetBackend::Connect(
   }
   std::unique_ptr<ReplicaSetBackend> set(new ReplicaSetBackend());
   set->policy_ = options.policy;
-  set->hedge_ms_ = ResolveOptionDouble(options.hedge_ms, "HYDRA_HEDGE_MS",
-                                       /*fallback=*/20.0);
-  set->retry_budget_ = ResolveOptionU64(options.retry_budget,
-                                        "HYDRA_REPLICA_RETRIES",
-                                        /*fallback=*/2);
+  set->hedge_ms_ = options.hedge_ms != 0 ? options.hedge_ms : 20.0;
+  set->retry_budget_ =
+      options.retry_budget != 0 ? options.retry_budget : uint64_t{2};
   ReplicaSetBackend* self = set.get();
   set->pool_ = std::make_unique<ConnectionPool>(
       std::move(endpoints), options.pool,

@@ -42,11 +42,11 @@ const char* ReplicaPolicyName(ReplicaPolicy policy);
 
 struct ReplicaSetOptions {
   ReplicaPolicy policy = ReplicaPolicy::kPrimaryFailover;
-  // Hedge delay before the backup attempt launches. 0 = resolve
-  // HYDRA_HEDGE_MS (default 20). Only meaningful under kHedged.
+  // Hedge delay before the backup attempt launches. 0 = 20 ms. Only
+  // meaningful under kHedged.
   double hedge_ms = 0;
   // Per-query re-submission budget after retry-safe typed failures.
-  // 0 = resolve HYDRA_REPLICA_RETRIES (default 2).
+  // 0 = 2.
   uint64_t retry_budget = 0;
   // Forwarded to the connection pool underneath.
   ConnPoolOptions pool;

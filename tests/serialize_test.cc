@@ -3,13 +3,13 @@
 #include <filesystem>
 #include <string>
 
+#include "common/codec.h"
 #include "common/rng.h"
 #include "core/generators.h"
 #include "core/ground_truth.h"
 #include "index/dstree/dstree.h"
 #include "index/isax/isax_index.h"
 #include "storage/buffer_manager.h"
-#include "storage/serialize.h"
 
 namespace hydra {
 namespace {
@@ -30,78 +30,122 @@ class SerializeTest : public ::testing::Test {
 TEST_F(SerializeTest, PrimitivesRoundTrip) {
   std::string path = Path("prim.bin");
   {
-    BinaryWriter w(path);
-    ASSERT_TRUE(w.ok());
-    w.WriteU32(0xabcd1234u);
-    w.WriteU64(1ull << 50);
-    w.WriteI64(-42);
-    w.WriteI32(-7);
-    w.WriteDouble(3.14159);
-    w.WriteBool(true);
-    w.WriteBool(false);
-    ASSERT_TRUE(w.Close().ok());
+    std::string bytes;
+    ByteWriter w(&bytes);
+    w.U32(0xabcd1234u);
+    w.U64(1ull << 50);
+    w.I64(-42);
+    w.I32(-7);
+    w.F64(3.14159);
+    w.U8(1);
+    w.U8(0);
+    ASSERT_TRUE(WriteFileBytes(path, bytes).ok());
   }
-  BinaryReader r(path);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.ReadU32(), 0xabcd1234u);
-  EXPECT_EQ(r.ReadU64(), 1ull << 50);
-  EXPECT_EQ(r.ReadI64(), -42);
-  EXPECT_EQ(r.ReadI32(), -7);
-  EXPECT_DOUBLE_EQ(r.ReadDouble(), 3.14159);
-  EXPECT_TRUE(r.ReadBool());
-  EXPECT_FALSE(r.ReadBool());
-  EXPECT_TRUE(r.status().ok());
+  auto bytes = ReadFileBytes(path);
+  ASSERT_TRUE(bytes.ok());
+  ByteReader r(bytes.value());
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
+  int64_t i64 = 0;
+  int32_t i32 = 0;
+  double f64 = 0.0;
+  uint8_t yes = 0;
+  uint8_t no = 1;
+  ASSERT_TRUE(r.U32(&u32).ok());
+  ASSERT_TRUE(r.U64(&u64).ok());
+  ASSERT_TRUE(r.I64(&i64).ok());
+  ASSERT_TRUE(r.I32(&i32).ok());
+  ASSERT_TRUE(r.F64(&f64).ok());
+  ASSERT_TRUE(r.U8(&yes).ok());
+  ASSERT_TRUE(r.U8(&no).ok());
+  EXPECT_EQ(u32, 0xabcd1234u);
+  EXPECT_EQ(u64, 1ull << 50);
+  EXPECT_EQ(i64, -42);
+  EXPECT_EQ(i32, -7);
+  EXPECT_DOUBLE_EQ(f64, 3.14159);
+  EXPECT_EQ(yes, 1);
+  EXPECT_EQ(no, 0);
+  EXPECT_TRUE(r.exhausted());
 }
 
 TEST_F(SerializeTest, VectorsRoundTrip) {
   std::string path = Path("vec.bin");
   std::vector<double> doubles = {1.0, -2.5, 1e300};
   std::vector<int64_t> ints = {1, 2, 3, 4};
+  std::vector<int32_t> links = {-1, 0, 7};
+  std::vector<uint8_t> bits = {0, 8, 255};
+  std::vector<uint64_t> sizes = {0, 1ull << 40};
   std::vector<uint16_t> words;
   {
-    BinaryWriter w(path);
-    w.WriteVector(doubles);
-    w.WriteVector(ints);
-    w.WriteVector(words);  // empty vector
-    ASSERT_TRUE(w.Close().ok());
+    std::string bytes;
+    ByteWriter w(&bytes);
+    w.DoubleSpan(doubles);
+    w.I64Span(ints);
+    w.I32Span(links);
+    w.U8Span(bits);
+    w.U64Span(sizes);
+    w.U16Span(words);  // empty vector
+    ASSERT_TRUE(WriteFileBytes(path, bytes).ok());
   }
-  BinaryReader r(path);
-  EXPECT_EQ(r.ReadVector<double>(), doubles);
-  EXPECT_EQ(r.ReadVector<int64_t>(), ints);
-  EXPECT_TRUE(r.ReadVector<uint16_t>().empty());
-  EXPECT_TRUE(r.status().ok());
+  auto bytes = ReadFileBytes(path);
+  ASSERT_TRUE(bytes.ok());
+  ByteReader r(bytes.value());
+  std::vector<double> doubles_out;
+  std::vector<int64_t> ints_out;
+  std::vector<int32_t> links_out;
+  std::vector<uint8_t> bits_out;
+  std::vector<uint64_t> sizes_out;
+  std::vector<uint16_t> words_out = {9};
+  ASSERT_TRUE(r.DoubleVec(&doubles_out).ok());
+  ASSERT_TRUE(r.I64Vec(&ints_out).ok());
+  ASSERT_TRUE(r.I32Vec(&links_out).ok());
+  ASSERT_TRUE(r.U8Vec(&bits_out).ok());
+  ASSERT_TRUE(r.U64Vec(&sizes_out).ok());
+  ASSERT_TRUE(r.U16Vec(&words_out).ok());
+  EXPECT_EQ(doubles_out, doubles);
+  EXPECT_EQ(ints_out, ints);
+  EXPECT_EQ(links_out, links);
+  EXPECT_EQ(bits_out, bits);
+  EXPECT_EQ(sizes_out, sizes);
+  EXPECT_TRUE(words_out.empty());
+  EXPECT_TRUE(r.exhausted());
 }
 
 TEST_F(SerializeTest, ShortReadSurfacesAsError) {
-  std::string path = Path("short.bin");
-  {
-    BinaryWriter w(path);
-    w.WriteU32(1);
-    ASSERT_TRUE(w.Close().ok());
-  }
-  BinaryReader r(path);
-  r.ReadU32();
-  r.ReadU64();  // past end
-  EXPECT_FALSE(r.status().ok());
+  std::string bytes;
+  ByteWriter w(&bytes);
+  w.U32(1);
+  ByteReader r(bytes);
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
+  ASSERT_TRUE(r.U32(&u32).ok());
+  Status past_end = r.U64(&u64);
+  EXPECT_FALSE(past_end.ok());
+  EXPECT_EQ(past_end.code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(SerializeTest, CorruptVectorLengthRejected) {
-  std::string path = Path("corrupt.bin");
-  {
-    BinaryWriter w(path);
-    w.WriteU64(1ull << 60);  // absurd element count
-    ASSERT_TRUE(w.Close().ok());
-  }
-  BinaryReader r(path);
-  auto v = r.ReadVector<double>();
+  std::string bytes;
+  ByteWriter w(&bytes);
+  w.U64(1ull << 60);  // absurd element count
+  ByteReader r(bytes);
+  std::vector<double> v;
+  EXPECT_FALSE(r.DoubleVec(&v).ok());
   EXPECT_TRUE(v.empty());
-  EXPECT_FALSE(r.status().ok());
 }
 
 TEST_F(SerializeTest, MissingFileIsError) {
-  BinaryReader r(Path("missing.bin"));
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  auto bytes = ReadFileBytes(Path("missing.bin"));
+  EXPECT_FALSE(bytes.ok());
+  EXPECT_EQ(bytes.status().code(), StatusCode::kIoError);
+
+  Rng rng(1);
+  Dataset data = MakeRandomWalk(10, 32, rng);
+  InMemoryProvider provider(&data);
+  auto dstree = DSTreeIndex::Load(Path("missing.idx"), &provider);
+  EXPECT_EQ(dstree.status().code(), StatusCode::kIoError);
+  auto isax = IsaxIndex::Load(Path("missing.idx"), &provider);
+  EXPECT_EQ(isax.status().code(), StatusCode::kIoError);
 }
 
 struct TreeFixture {
@@ -234,6 +278,117 @@ TEST_F(SerializeTest, TruncatedIndexFileRejected) {
   }
   auto loaded = DSTreeIndex::Load(truncated, &f.provider);
   EXPECT_FALSE(loaded.ok());
+}
+
+TEST_F(SerializeTest, ChildLinkOutOfRangeRejected) {
+  TreeFixture f;
+  DSTreeOptions opts;
+  opts.leaf_capacity = 16;
+  opts.histogram_pairs = 200;
+  auto dstree = DSTreeIndex::Build(f.data, &f.provider, opts);
+  ASSERT_TRUE(dstree.ok());
+  ASSERT_FALSE(dstree.value()->node(0).is_leaf);
+  std::string path = Path("link.idx");
+  ASSERT_TRUE(dstree.value()->Save(path).ok());
+  auto bytes = ReadFileBytes(path);
+  ASSERT_TRUE(bytes.ok());
+
+  // v1 layout: magic, version and four u64 options, the node count, then
+  // the root: its segmentation and four envelope vectors (u64 count +
+  // 8-byte elements each), count, is_leaf, split_start, split_end,
+  // split_on_std, split_value, and its left link.
+  const size_t segments = dstree.value()->node(0).segmentation.size();
+  const size_t left_at = 4 + 4 + 4 * 8 + 8 + 5 * (8 + 8 * segments) + 8 +
+                         1 + 8 + 8 + 1 + 8;
+  std::string corrupt = bytes.value();
+  ASSERT_LT(left_at + 4, corrupt.size());
+  const uint32_t out_of_range =
+      static_cast<uint32_t>(dstree.value()->num_nodes());
+  for (size_t b = 0; b < 4; ++b) {
+    corrupt[left_at + b] = static_cast<char>((out_of_range >> (8 * b)) & 0xff);
+  }
+  ASSERT_TRUE(WriteFileBytes(path, corrupt).ok());
+
+  auto loaded = DSTreeIndex::Load(path, &f.provider);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
+// A corrupt index file is refused as malformed or as not matching the
+// provider; it never reads as an I/O failure or an internal error.
+void ExpectCorruptFileStatus(const Status& st) {
+  EXPECT_TRUE(st.code() == StatusCode::kInvalidArgument ||
+              st.code() == StatusCode::kFailedPrecondition)
+      << st.ToString();
+}
+
+// Every strict prefix of a saved index file fails Load typed, and each of
+// 2,000 seeded one-byte corruptions either fails Load typed or loads an
+// index whose exact search returns — the loader is fuzzed the way
+// net_wire_test fuzzes frames.
+template <typename TreeIndex>
+void FuzzIndexFile(const TreeIndex& index, const std::string& path,
+                   const Dataset& queries, SeriesProvider* provider) {
+  ASSERT_TRUE(index.Save(path).ok());
+  auto saved = ReadFileBytes(path);
+  ASSERT_TRUE(saved.ok());
+  const std::string& bytes = saved.value();
+
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    ASSERT_TRUE(WriteFileBytes(path, bytes.substr(0, len)).ok());
+    auto loaded = TreeIndex::Load(path, provider);
+    ASSERT_FALSE(loaded.ok()) << "prefix of " << len << " bytes loaded";
+    ExpectCorruptFileStatus(loaded.status());
+  }
+
+  SearchParams params;
+  params.mode = SearchMode::kExact;
+  params.k = 3;
+  Rng rng(0x1DE5);
+  size_t loaded_count = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string mutated = bytes;
+    mutated[rng.NextUint64(mutated.size())] ^=
+        static_cast<char>(1 + rng.NextUint64(255));
+    ASSERT_TRUE(WriteFileBytes(path, mutated).ok());
+    auto loaded = TreeIndex::Load(path, provider);
+    if (!loaded.ok()) {
+      ExpectCorruptFileStatus(loaded.status());
+      continue;
+    }
+    ++loaded_count;
+    for (size_t q = 0; q < queries.size(); ++q) {
+      (void)loaded.value()->Search(queries.series(q), params, nullptr);
+    }
+  }
+  // Many flips land in envelopes, words and the histogram, which no
+  // structural check can judge; these loads are the searches that ran.
+  EXPECT_GT(loaded_count, 0u);
+}
+
+TEST_F(SerializeTest, CorruptIndexFilesFailTypedOrSearch) {
+  Rng rng(91);
+  Dataset data = MakeRandomWalk(60, 32, rng);
+  Dataset queries = MakeRandomWalk(2, 32, rng);
+  InMemoryProvider provider(&data);
+
+  DSTreeOptions dopts;
+  dopts.leaf_capacity = 8;
+  dopts.histogram_pairs = 50;
+  dopts.histogram_bins = 8;
+  auto dstree = DSTreeIndex::Build(data, &provider, dopts);
+  ASSERT_TRUE(dstree.ok());
+  FuzzIndexFile(*dstree.value(), Path("fuzz_dstree.idx"), queries,
+                &provider);
+
+  IsaxOptions iopts;
+  iopts.segments = 4;
+  iopts.leaf_capacity = 8;
+  iopts.histogram_pairs = 50;
+  iopts.histogram_bins = 8;
+  auto isax = IsaxIndex::Build(data, &provider, iopts);
+  ASSERT_TRUE(isax.ok());
+  FuzzIndexFile(*isax.value(), Path("fuzz_isax.idx"), queries, &provider);
 }
 
 }  // namespace

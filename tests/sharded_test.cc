@@ -35,9 +35,7 @@
 namespace hydra {
 namespace {
 
-std::vector<size_t> ShardCounts() {
-  return ParseCountList(std::getenv("HYDRA_SHARDS"), {1, 2, 4, 8});
-}
+constexpr size_t kShardCounts[] = {1, 2, 4, 8};
 
 std::vector<size_t> ConcurrencyLevels() {
   std::vector<size_t> levels = {1, 4, 8};
@@ -237,7 +235,7 @@ TEST(ShardedDeterminism, InMemoryAcrossTopologiesAndConcurrency) {
 
   for (PartitionScheme scheme :
        {PartitionScheme::kRoundRobin, PartitionScheme::kRange}) {
-    for (size_t shards : ShardCounts()) {
+    for (size_t shards : kShardCounts) {
       ShardedIndexOptions topo;
       topo.num_shards = shards;
       topo.scheme = scheme;
@@ -272,7 +270,7 @@ TEST(ShardedDeterminism, OnDiskAcrossTopologiesAndConcurrency) {
   const SearchParams params = Exact(10);
   std::vector<KnnAnswer> reference = UnshardedReference(w, build, params);
 
-  for (size_t shards : ShardCounts()) {
+  for (size_t shards : kShardCounts) {
     ShardedIndexOptions topo;
     topo.num_shards = shards;
     topo.build = build;

@@ -130,34 +130,30 @@ int CmdGenerate(const Flags& flags) {
   return 0;
 }
 
-struct LoadedIndex {
-  std::unique_ptr<Index> index;
-  double build_seconds = 0.0;
-};
-
 // Flag spelling -> factory knobs. The CLI's historical per-method flag
 // names (--leaf, --segments, --M, ...) keep working; the factory decides
-// which knobs a method consumes.
+// which knobs a method consumes, and an unset flag (0) keeps the method's
+// own default. --leaf alone has a CLI default: 100 series per leaf, while
+// M-tree nodes keep theirs.
 BuildOptions BuildOptionsFromFlags(const std::string& method,
                                    const Flags& flags) {
   BuildOptions o;
   o.method = method;
-  o.leaf_capacity = GetU64(flags, "leaf", method == "mtree" ? 16 : 100);
-  o.segments = GetU64(flags, "segments", 16);
-  o.num_features = GetU64(flags, "features", 16);
-  o.hnsw_m = GetU64(flags, "M", 16);
-  o.hnsw_ef_construction = GetU64(flags, "efc", 200);
-  o.imi_coarse_k = GetU64(flags, "coarse-k", 64);
-  o.srs_projections = GetU64(flags, "projections", 16);
-  o.qalsh_hashes = GetU64(flags, "hashes", 32);
+  o.leaf_capacity = GetU64(flags, "leaf", method == "mtree" ? 0 : 100);
+  o.segments = GetU64(flags, "segments", 0);
+  o.num_features = GetU64(flags, "features", 0);
+  o.hnsw_m = GetU64(flags, "M", 0);
+  o.hnsw_ef_construction = GetU64(flags, "efc", 0);
+  o.imi_coarse_k = GetU64(flags, "coarse-k", 0);
+  o.srs_projections = GetU64(flags, "projections", 0);
+  o.qalsh_hashes = GetU64(flags, "hashes", 0);
   return o;
 }
 
-Result<LoadedIndex> MakeIndex(const std::string& method, const Dataset& data,
-                              SeriesProvider* provider, const Flags& flags) {
-  LoadedIndex out;
-  Timer t;
-
+Result<std::unique_ptr<Index>> MakeIndex(const std::string& method,
+                                         const Dataset& data,
+                                         SeriesProvider* provider,
+                                         const Flags& flags) {
   // Sharded topology: S > 1 builds a scatter-gather fleet instead of one
   // index; --shard-dir makes the shards disk-resident (per-shard files
   // and pools sized by --page-series/--buffer-pages).
@@ -175,63 +171,82 @@ Result<LoadedIndex> MakeIndex(const std::string& method, const Dataset& data,
       topo.build.page_series = GetU64(flags, "page-series", 0);
       topo.build.capacity_pages = GetU64(flags, "buffer-pages", 0);
     }
-    HYDRA_ASSIGN_OR_RETURN(out.index, ShardedIndex::Build(data, topo));
-    out.build_seconds = t.ElapsedSeconds();
-    return out;
+    HYDRA_ASSIGN_OR_RETURN(auto sharded, ShardedIndex::Build(data, topo));
+    return std::unique_ptr<Index>(std::move(sharded));
   }
 
   // Saved-index reload is the one path the factory does not cover.
   std::string index_path = Get(flags, "index", "");
   if (!index_path.empty() && Get(flags, "cmd", "") == "query") {
     if (method == "dstree") {
-      HYDRA_ASSIGN_OR_RETURN(out.index,
+      HYDRA_ASSIGN_OR_RETURN(auto loaded,
                              DSTreeIndex::Load(index_path, provider));
-      out.build_seconds = t.ElapsedSeconds();
-      return out;
+      return std::unique_ptr<Index>(std::move(loaded));
     }
     if (method == "isax") {
-      HYDRA_ASSIGN_OR_RETURN(out.index,
+      HYDRA_ASSIGN_OR_RETURN(auto loaded,
                              IsaxIndex::Load(index_path, provider));
-      out.build_seconds = t.ElapsedSeconds();
-      return out;
+      return std::unique_ptr<Index>(std::move(loaded));
     }
   }
+  return BuildIndex(data, provider, BuildOptionsFromFlags(method, flags));
+}
 
+// What `build`, `query` and `serve` answer from: the --data file read
+// into memory, the provider raw series are read from (a buffer pool over
+// the file when --buffer-pages is set), and the index over both.
+struct Stack {
+  Dataset data;
+  std::unique_ptr<SeriesProvider> provider;
+  std::unique_ptr<Index> index;
+  double build_seconds = 0.0;  // build or load
+};
+
+Result<std::unique_ptr<Stack>> OpenStack(const std::string& method,
+                                         const Flags& flags) {
+  const std::string data_path = Get(flags, "data", "");
+  auto stack = std::make_unique<Stack>();
+  HYDRA_ASSIGN_OR_RETURN(auto reader, SeriesFileReader::Open(data_path));
+  HYDRA_ASSIGN_OR_RETURN(stack->data, reader->ReadAll(nullptr));
+  const uint64_t budget_pages = GetU64(flags, "buffer-pages", 0);
+  if (budget_pages > 0) {
+    HYDRA_ASSIGN_OR_RETURN(
+        stack->provider,
+        BufferManager::Open(data_path, GetU64(flags, "page-series", 64),
+                            budget_pages));
+  } else {
+    stack->provider = std::make_unique<InMemoryProvider>(&stack->data);
+  }
+  Timer t;
   HYDRA_ASSIGN_OR_RETURN(
-      out.index, BuildIndex(data, provider, BuildOptionsFromFlags(method, flags)));
-  out.build_seconds = t.ElapsedSeconds();
-  return out;
+      stack->index,
+      MakeIndex(method, stack->data, stack->provider.get(), flags));
+  stack->build_seconds = t.ElapsedSeconds();
+  return stack;
 }
 
 int CmdBuild(Flags flags) {
   flags["cmd"] = "build";
-  std::string data_path = Get(flags, "data", "");
   std::string method = Get(flags, "method", "dstree");
   std::string out = Get(flags, "out", "");
-  if (data_path.empty()) return Fail("--data is required");
+  if (Get(flags, "data", "").empty()) return Fail("--data is required");
 
-  auto reader = SeriesFileReader::Open(data_path);
-  if (!reader.ok()) return Fail(reader.status().ToString());
-  auto data = reader.value()->ReadAll(nullptr);
-  if (!data.ok()) return Fail(data.status().ToString());
-  InMemoryProvider provider(&data.value());
-
-  auto made = MakeIndex(method, data.value(), &provider, flags);
-  if (!made.ok()) return Fail(made.status().ToString());
+  auto stack = OpenStack(method, flags);
+  if (!stack.ok()) return Fail(stack.status().ToString());
+  const Stack& built = *stack.value();
   std::printf("built %s over %zu series in %.3fs (%.2f MB resident)\n",
-              method.c_str(), data.value().size(),
-              made.value().build_seconds,
-              static_cast<double>(made.value().index->MemoryBytes()) /
+              method.c_str(), built.data.size(), built.build_seconds,
+              static_cast<double>(built.index->MemoryBytes()) /
                   (1024.0 * 1024.0));
 
   if (!out.empty()) {
-    Status st;
-    if (method == "dstree") {
-      st = static_cast<DSTreeIndex*>(made.value().index.get())->Save(out);
-    } else if (method == "isax") {
-      st = static_cast<IsaxIndex*>(made.value().index.get())->Save(out);
-    } else {
-      st = Status::Unimplemented("persistence supported for dstree/isax");
+    // A sharded fleet is neither, whatever its method.
+    Status st = Status::Unimplemented(
+        "persistence supported for unsharded dstree/isax");
+    if (auto* dstree = dynamic_cast<const DSTreeIndex*>(built.index.get())) {
+      st = dstree->Save(out);
+    } else if (auto* isax = dynamic_cast<const IsaxIndex*>(built.index.get())) {
+      st = isax->Save(out);
     }
     if (!st.ok()) return Fail(st.ToString());
     std::printf("saved index to %s\n", out.c_str());
@@ -267,37 +282,20 @@ bool SearchParamsFromFlags(const Flags& flags, SearchParams* params) {
 
 int CmdQuery(Flags flags) {
   flags["cmd"] = "query";
-  std::string data_path = Get(flags, "data", "");
   std::string queries_path = Get(flags, "queries", "");
   std::string method = Get(flags, "method", "dstree");
-  if (data_path.empty() || queries_path.empty()) {
+  if (Get(flags, "data", "").empty() || queries_path.empty()) {
     return Fail("--data and --queries are required");
   }
 
-  auto data_reader = SeriesFileReader::Open(data_path);
-  if (!data_reader.ok()) return Fail(data_reader.status().ToString());
-  auto data = data_reader.value()->ReadAll(nullptr);
-  if (!data.ok()) return Fail(data.status().ToString());
   auto query_reader = SeriesFileReader::Open(queries_path);
   if (!query_reader.ok()) return Fail(query_reader.status().ToString());
   auto queries = query_reader.value()->ReadAll(nullptr);
   if (!queries.ok()) return Fail(queries.status().ToString());
-
-  // Disk-resident mode when a memory budget is given.
-  InMemoryProvider mem_provider(&data.value());
-  std::unique_ptr<BufferManager> bm;
-  SeriesProvider* provider = &mem_provider;
-  uint64_t budget_pages = GetU64(flags, "buffer-pages", 0);
-  if (budget_pages > 0) {
-    auto opened = BufferManager::Open(
-        data_path, GetU64(flags, "page-series", 64), budget_pages);
-    if (!opened.ok()) return Fail(opened.status().ToString());
-    bm = std::move(opened).value();
-    provider = bm.get();
-  }
-
-  auto made = MakeIndex(method, data.value(), provider, flags);
-  if (!made.ok()) return Fail(made.status().ToString());
+  auto stack = OpenStack(method, flags);
+  if (!stack.ok()) return Fail(stack.status().ToString());
+  const Dataset& data = stack.value()->data;
+  const Index& index = *stack.value()->index;
 
   SearchParams params;
   if (!SearchParamsFromFlags(flags, &params)) {
@@ -307,7 +305,7 @@ int CmdQuery(Flags flags) {
   bool ground_truth = Get(flags, "ground-truth", "on") != "off";
   std::vector<KnnAnswer> truth;
   if (ground_truth) {
-    truth = ExactKnnWorkload(data.value(), queries.value(), params.k);
+    truth = ExactKnnWorkload(data, queries.value(), params.k);
   }
 
   std::vector<KnnAnswer> answers;
@@ -316,8 +314,7 @@ int CmdQuery(Flags flags) {
   for (size_t q = 0; q < queries.value().size(); ++q) {
     QueryCounters counters;
     Timer t;
-    auto ans = made.value().index->Search(queries.value().series(q), params,
-                                          &counters);
+    auto ans = index.Search(queries.value().series(q), params, &counters);
     seconds.push_back(t.ElapsedSeconds());
     total += counters;
     if (!ans.ok()) return Fail(ans.status().ToString());
@@ -355,29 +352,11 @@ int CmdQuery(Flags flags) {
 // scripts can scrape it.
 int CmdServe(Flags flags) {
   flags["cmd"] = "query";  // reuse the saved-index reload path
-  std::string data_path = Get(flags, "data", "");
   std::string method = Get(flags, "method", "dstree");
-  if (data_path.empty()) return Fail("--data is required");
+  if (Get(flags, "data", "").empty()) return Fail("--data is required");
 
-  auto data_reader = SeriesFileReader::Open(data_path);
-  if (!data_reader.ok()) return Fail(data_reader.status().ToString());
-  auto data = data_reader.value()->ReadAll(nullptr);
-  if (!data.ok()) return Fail(data.status().ToString());
-
-  InMemoryProvider mem_provider(&data.value());
-  std::unique_ptr<BufferManager> bm;
-  SeriesProvider* provider = &mem_provider;
-  uint64_t budget_pages = GetU64(flags, "buffer-pages", 0);
-  if (budget_pages > 0) {
-    auto opened = BufferManager::Open(
-        data_path, GetU64(flags, "page-series", 64), budget_pages);
-    if (!opened.ok()) return Fail(opened.status().ToString());
-    bm = std::move(opened).value();
-    provider = bm.get();
-  }
-
-  auto made = MakeIndex(method, data.value(), provider, flags);
-  if (!made.ok()) return Fail(made.status().ToString());
+  auto stack = OpenStack(method, flags);
+  if (!stack.ok()) return Fail(stack.status().ToString());
 
   ServerOptions options;
   options.port = static_cast<uint16_t>(GetU64(flags, "port", 0));
@@ -386,13 +365,13 @@ int CmdServe(Flags flags) {
   uint64_t queue = GetU64(flags, "queue", 0);
   if (queue > 0) options.serving.queue_capacity = queue;
 
-  auto server =
-      HydraServer::Start(*made.value().index, provider, options);
+  auto server = HydraServer::Start(*stack.value()->index,
+                                   stack.value()->provider.get(), options);
   if (!server.ok()) return Fail(server.status().ToString());
   std::printf("serving %s over %zu series on 127.0.0.1:%u "
               "(concurrency %zu); close stdin to stop\n",
-              method.c_str(), data.value().size(), server.value()->port(),
-              options.serving.concurrency);
+              method.c_str(), stack.value()->data.size(),
+              server.value()->port(), options.serving.concurrency);
   std::fflush(stdout);
   while (std::getchar() != EOF) {
   }
