@@ -74,7 +74,8 @@ const std::vector<KnobInfo>& KnobTable() {
        "Worker count of the process-wide work-stealing pool "
        "(read once at first use)."},
       {"HYDRA_SIMD", "auto-detect", "distance",
-       "Force the distance-kernel target: scalar | sse2 | avx2."},
+       "Force the distance-kernel target: scalar | sse2 | avx2; scalar also "
+       "selects the table CRC-32C over SSE4.2."},
       {"HYDRA_PREFETCH", "0 (off)", "scan",
        "Default readahead depth in pool pages when "
        "SearchParams::prefetch_depth is unset (read once)."},

@@ -2,12 +2,37 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
+#include "common/crc32.h"
 #include "common/options.h"
 #include "distance/kernel_tables.h"
 
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
 namespace hydra {
 namespace {
+
+#if defined(__x86_64__)
+// Compiled for SSE4.2 by attribute, so the portable build still carries
+// it; Sse42Crc32c() hands it out only on CPUs that have the instruction.
+__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(const void* data,
+                                                       size_t bytes,
+                                                       uint32_t crc) {
+  const auto* p = static_cast<const uint8_t*>(data);
+  uint64_t c = ~crc;
+  for (; bytes >= 8; bytes -= 8, p += 8) {
+    uint64_t word;
+    std::memcpy(&word, p, sizeof(word));  // any alignment
+    c = _mm_crc32_u64(c, word);
+  }
+  auto c32 = static_cast<uint32_t>(c);
+  for (; bytes > 0; --bytes, ++p) c32 = _mm_crc32_u8(c32, *p);
+  return ~c32;
+}
+#endif
 
 bool CpuSupports(SimdTarget target) {
 #if defined(__x86_64__) || defined(__i386__)
@@ -128,6 +153,27 @@ SimdTarget ActiveSimdTarget() {
 const DistanceKernels& ActiveKernels() {
   static const DistanceKernels& kernels = KernelsFor(ActiveSimdTarget());
   return kernels;
+}
+
+Crc32cFn Sse42Crc32c() {
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("sse4.2")) return &Crc32cSse42;
+#endif
+  return nullptr;
+}
+
+Crc32cFn ActiveCrc32c() {
+  static const Crc32cFn crc = [] {
+    const Crc32cFn hardware = Sse42Crc32c();
+    return hardware != nullptr && ActiveSimdTarget() != SimdTarget::kScalar
+               ? hardware
+               : &Crc32cTable;
+  }();
+  return crc;
+}
+
+uint32_t Crc32c(const void* data, size_t bytes, uint32_t crc) {
+  return ActiveCrc32c()(data, bytes, crc);
 }
 
 }  // namespace hydra

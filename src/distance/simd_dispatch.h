@@ -106,6 +106,18 @@ const char* SimdTargetName(SimdTarget target);
 // leaves `out` untouched on anything else.
 bool ParseSimdTarget(std::string_view value, SimdTarget* out);
 
+// CRC-32C implementations behind hydra::Crc32c (common/crc32.h), chosen
+// here so that HYDRA_SIMD governs the checksum as it does the kernels.
+using Crc32cFn = uint32_t (*)(const void* data, size_t bytes, uint32_t crc);
+
+// The SSE4.2 `crc32` implementation, or nullptr when the build's
+// architecture or the running CPU lacks it.
+Crc32cFn Sse42Crc32c();
+
+// What Crc32c runs, fixed on first call: Sse42Crc32c() when it exists
+// and the active target is not kScalar, otherwise Crc32cTable.
+Crc32cFn ActiveCrc32c();
+
 }  // namespace hydra
 
 #endif  // HYDRA_DISTANCE_SIMD_DISPATCH_H_

@@ -20,6 +20,10 @@ Result<std::unique_ptr<AdsPlusIndex>> AdsPlusIndex::Build(
   if (options.segments == 0 || options.segments > 64) {
     return Status::InvalidArgument("segments must be in [1, 64]");
   }
+  // Node words hold one symbol per segment, and a segment needs a point.
+  if (options.segments > data.length()) {
+    return Status::InvalidArgument("segments exceed the series length");
+  }
   if (options.build_leaf_capacity == 0 || options.query_leaf_capacity == 0) {
     return Status::InvalidArgument("leaf capacities must be > 0");
   }

@@ -20,6 +20,10 @@ Result<std::unique_ptr<IsaxIndex>> IsaxIndex::Build(
   if (options.segments == 0 || options.segments > 64) {
     return Status::InvalidArgument("segments must be in [1, 64]");
   }
+  // Node words hold one symbol per segment, and a segment needs a point.
+  if (options.segments > data.length()) {
+    return Status::InvalidArgument("segments exceed the series length");
+  }
   if (options.max_bits == 0 || options.max_bits > 16) {
     return Status::InvalidArgument("max_bits must be in [1, 16]");
   }
@@ -300,7 +304,8 @@ Result<std::unique_ptr<IsaxIndex>> IsaxIndex::Load(const std::string& path,
   }
   // The ranges Build accepts; the encoder's tables are sized by them.
   if (options.segments == 0 || options.segments > 64 ||
-      options.max_bits == 0 || options.max_bits > 16) {
+      options.segments > series_length || options.max_bits == 0 ||
+      options.max_bits > 16) {
     return Status::InvalidArgument(
         "isax segments or bits out of range: " + path);
   }

@@ -68,12 +68,18 @@ std::shared_ptr<PageFrame> BufferManager::AwaitReady(
   return nullptr;
 }
 
-Status BufferManager::ReadPageWithRetry(uint64_t first, uint64_t count,
-                                        float* out, QueryCounters* io,
+Status BufferManager::ReadPageWithRetry(PageFrame* frame, QueryCounters* io,
                                         QueryCounters* counters) {
+  const uint64_t len = reader_->series_length();
+  const uint64_t first = frame->id * page_series_;
+  const uint64_t count =
+      std::min(page_series_, reader_->num_series() - first);
+  // A buffer handed over by an eviction (AdmitToRing) only regrows if
+  // it last held the partial last page.
+  frame->data.resize(count * len);
   Status st;
   for (uint64_t attempt = 0;; ++attempt) {
-    st = reader_->ReadSeries(first, count, out, io);
+    st = reader_->ReadSeries(first, count, frame->data.data(), io);
     if (st.ok() || !st.IsRetryable()) return st;
     if (attempt >= io_retry_limit_) break;
     io_retries_.fetch_add(1, std::memory_order_relaxed);
@@ -122,8 +128,9 @@ void BufferManager::ConsumePrefetched(const std::shared_ptr<PageFrame>& frame,
   }
 }
 
-bool BufferManager::EvictOneLocked(bool clear_reference) {
-  if (ring_.empty()) return false;
+std::shared_ptr<PageFrame> BufferManager::EvictOneLocked(
+    bool clear_reference) {
+  if (ring_.empty()) return nullptr;
   // Two full sweeps give every referenced frame its second chance; the
   // extra rounds absorb frames whose pin appeared between the unlocked
   // observation and the shard-locked recheck. A non-clearing (prefetch)
@@ -160,16 +167,21 @@ bool BufferManager::EvictOneLocked(bool clear_reference) {
     ring_.erase(ring_.begin() + static_cast<ptrdiff_t>(hand_));
     if (!ring_.empty()) hand_ %= ring_.size();
     ReleasePrefetchCredit(victim);
-    return true;
+    return victim;
   }
-  return false;
+  return nullptr;
 }
 
 bool BufferManager::AdmitToRing(const std::shared_ptr<PageFrame>& frame,
                                 bool for_prefetch) {
   std::lock_guard<std::mutex> lock(clock_mu_);
   while (ring_.size() >= capacity_pages_) {
-    if (!EvictOneLocked(/*clear_reference=*/!for_prefetch)) return false;
+    std::shared_ptr<PageFrame> victim =
+        EvictOneLocked(/*clear_reference=*/!for_prefetch);
+    if (victim == nullptr) return false;
+    // The victim is unpinned and out of the table, so no reader can
+    // reach its bytes any more: its buffer becomes the new page's.
+    frame->data.swap(victim->data);
   }
   ring_.push_back(frame);
   return true;
@@ -287,16 +299,11 @@ std::shared_ptr<PageFrame> BufferManager::FetchPinnedOnce(
       return nullptr;
     }
 
-    const uint64_t len = reader_->series_length();
-    const uint64_t first = page_id * page_series_;
-    const uint64_t count =
-        std::min(page_series_, reader_->num_series() - first);
-    frame->data.resize(count * len);
     // The reader is charged through a scratch counter: a page fill costs
     // bytes and (possibly) a seek, but only the series the caller asked
     // for count as logical accesses — prefetched page neighbors do not.
     QueryCounters io;
-    Status st = ReadPageWithRetry(first, count, frame->data.data(),
+    Status st = ReadPageWithRetry(frame.get(),
                                   counters != nullptr ? &io : nullptr,
                                   counters);
     if (!st.ok()) {
@@ -424,16 +431,10 @@ void BufferManager::PrefetchOne(uint64_t page_id) {
                 Status::Unavailable("prefetch admission lost its ring slot"));
       return;
     }
-    const uint64_t len = reader_->series_length();
-    const uint64_t first = page_id * page_series_;
-    const uint64_t count =
-        std::min(page_series_, reader_->num_series() - first);
-    frame->data.resize(count * len);
     QueryCounters io;
     // Same retry policy as demand fetches (retries land on the pool
     // atomics only — no query owns a speculative load).
-    Status st = ReadPageWithRetry(first, count, frame->data.data(), &io,
-                                  /*counters=*/nullptr);
+    Status st = ReadPageWithRetry(frame.get(), &io, /*counters=*/nullptr);
     if (!st.ok()) {
       AbortLoad(frame, /*in_ring=*/true, std::move(st));
       return;

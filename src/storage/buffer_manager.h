@@ -27,16 +27,17 @@ namespace internal {
 
 // One cached page: a contiguous block of consecutive series plus the
 // bookkeeping the buffer pool needs. Frames are shared-owned by the page
-// table, the eviction ring, and every outstanding PinnedRun, so an
-// evicted page's payload stays alive (and bit-stable) until its last pin
-// handle is destroyed.
+// table, the eviction ring, and every outstanding PinnedRun.
 struct PageFrame {
   explicit PageFrame(uint64_t page_id) : id(page_id) {}
 
   const uint64_t id;
   // Filled once by the loading thread before `state` flips to kReady,
-  // immutable afterwards. Readers observe the fill through the
-  // state-guarding mutex, so no fence gymnastics are needed.
+  // unchanged while any pin is held. Readers observe the fill through
+  // the state-guarding mutex, so no fence gymnastics are needed. The
+  // buffer outlives the page: eviction (which only takes unpinned
+  // frames) hands it to the page admitted in its place, so a pin is the
+  // only guarantee that its bytes hold still.
   std::vector<float> data;
 
   // Pin count. A frame with pins > 0 is never evicted and never dropped
@@ -296,9 +297,10 @@ class InMemoryProvider : public SeriesProvider {
 //    std::shared_mutex, so concurrent hits on different shards never
 //    contend and hits on the same shard share the lock.
 //  * Fetches return PinnedRun handles holding an atomic pin count on the
-//    frame. Pinned frames are never evicted; frames are also shared-owned
-//    (shared_ptr), so even a frame evicted after its pin was released
-//    keeps its payload alive for stragglers still holding handles.
+//    frame. Pinned frames are never evicted. An evicted frame's page
+//    buffer goes to the page admitted in its place, so a miss in a full
+//    pool allocates no page buffer, and a span's bytes hold still only
+//    while its pin does.
 //  * Eviction is pin-aware CLOCK (second chance): a sweep under the pool
 //    lock skips pinned frames, clears reference bits once, and rechecks
 //    the victim's pin count under its shard's exclusive lock before
@@ -377,9 +379,10 @@ class BufferManager : public SeriesProvider {
   }
 
   // Serial convenience accessors (the seed API): the returned span points
-  // into the pool and stays valid until the page is evicted — in serial
-  // use, at least until this provider's next Get*/DropCache call. Not
-  // safe under concurrent calls; concurrent readers use Pin*.
+  // into the pool and shows the page until it is evicted, after which the
+  // buffer holds another page — in serial use, not before this
+  // provider's next Get*/DropCache call. Not safe under concurrent
+  // calls; concurrent readers use Pin*.
   std::span<const float> GetSeries(uint64_t i,
                                    QueryCounters* counters) override;
   // Runs extend to the end of the pooled page holding `first` (pages
@@ -499,14 +502,15 @@ class BufferManager : public SeriesProvider {
     return shards_[page_id % kNumShards];
   }
 
-  // One page read through the retry policy: retryable failures
-  // (Unavailable, DataCorruption) are re-issued up to io_retry_limit_
-  // times with exponential backoff + deterministic jitter; retries and
-  // give-ups land on the pool atomics and on `counters`. The returned
-  // status is the terminal verdict (an exhausted transient budget is
-  // rewritten to IoError; DataCorruption stays typed).
-  Status ReadPageWithRetry(uint64_t first, uint64_t count, float* out,
-                           QueryCounters* io, QueryCounters* counters);
+  // Reads `frame`'s page into its buffer (sized here) through the retry
+  // policy: retryable failures (Unavailable, DataCorruption) are
+  // re-issued up to io_retry_limit_ times with exponential backoff +
+  // deterministic jitter; retries and give-ups land on the pool atomics
+  // and on `counters`. The returned status is the terminal verdict (an
+  // exhausted transient budget is rewritten to IoError; DataCorruption
+  // stays typed).
+  Status ReadPageWithRetry(internal::PageFrame* frame, QueryCounters* io,
+                           QueryCounters* counters);
   void BackoffSleep(uint64_t attempt, uint64_t key);
 
   // Returns the pooled (or freshly read) page with one pin taken on
@@ -532,16 +536,18 @@ class BufferManager : public SeriesProvider {
   // counts prefetch_useful and charges the deferred load cost.
   void ConsumePrefetched(const std::shared_ptr<internal::PageFrame>& frame,
                          QueryCounters* counters);
-  // Makes room (evicting if needed) and adds `frame` to the CLOCK ring.
-  // False when capacity is exhausted by pinned frames. Prefetch
-  // admissions never clear reference bits (see class comment).
+  // Makes room (evicting if needed, and taking over the victim's page
+  // buffer) and adds `frame` to the CLOCK ring. False when capacity is
+  // exhausted by pinned frames. Prefetch admissions never clear
+  // reference bits (see class comment).
   bool AdmitToRing(const std::shared_ptr<internal::PageFrame>& frame,
                    bool for_prefetch);
   // CLOCK sweep under clock_mu_; evicts one unpinned frame from ring and
-  // table. False when no frame could be evicted. With
-  // `clear_reference` false the sweep only takes frames whose reference
-  // bit is already clear (single pass, no second chances granted).
-  bool EvictOneLocked(bool clear_reference);
+  // table and returns it, or nullptr when no frame could be evicted.
+  // With `clear_reference` false the sweep only takes frames whose
+  // reference bit is already clear (single pass, no second chances
+  // granted).
+  std::shared_ptr<internal::PageFrame> EvictOneLocked(bool clear_reference);
   // Unwinds a failed load: records `error` on the frame, removes it from
   // table (and ring when `in_ring`), marks it failed, wakes waiters,
   // drops the loader's pin.

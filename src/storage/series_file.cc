@@ -1,8 +1,11 @@
 #include "storage/series_file.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
+#include <cstdio>
 #include <cstring>
 #include <thread>
 
@@ -13,26 +16,45 @@ namespace {
 
 constexpr size_t kHeaderBytes = 4 * sizeof(uint64_t);  // magic+ver+n+len
 
-// "path @ offset N" context appended to every I/O status message so a
+// A storage failure: "what: path @ offset N (errno E: text)", so a
 // failure in a multi-file experiment names the file and byte it died
-// on; the same fields travel as a structured IoContext (see Ctx) so
-// remote clients get them typed, not just as text.
-std::string At(const std::string& path, uint64_t offset) {
-  return path + " @ offset " + std::to_string(offset);
-}
-
-IoContext Ctx(const std::string& path, uint64_t offset, int err = 0) {
+// on. The same fields travel as a structured IoContext, so remote
+// clients get them typed, not just as text.
+Status Failure(StatusCode code, const std::string& what,
+               const std::string& path, uint64_t offset, int err = 0) {
+  std::string message =
+      what + ": " + path + " @ offset " + std::to_string(offset);
+  if (err != 0) {
+    message += " (errno " + std::to_string(err) + ": " +
+               std::strerror(err) + ")";
+  }
   IoContext ctx;
   ctx.path = path;
   ctx.offset = offset;
   ctx.sys_errno = err;
-  return ctx;
+  return Status(code, std::move(message)).WithIoContext(std::move(ctx));
 }
 
-std::string ErrnoDetail(int err) {
-  return err != 0 ? std::string(" (errno ") + std::to_string(err) + ": " +
-                        std::strerror(err) + ")"
-                  : std::string();
+// Reads `bytes` at `offset` with pread, resuming partial transfers and
+// retrying EINTR. Returns the bytes read; fewer than asked means the file
+// ended (`*err` = 0) or a read failed (`*err` = its errno).
+size_t PreadFull(int fd, void* out, size_t bytes, uint64_t offset, int* err) {
+  auto* dst = static_cast<char*>(out);
+  size_t got = 0;
+  *err = 0;
+  while (got < bytes) {
+    const ssize_t n = ::pread(fd, dst + got, bytes - got,
+                              static_cast<off_t>(offset + got));
+    if (n > 0) {
+      got += static_cast<size_t>(n);
+    } else if (n == 0) {
+      break;
+    } else if (errno != EINTR) {
+      *err = errno;
+      break;
+    }
+  }
+  return got;
 }
 
 }  // namespace
@@ -41,8 +63,7 @@ Status WriteSeriesFile(const std::string& path, const Dataset& dataset) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
     const int err = errno;
-    return Status::IoError("cannot open for write: " + path + ErrnoDetail(err))
-        .WithIoContext(Ctx(path, 0, err));
+    return Failure(StatusCode::kIoError, "cannot open for write", path, 0, err);
   }
   uint64_t head[4] = {SeriesFileHeader::kMagic, SeriesFileHeader::kVersion,
                       dataset.size(), dataset.length()};
@@ -64,68 +85,59 @@ Status WriteSeriesFile(const std::string& path, const Dataset& dataset) {
     ok = std::fwrite(checksums.data(), sizeof(uint32_t), checksums.size(),
                      f) == checksums.size();
   }
-  std::fclose(f);
-  if (!ok) {
-    const int err = errno;
-    return Status::IoError("short write: " + path + ErrnoDetail(err))
-        .WithIoContext(Ctx(path, 0, err));
+  // fclose flushes the stdio buffer, so it can be the write that fails
+  // (ENOSPC); errno is taken before it can overwrite an earlier error.
+  int err = ok ? 0 : errno;
+  if (std::fclose(f) != 0 && ok) {
+    ok = false;
+    err = errno;
   }
-  return Status::OK();
+  return ok ? Status::OK()
+            : Failure(StatusCode::kIoError, "short write", path, 0, err);
 }
 
 Result<std::unique_ptr<SeriesFileReader>> SeriesFileReader::Open(
     const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     const int err = errno;
-    return Status::IoError("cannot open for read: " + path + ErrnoDetail(err))
-        .WithIoContext(Ctx(path, 0, err));
+    return Failure(StatusCode::kIoError, "cannot open for read", path, 0, err);
   }
+  // The reader owns the descriptor from here on, so every return below
+  // closes it.
+  std::unique_ptr<SeriesFileReader> reader(new SeriesFileReader(fd, path));
   uint64_t head[4];
-  if (std::fread(head, sizeof(head), 1, f) != 1) {
-    std::fclose(f);
-    return Status::IoError("short header read: " + path)
-        .WithIoContext(Ctx(path, 0));
+  int err = 0;
+  if (PreadFull(fd, head, sizeof(head), 0, &err) != sizeof(head)) {
+    return Failure(StatusCode::kIoError, "short header read", path, 0, err);
   }
   if (head[0] != SeriesFileHeader::kMagic) {
-    std::fclose(f);
-    return Status::InvalidArgument("bad magic in " + path)
-        .WithIoContext(Ctx(path, 0));
+    return Failure(StatusCode::kInvalidArgument, "bad magic", path, 0);
   }
   if (head[1] != 1 && head[1] != SeriesFileHeader::kVersion) {
-    std::fclose(f);
-    return Status::InvalidArgument("unsupported version " +
-                                   std::to_string(head[1]) + " in " + path)
-        .WithIoContext(Ctx(path, 0));
+    return Failure(StatusCode::kInvalidArgument,
+                   "unsupported version " + std::to_string(head[1]), path, 0);
   }
-  SeriesFileHeader header;
-  header.num_series = head[2];
-  header.length = head[3];
+  reader->header_.num_series = head[2];
+  reader->header_.length = head[3];
   // Version 2 carries the checksum footer after the payload; load it up
-  // front so every ReadSeries can verify without extra seeks. Version-1
-  // files leave `checksums` empty and skip verification.
-  std::vector<uint32_t> checksums;
-  if (head[1] >= 2 && header.num_series > 0) {
-    const uint64_t footer_at =
-        kHeaderBytes +
-        header.num_series * header.length * sizeof(float);
-    checksums.resize(header.num_series);
-    if (std::fseek(f, static_cast<long>(footer_at), SEEK_SET) != 0 ||
-        std::fread(checksums.data(), sizeof(uint32_t), checksums.size(), f) !=
-            checksums.size()) {
-      std::fclose(f);
-      return Status::IoError("short checksum footer read: " +
-                             At(path, footer_at))
-          .WithIoContext(Ctx(path, footer_at));
+  // front so every ReadSeries can verify without extra reads. Version-1
+  // files leave `checksums_` empty and skip verification.
+  if (head[1] >= 2 && head[2] > 0) {
+    const uint64_t footer_at = kHeaderBytes + head[2] * head[3] * sizeof(float);
+    std::vector<uint32_t>& checksums = reader->checksums_;
+    checksums.resize(head[2]);
+    const size_t footer_bytes = checksums.size() * sizeof(uint32_t);
+    if (PreadFull(fd, checksums.data(), footer_bytes, footer_at, &err) !=
+        footer_bytes) {
+      return Failure(StatusCode::kIoError, "short checksum footer read", path,
+                     footer_at, err);
     }
   }
-  return std::unique_ptr<SeriesFileReader>(
-      new SeriesFileReader(f, header, path, std::move(checksums)));
+  return reader;
 }
 
-SeriesFileReader::~SeriesFileReader() {
-  if (file_ != nullptr) std::fclose(file_);
-}
+SeriesFileReader::~SeriesFileReader() { ::close(fd_); }
 
 void SeriesFileReader::set_fault_config(const FaultConfig& config) {
   std::lock_guard<std::mutex> lock(injectors_mu_);
@@ -154,55 +166,39 @@ Status SeriesFileReader::ReadSeries(uint64_t first, uint64_t count,
       std::this_thread::sleep_for(std::chrono::microseconds(fault.latency_us));
     }
     if (fault.permanent_error) {
-      return Status::IoError("injected permanent I/O error: " +
-                             At(path_, offset))
-          .WithIoContext(Ctx(path_, offset));
+      return Failure(StatusCode::kIoError, "injected permanent I/O error",
+                     path_, offset);
     }
     if (fault.transient_error) {
-      return Status::Unavailable("injected transient I/O error: " +
-                                 At(path_, offset))
-          .WithIoContext(Ctx(path_, offset));
+      return Failure(StatusCode::kUnavailable,
+                     "injected transient I/O error", path_, offset);
     }
     if (fault.short_read) {
-      return Status::Unavailable("injected short read: " + At(path_, offset))
-          .WithIoContext(Ctx(path_, offset));
+      return Failure(StatusCode::kUnavailable, "injected short read", path_,
+                     offset);
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(io_mu_);
-    if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0) {
-      const int err = errno;
-      return Status::IoError("seek failed: " + At(path_, offset) +
-                             ErrnoDetail(err))
-          .WithIoContext(Ctx(path_, offset, err));
-    }
-    size_t want = static_cast<size_t>(count * header_.length);
-    size_t got = std::fread(out, sizeof(float), want, file_);
-    if (got != want) {
-      // A true end-of-file here means the file is shorter than its header
-      // claims — that never heals, so it is a plain IoError. A stream
-      // error (EINTR, EIO from a flaky device) may clear on re-read, so
-      // it surfaces as retryable Unavailable.
-      const bool at_eof = std::feof(file_) != 0;
-      const int err = at_eof ? 0 : errno;
-      std::clearerr(file_);
-      const std::string detail =
-          "short payload read: got " + std::to_string(got) + " of " +
-          std::to_string(want) + " floats, series [" + std::to_string(first) +
-          ", " + std::to_string(first + count) + ") in " + At(path_, offset) +
-          ErrnoDetail(err);
-      return (at_eof ? Status::IoError(detail) : Status::Unavailable(detail))
-          .WithIoContext(Ctx(path_, offset, err));
-    }
-    if (counters != nullptr) {
-      counters->bytes_read += count * stride;
-      counters->series_accessed += count;
-      if (!any_read_ || first != next_sequential_) {
-        ++counters->random_ios;
-      }
-    }
-    any_read_ = true;
-    next_sequential_ = first + count;
+  const size_t want = count * stride;
+  int err = 0;
+  const size_t got = PreadFull(fd_, out, want, offset, &err);
+  if (got != want) {
+    // End of file here means the file is shorter than its header claims:
+    // that never heals, so it is a plain IoError. A failed read (EIO from
+    // a flaky device) may clear on re-read, so it is retryable
+    // Unavailable.
+    return Failure(err == 0 ? StatusCode::kIoError : StatusCode::kUnavailable,
+                   "short payload read: got " + std::to_string(got) + " of " +
+                       std::to_string(want) + " bytes of series [" +
+                       std::to_string(first) + ", " +
+                       std::to_string(first + count) + ")",
+                   path_, offset, err);
+  }
+  const uint64_t previous =
+      next_sequential_.exchange(first + count, std::memory_order_relaxed);
+  if (counters != nullptr) {
+    counters->bytes_read += want;
+    counters->series_accessed += count;
+    if (previous != first) ++counters->random_ios;
   }
   // Injected corruption flips payload bits AFTER the (correct) disk read,
   // modeling the device lying; on version-2 files the checksum pass below
@@ -210,13 +206,12 @@ Status SeriesFileReader::ReadSeries(uint64_t first, uint64_t count,
   injector->CorruptPayload(fault, out, count * header_.length);
   if (!checksums_.empty()) {
     for (uint64_t i = 0; i < count; ++i) {
-      const uint32_t actual =
-          Crc32c(out + i * header_.length, stride);
+      const uint32_t actual = Crc32c(out + i * header_.length, stride);
       if (actual != checksums_[first + i]) {
-        return Status::DataCorruption(
-                   "checksum mismatch on series " + std::to_string(first + i) +
-                   ": " + At(path_, offset + i * stride))
-            .WithIoContext(Ctx(path_, offset + i * stride));
+        return Failure(StatusCode::kDataCorruption,
+                       "checksum mismatch on series " +
+                           std::to_string(first + i),
+                       path_, offset + i * stride);
       }
     }
   }

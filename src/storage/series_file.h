@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -37,17 +36,19 @@ namespace hydra {
 // (retryable: the buffer pool re-reads once before giving up). I/O
 // failures carry errno, file path and byte offset in the status message.
 //
-// ReadSeries is thread-safe: an internal mutex serializes the seek+read
-// pair and the sequentiality tracking, so the buffer pool's single-flight
-// page loads may run from several threads at once. (Serializing reads
-// models one disk arm; the paper's seek accounting assumes it anyway.)
+// ReadSeries is thread-safe and takes no lock: each read is one pread
+// loop on the file descriptor straight into the caller's buffer, so the
+// buffer pool's single-flight page loads run from several threads at
+// once, as requests share a real device's queue. The seek accounting
+// exchanges one atomic "next sequential series", so each read is judged
+// against whichever read finished just before it.
 //
 // Fault injection: Open() arms a FaultInjector from the HYDRA_FAULT_*
 // environment knobs (storage/fault_injector.h); tests and benches can
 // replace it with set_fault_config, also while reads run. Its latency
 // channel doubles as the device-latency emulator: at
 // HYDRA_FAULT_LATENCY_RATE=1 every read sleeps HYDRA_FAULT_LATENCY_US
-// BEFORE the mutex, so concurrent issuers overlap their waits as
+// before it is issued, so concurrent issuers overlap their waits as
 // requests overlap in a real disk's queue. On dev boxes and CI the
 // "disk" is the page cache — reads cost nanoseconds and nothing
 // overlaps — so this is the honest way to study I/O-bound behavior (the
@@ -110,16 +111,12 @@ class SeriesFileReader {
   }
 
  private:
-  SeriesFileReader(std::FILE* file, SeriesFileHeader header, std::string path,
-                   std::vector<uint32_t> checksums)
-      : file_(file),
-        header_(header),
-        path_(std::move(path)),
-        checksums_(std::move(checksums)) {
+  SeriesFileReader(int fd, std::string path)
+      : fd_(fd), path_(std::move(path)) {
     set_fault_config(FaultConfig::FromEnv());
   }
 
-  std::FILE* file_;
+  const int fd_;
   SeriesFileHeader header_;
   std::string path_;
   std::vector<uint32_t> checksums_;  // empty for version-1 files
@@ -131,9 +128,9 @@ class SeriesFileReader {
   std::atomic<FaultInjector*> injector_{nullptr};
   std::mutex injectors_mu_;
   std::vector<std::unique_ptr<FaultInjector>> injectors_;
-  std::mutex io_mu_;              // serializes seek+read+tracking below
-  uint64_t next_sequential_ = 0;  // series index right after the last read
-  bool any_read_ = false;
+  // Series index right after the last read. It starts where no read
+  // can start, so the first read counts as random.
+  std::atomic<uint64_t> next_sequential_{UINT64_MAX};
 };
 
 }  // namespace hydra

@@ -47,6 +47,19 @@ TEST(AdsPlus, BuildValidation) {
   EXPECT_FALSE(AdsPlusIndex::Build(ds, &provider, opts).ok());
 }
 
+TEST(AdsPlus, BuildRejectsMoreSegmentsThanPoints) {
+  Rng rng(2);
+  Dataset ds = MakeRandomWalk(200, 8, rng);
+  InMemoryProvider provider(&ds);
+  AdsPlusOptions opts;
+  opts.segments = 16;
+  auto built = AdsPlusIndex::Build(ds, &provider, opts);
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+  opts.segments = 8;
+  EXPECT_TRUE(AdsPlusIndex::Build(ds, &provider, opts).ok());
+}
+
 TEST(AdsPlus, BuildsCoarseTreeThatQueriesRefine) {
   Fixture f;
   // The freshly built tree has unrefined (coarse) leaves.

@@ -189,6 +189,33 @@ TEST_F(BufferPoolTest, DropCacheRetainsPinnedPages) {
   EXPECT_EQ(bm->cache_misses(), misses + 1);
 }
 
+// Eviction hands the victim's page buffer to the page admitted in its
+// place. 30 series in pages of 4 leave a last page of 2; visiting it
+// between every two full pages makes every fetch of a 2-page pool a miss,
+// so each buffer passes between the short page and full ones, both ways.
+TEST_F(BufferPoolTest, RecycledBuffersServeBothPageSizes) {
+  auto bm = OpenPool(30, 8, /*page_series=*/4, /*capacity_pages=*/2);
+  ASSERT_NE(bm, nullptr);
+  constexpr uint64_t kLastPage = 7;
+  std::vector<uint64_t> pages;
+  for (uint64_t full = 0; full < 21; full += 2) {
+    pages.insert(pages.end(), {kLastPage, full % 7, (full + 1) % 7});
+  }
+  for (uint64_t page : pages) {
+    const uint64_t first = page * 4;
+    const uint64_t count = page == kLastPage ? 2 : 4;
+    Result<PinnedRun> run = bm->PinRunChecked(first, 4, nullptr);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    const std::span<const float> span = run.value().span();
+    ASSERT_EQ(span.size(), count * 8) << "page " << page;
+    for (uint64_t s = 0; s < count; ++s) {
+      ExpectIsSeries(span.subspan(s * 8, 8), first + s);
+    }
+  }
+  EXPECT_EQ(bm->cache_misses(), pages.size());
+  EXPECT_EQ(bm->cache_hits(), 0u);
+}
+
 // --- prefetch pipeline ---
 
 TEST_F(BufferPoolTest, PrefetchWarmsPoolAndDefersChargesToConsumer) {

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/backoff.h"
 #include "common/counters.h"
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/timer.h"
+#include "distance/simd_dispatch.h"
 
 namespace hydra {
 namespace {
@@ -243,6 +247,74 @@ TEST(Backoff, DelaysArePinned) {
   EXPECT_EQ(BackoffDelayUs(0, 20000, 3, 2), 0u);         // no base, no wait
   EXPECT_EQ(BackoffDelayUs(2000, 16000, 0, 1), 5868u);
   EXPECT_EQ(BackoffDelayUs(1000, 250000, 1, 9), 73099u);  // pool defaults
+}
+
+// Every CRC-32C implementation this CPU can run: the table, the SSE4.2
+// path where the CPU has it, and the dispatched Crc32c.
+std::vector<Crc32cFn> SupportedCrcs() {
+  std::vector<Crc32cFn> crcs = {&Crc32cTable, &Crc32c};
+  if (Sse42Crc32c() != nullptr) crcs.push_back(Sse42Crc32c());
+  return crcs;
+}
+
+// RFC 3720 section B.4 check values, plus the catalogue check value of
+// "123456789".
+TEST(Crc32c, KnownAnswers) {
+  std::vector<uint8_t> zeros(32, 0x00);
+  std::vector<uint8_t> ones(32, 0xFF);
+  std::vector<uint8_t> ascending(32);
+  std::vector<uint8_t> descending(32);
+  for (uint8_t i = 0; i < 32; ++i) {
+    ascending[i] = i;
+    descending[i] = 31 - i;
+  }
+  for (Crc32cFn crc : SupportedCrcs()) {
+    EXPECT_EQ(crc(zeros.data(), 32, 0), 0x8A9136AAu);
+    EXPECT_EQ(crc(ones.data(), 32, 0), 0x62A8AB43u);
+    EXPECT_EQ(crc(ascending.data(), 32, 0), 0x46DD794Eu);
+    EXPECT_EQ(crc(descending.data(), 32, 0), 0x113FDB5Cu);
+    EXPECT_EQ(crc("123456789", 9, 0), 0xE3069283u);
+  }
+}
+
+// Each implementation equals the table at every length up to a 4 KB
+// page, at every alignment modulo 8, each case seeded with the checksum
+// of the case before it; and a checksum split anywhere continues.
+TEST(Crc32c, EveryImplementationMatchesTheTable) {
+  Rng rng(22);
+  std::vector<uint8_t> bytes(4096 + 8);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.NextUint64(256));
+  for (Crc32cFn crc : SupportedCrcs()) {
+    if (crc == &Crc32cTable) continue;
+    uint32_t seed = 0;
+    for (size_t len = 0; len <= 4096; ++len) {
+      for (size_t align = 0; align < 8; ++align) {
+        const uint8_t* p = bytes.data() + align;
+        const uint32_t want = Crc32cTable(p, len, seed);
+        ASSERT_EQ(crc(p, len, seed), want)
+            << "length " << len << " alignment " << align;
+        seed = want;
+      }
+    }
+    const uint32_t whole = crc(bytes.data(), 4096, 0);
+    for (size_t cut : {1, 7, 8, 9, 1000, 4095}) {
+      EXPECT_EQ(crc(bytes.data() + cut, 4096 - cut,
+                    crc(bytes.data(), cut, 0)),
+                whole)
+          << "cut at " << cut;
+    }
+  }
+}
+
+// HYDRA_SIMD=scalar pins the table; otherwise the hardware path runs
+// wherever the CPU has one.
+TEST(Crc32c, DispatchFollowsTheSimdTarget) {
+  if (ActiveSimdTarget() == SimdTarget::kScalar ||
+      Sse42Crc32c() == nullptr) {
+    EXPECT_EQ(ActiveCrc32c(), &Crc32cTable);
+  } else {
+    EXPECT_EQ(ActiveCrc32c(), Sse42Crc32c());
+  }
 }
 
 }  // namespace

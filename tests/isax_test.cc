@@ -52,6 +52,21 @@ TEST(Isax, BuildRejectsBadOptions) {
   EXPECT_FALSE(IsaxIndex::Build(empty, &ep).ok());
 }
 
+// A node word holds one symbol per segment, so a series needs at least
+// as many points as there are segments.
+TEST(Isax, BuildRejectsMoreSegmentsThanPoints) {
+  Rng rng(2);
+  Dataset ds = MakeRandomWalk(200, 8, rng);
+  InMemoryProvider provider(&ds);
+  IsaxOptions opts;
+  opts.segments = 16;
+  auto built = IsaxIndex::Build(ds, &provider, opts);
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+  opts.segments = 8;
+  EXPECT_TRUE(IsaxIndex::Build(ds, &provider, opts).ok());
+}
+
 TEST(Isax, EverySeriesInExactlyOneLeaf) {
   Fixture f;
   size_t total = 0;

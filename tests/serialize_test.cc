@@ -314,6 +314,34 @@ TEST_F(SerializeTest, ChildLinkOutOfRangeRejected) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
+// An iSAX file whose words are consistent with its 16 segments but whose
+// series length is 8 describes an index Build refuses to make.
+TEST_F(SerializeTest, IsaxMoreSegmentsThanPointsRejected) {
+  Rng rng(79);
+  Dataset wide = MakeRandomWalk(200, 16, rng);
+  InMemoryProvider wide_provider(&wide);
+  IsaxOptions opts;
+  opts.segments = 16;
+  opts.histogram_pairs = 200;
+  auto isax = IsaxIndex::Build(wide, &wide_provider, opts);
+  ASSERT_TRUE(isax.ok()) << isax.status().ToString();
+  std::string path = Path("segments.idx");
+  ASSERT_TRUE(isax.value()->Save(path).ok());
+  auto bytes = ReadFileBytes(path);
+  ASSERT_TRUE(bytes.ok());
+
+  // v1 layout: magic and version (u32 each), then the u64 series length.
+  std::string corrupt = bytes.value();
+  corrupt[8] = 8;
+  ASSERT_TRUE(WriteFileBytes(path, corrupt).ok());
+
+  Dataset narrow = MakeRandomWalk(200, 8, rng);
+  InMemoryProvider narrow_provider(&narrow);
+  auto loaded = IsaxIndex::Load(path, &narrow_provider);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
 // A corrupt index file is refused as malformed or as not matching the
 // provider; it never reads as an I/O failure or an internal error.
 void ExpectCorruptFileStatus(const Status& st) {

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <string>
 
+#include "common/codec.h"
 #include "common/rng.h"
 #include "core/generators.h"
 #include "storage/buffer_manager.h"
@@ -128,6 +130,44 @@ TEST_F(StorageTest, EmptyDatasetRoundTrips) {
   auto reader = SeriesFileReader::Open(path);
   ASSERT_TRUE(reader.ok());
   EXPECT_EQ(reader.value()->num_series(), 0u);
+}
+
+// A file shorter than its header claims ends every read that reaches the
+// missing bytes with a non-retryable IoError. (Version 1 carries no
+// footer, so Open cannot notice the truncation first.)
+TEST_F(StorageTest, ReadPastTruncatedEndIsIoError) {
+  Rng rng(13);
+  Dataset ds = MakeRandomWalk(2, 8, rng);
+  std::string path = Path("truncated.hsf");
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  const uint64_t head[4] = {SeriesFileHeader::kMagic, 1, 4, 8};
+  ASSERT_EQ(std::fwrite(head, sizeof(head), 1, f), 1u);
+  ASSERT_EQ(std::fwrite(ds.data(), sizeof(float), 16, f), 16u);
+  ASSERT_EQ(std::fclose(f), 0);
+
+  auto reader = SeriesFileReader::Open(path);
+  ASSERT_TRUE(reader.ok());
+  EXPECT_FALSE(reader.value()->verifies_checksums());
+  std::vector<float> buf(2 * 8);
+  ASSERT_TRUE(reader.value()->ReadSeries(0, 2, buf.data(), nullptr).ok());
+  EXPECT_EQ(buf, ds.values());
+  EXPECT_EQ(reader.value()->ReadSeries(1, 2, buf.data(), nullptr).code(),
+            StatusCode::kIoError);
+}
+
+// A write whose final flush fails (no space left) must not report OK.
+TEST(StorageWriters, FullDeviceFailsBothWriters) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full on this system";
+  }
+  Rng rng(14);
+  const Status series = WriteSeriesFile("/dev/full", MakeRandomWalk(4, 8, rng));
+  EXPECT_EQ(series.code(), StatusCode::kIoError) << series.ToString();
+  ASSERT_TRUE(series.has_io_context());
+  EXPECT_EQ(series.io_context().sys_errno, ENOSPC);
+  const Status bytes = WriteFileBytes("/dev/full", std::string(100, 'x'));
+  EXPECT_EQ(bytes.code(), StatusCode::kIoError) << bytes.ToString();
 }
 
 TEST(InMemoryProvider, ServesSeriesAndCountsAccess) {
