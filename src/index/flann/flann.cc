@@ -1,12 +1,19 @@
 #include "index/flann/flann.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/rng.h"
-#include "common/timer.h"
+#include "distance/euclidean.h"
 #include "index/answer_set.h"
 
 namespace hydra {
+namespace {
+
+// Neighbors per sample query when auto-selection scores recall.
+constexpr size_t kAutotuneK = 10;
+
+}  // namespace
 
 Result<std::unique_ptr<FlannIndex>> FlannIndex::Build(
     const Dataset& data, const FlannOptions& options) {
@@ -25,30 +32,35 @@ Result<std::unique_ptr<FlannIndex>> FlannIndex::Build(
       break;
   }
 
-  // Auto-selection bake-off: time a sample of self-queries on both
-  // structures at the default checks budget and keep the faster.
+  // Auto-selection: recall on a seeded self-query sample, no clock.
   auto kd = std::make_unique<KdForest>(data, options.kd);
   auto km = std::make_unique<KmeansTree>(data, options.kmeans);
   Rng rng(options.kd.seed ^ options.kmeans.seed);
-  size_t trials = std::max<size_t>(options.autotune_queries, 1);
-
-  double kd_time = 0.0, km_time = 0.0;
+  const size_t trials = std::max<size_t>(options.autotune_queries, 1);
+  const size_t k = std::min(kAutotuneK, data.size());
+  size_t kd_hits = 0;
+  size_t km_hits = 0;
   for (size_t t = 0; t < trials; ++t) {
     auto q = data.series(rng.NextUint64(data.size()));
-    {
-      Timer timer;
-      AnswerSet a(1);
-      kd->Search(q, options.default_checks, &a, nullptr);
-      kd_time += timer.ElapsedSeconds();
+    AnswerSet exact(k);
+    for (size_t i = 0; i < data.size(); ++i) {
+      exact.Offer(SquaredEuclidean(q, data.series(i)),
+                  static_cast<int64_t>(i));
     }
-    {
-      Timer timer;
-      AnswerSet a(1);
-      km->Search(q, options.default_checks, &a, nullptr);
-      km_time += timer.ElapsedSeconds();
-    }
+    const std::vector<int64_t> truth = exact.Finish().ids;
+    auto hits = [&](const auto& structure) {
+      AnswerSet found(k);
+      structure.Search(q, options.default_checks, &found, nullptr);
+      size_t n = 0;
+      for (int64_t id : found.Finish().ids) {
+        n += std::count(truth.begin(), truth.end(), id);
+      }
+      return n;
+    };
+    kd_hits += hits(*kd);
+    km_hits += hits(*km);
   }
-  if (kd_time <= km_time) {
+  if (kd_hits >= km_hits) {
     index->kd_ = std::move(kd);
   } else {
     index->kmeans_ = std::move(km);

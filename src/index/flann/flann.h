@@ -13,10 +13,13 @@ namespace hydra {
 // Flann (Muja & Lowe 2009): an ensemble that auto-selects between
 // randomized kd-trees and a hierarchical k-means tree. The original
 // performs full cross-validated parameter search; we implement the same
-// selection principle with a direct bake-off — build both structures,
-// time a self-query sample at the configured `checks` budget, keep the
-// faster one at equal candidate budgets (document the simplification).
-// `kAuto` can be overridden to force either algorithm.
+// selection principle with a direct bake-off, scored without a clock so
+// that a build is reproducible: build both structures, draw
+// `autotune_queries` self-queries from the data with an Rng seeded by
+// the two structures' seeds, and count for each structure how many of
+// every query's exact 10 nearest neighbors (a linear scan) it returns at
+// the `default_checks` budget. The higher count wins; a tie goes to the
+// kd-forest. `kAuto` can be overridden to force either algorithm.
 struct FlannOptions {
   enum class Algorithm { kAuto, kKdForest, kKmeansTree };
   Algorithm algorithm = Algorithm::kAuto;

@@ -2,12 +2,13 @@
 
 #include <cassert>
 #include <utility>
+#include <vector>
 
 namespace hydra {
 namespace {
 
-// Reads one complete frame synchronously (used only during the
-// handshake, before the receive thread exists).
+// Reads one complete frame: the handshake's reply, then every frame
+// the receive thread handles.
 Status ReadFrame(const TcpSocket& socket, FrameHeader* header,
                  std::string* payload) {
   char bytes[kFrameHeaderBytes];
@@ -24,7 +25,7 @@ Status ReadFrame(const TcpSocket& socket, FrameHeader* header,
 }  // namespace
 
 Result<std::unique_ptr<HydraClient>> HydraClient::Connect(
-    const std::string& host, uint16_t port) {
+    const std::string& host, uint16_t port, Sink sink) {
   HYDRA_ASSIGN_OR_RETURN(TcpSocket socket, TcpSocket::Connect(host, port));
   // Handshake: offer our version range, accept the server's choice — or
   // surface its typed refusal as our own connect error.
@@ -56,6 +57,7 @@ Result<std::unique_ptr<HydraClient>> HydraClient::Connect(
   std::unique_ptr<HydraClient> client(new HydraClient());
   client->socket_ = std::move(socket);
   client->negotiated_version_ = ack.version;
+  client->sink_ = std::move(sink);
   client->recv_thread_ = std::thread([c = client.get()] { c->RecvLoop(); });
   return client;
 }
@@ -63,25 +65,16 @@ Result<std::unique_ptr<HydraClient>> HydraClient::Connect(
 HydraClient::~HydraClient() {
   Finish();
   {
-    // Drain-or-resolve: destruction used to shut the socket down with
-    // tickets still racing in RecvLoop, which could strand a caller
-    // holding a never-done ticket. Wait instead until pending_ empties —
-    // the server keeps serving after kFinish, so every outstanding
-    // request either comes back as a result frame or is resolved typed
-    // by FailConnection when the transport dies. Both paths notify
-    // results_cv_ as pending_ shrinks.
+    // Drain-or-resolve: the server keeps serving after kFinish, so every
+    // outstanding request comes back as a result frame — or is failed
+    // typed when the transport dies — before the client closes.
     std::unique_lock<std::mutex> lock(mu_);
-    results_cv_.wait(lock, [this] { return pending_.empty(); });
-    assert(pending_.empty() && "HydraClient left a ticket unresolved");
+    cv_.wait(lock, [this] { return closed_; });
   }
   socket_.ShutdownBoth();
   if (recv_thread_.joinable()) recv_thread_.join();
   socket_.Close();
-}
-
-Status HydraClient::connection_status() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return broken_ ? broken_status_ : Status::OK();
+  assert(pending_.empty() && "HydraClient left a ticket unresolved");
 }
 
 Status HydraClient::Ping() const {
@@ -90,9 +83,26 @@ Status HydraClient::Ping() const {
   return Status::OK();
 }
 
-Status HydraClient::SendLocked(const std::string& frame) const {
-  std::lock_guard<std::mutex> lock(send_mu_);
-  return socket_.SendAll(frame.data(), frame.size());
+bool HydraClient::WaitClosed(std::chrono::microseconds timeout) const {
+  std::unique_lock<std::mutex> lock(mu_);
+  return cv_.wait_for(lock, timeout, [this] { return closed_; });
+}
+
+Status HydraClient::SendLocked(const std::string& frame) {
+  const Status sent = socket_.SendAll(frame.data(), frame.size());
+  if (!sent.ok()) Break(sent);
+  return sent;
+}
+
+void HydraClient::Break(const Status& why) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (broken_) return;
+    broken_ = true;
+    broken_status_ = why;
+    cv_.notify_all();  // a stats waiter gets no reply now
+  }
+  socket_.ShutdownBoth();
 }
 
 QueryTicket HydraClient::Submit(std::span<const float> query,
@@ -107,7 +117,7 @@ QueryTicket HydraClient::Submit(std::span<const float> query,
   std::lock_guard<std::mutex> send_lock(send_mu_);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (finished_ || broken_) return QueryTicket();
+    if (finished_ || server_done_ || broken_) return QueryTicket();
     state = std::make_shared<QueryTicket::State>();
     state->id = next_request_id_++;
     state->tenant = submit.tenant;
@@ -123,27 +133,20 @@ QueryTicket HydraClient::Submit(std::span<const float> query,
   msg.params.cancel = nullptr;  // tokens never cross the wire
   msg.query.assign(query.begin(), query.end());
   EncodeSubmit(msg, &frame);
-  const Status sent = socket_.SendAll(frame.data(), frame.size());
-  if (!sent.ok()) {
+  if (!SendLocked(frame).ok()) {
     // The submission never reached the server: refuse it the way the
     // scheduler refuses a dropped submission (invalid ticket), with no
-    // phantom result in the stream.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      pending_.erase(state->id);
-    }
-    FailConnection(sent);
-    return QueryTicket();
+    // phantom result in the stream — unless the receive thread already
+    // took it into the dying connection's typed failures.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (pending_.erase(state->id) != 0) return QueryTicket();
   }
   return QueryTicket(state);
 }
 
 std::optional<ServedQuery> HydraClient::Next() {
   std::unique_lock<std::mutex> lock(mu_);
-  results_cv_.wait(lock, [this] {
-    return !results_.empty() ||
-           ((server_done_ || broken_) && pending_.empty());
-  });
+  cv_.wait(lock, [this] { return !results_.empty() || closed_; });
   if (results_.empty()) return std::nullopt;
   ServedQuery out = std::move(results_.front());
   results_.pop_front();
@@ -159,27 +162,28 @@ void HydraClient::Finish() {
   }
   std::string frame;
   EncodeFinish(&frame);
-  // A send failure here feeds the same disconnect path the receive
-  // thread would discover; either way Next() drains to nullopt.
-  const Status sent = SendLocked(frame);
-  if (!sent.ok()) FailConnection(sent);
+  std::lock_guard<std::mutex> send_lock(send_mu_);
+  (void)SendLocked(frame);
 }
 
 Result<ServingStats> HydraClient::TryStats() const {
   std::string frame;
   EncodeStatsRequest(&frame);
-  // The send lock is held across the round-trip: one stats waiter at a
-  // time, and no interleaved Submit can steal the reply slot.
-  std::lock_guard<std::mutex> send_lock(send_mu_);
+  // Waiters queue on stats_mu_, not send_mu_: the receive thread may be
+  // inside the sink, sending on this client, before it reads the reply.
+  std::lock_guard<std::mutex> stats_lock(stats_mu_);
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (broken_) return broken_status_;
     stats_ready_ = false;
   }
-  const Status sent = socket_.SendAll(frame.data(), frame.size());
-  if (!sent.ok()) return sent;  // RecvLoop will discover and fail typed
+  {
+    std::lock_guard<std::mutex> send_lock(send_mu_);
+    // A failed send here is left to the receive thread to discover.
+    HYDRA_RETURN_IF_ERROR(socket_.SendAll(frame.data(), frame.size()));
+  }
   std::unique_lock<std::mutex> lock(mu_);
-  stats_cv_.wait(lock, [this] { return stats_ready_ || broken_; });
+  cv_.wait(lock, [this] { return stats_ready_ || broken_; });
   if (!stats_ready_) return broken_status_;
   return stats_value_;
 }
@@ -195,131 +199,101 @@ void HydraClient::Cancel(const QueryTicket& ticket) {
   msg.request_id = ticket.id();
   std::string frame;
   EncodeCancel(msg, &frame);
+  std::lock_guard<std::mutex> send_lock(send_mu_);
   (void)SendLocked(frame);
 }
 
-void HydraClient::FailConnection(const Status& why) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (broken_) return;
-    broken_ = true;
-    broken_status_ = why;
-    // Accepted queries always resolve: every outstanding request gets a
-    // typed error result, in id order (pending_ is an ordered map), so
-    // a drain loop sees the same number of results it submitted queries.
-    for (auto& [id, state] : pending_) {
-      ServedQuery out;
-      Status lost = Status::Unavailable(
-          "connection lost before result: " + why.ToString());
-      if (why.has_io_context()) lost.WithIoContext(why.io_context());
-      state->status = lost;
-      state->done.store(true, std::memory_order_release);
-      out.ticket = QueryTicket(state);
-      out.answer = Result<KnnAnswer>(std::move(lost));
-      results_.push_back(std::move(out));
-    }
-    pending_.clear();
-    results_cv_.notify_all();
-    stats_cv_.notify_all();
+void HydraClient::Deliver(uint64_t id, ServedQuery served) {
+  std::unique_lock<std::mutex> lock(mu_);
+  auto it = pending_.find(id);
+  if (it == pending_.end()) return;
+  std::shared_ptr<QueryTicket::State> state = std::move(it->second);
+  pending_.erase(it);
+  state->status = served.answer.ok() ? Status::OK() : served.answer.status();
+  state->done.store(true, std::memory_order_release);
+  served.ticket = QueryTicket(std::move(state));
+  if (!sink_) {
+    results_.push_back(std::move(served));
+    cv_.notify_all();
+    return;
   }
-  // Wake the receive thread if the failure was discovered by a sender.
-  socket_.ShutdownBoth();
+  lock.unlock();
+  sink_(std::move(served));
 }
 
 void HydraClient::RecvLoop() {
-  char header_bytes[kFrameHeaderBytes];
+  FrameHeader header;
   std::string payload;
-  while (true) {
-    Status st = socket_.RecvAll(header_bytes, sizeof(header_bytes));
-    if (!st.ok()) {
-      FailConnection(st);
-      return;
-    }
-    FrameHeader header;
-    st = DecodeFrameHeader(
-        std::span<const char>(header_bytes, sizeof(header_bytes)), &header);
-    if (!st.ok()) {
-      // A server speaking garbage means the stream is desynced: same
-      // policy as the server side, drop the connection.
-      FailConnection(st);
-      return;
-    }
-    payload.resize(static_cast<size_t>(header.length));
-    if (header.length > 0) {
-      st = socket_.RecvAll(payload.data(), payload.size());
-      if (!st.ok()) {
-        FailConnection(st);
-        return;
-      }
-    }
+  Status st;
+  // Any read or decode failure ends the connection: a server speaking
+  // garbage means the stream is desynced (same policy as the server).
+  while ((st = ReadFrame(socket_, &header, &payload)).ok()) {
     const std::span<const char> body(payload.data(), payload.size());
-    switch (header.kind) {
-      case MessageKind::kResult: {
-        ResultFrame result;
-        st = DecodeResult(body, &result);
-        if (!st.ok()) {
-          FailConnection(st);
-          return;
-        }
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = pending_.find(result.request_id);
-        if (it == pending_.end()) break;  // late result after cancel race
-        std::shared_ptr<QueryTicket::State> state = std::move(it->second);
-        pending_.erase(it);
+    if (header.kind == MessageKind::kResult) {
+      ResultFrame result;
+      st = DecodeResult(body, &result);
+      if (!st.ok()) break;
+      ServedQuery out;
+      out.answer = result.status.ok()
+                       ? Result<KnnAnswer>(std::move(result.answer))
+                       : Result<KnnAnswer>(result.status);
+      out.counters = result.counters;
+      out.seconds = result.seconds;
+      Deliver(result.request_id, std::move(out));
+    } else if (header.kind == MessageKind::kStatus) {
+      // Request-level typed rejection (e.g. the server refused the
+      // submission); request_id 0 is a connection-level notice.
+      StatusFrame rejected;
+      if (DecodeStatusFrame(body, &rejected).ok() &&
+          rejected.request_id != 0) {
         ServedQuery out;
-        state->status = result.status;
-        state->done.store(true, std::memory_order_release);
-        out.ticket = QueryTicket(std::move(state));
-        out.answer = result.status.ok()
-                         ? Result<KnnAnswer>(std::move(result.answer))
-                         : Result<KnnAnswer>(result.status);
-        out.counters = result.counters;
-        out.seconds = result.seconds;
-        results_.push_back(std::move(out));
-        results_cv_.notify_all();
-        break;
+        out.answer = Result<KnnAnswer>(rejected.status);
+        Deliver(rejected.request_id, std::move(out));
       }
-      case MessageKind::kStatus: {
-        StatusFrame status_frame;
-        if (!DecodeStatusFrame(body, &status_frame).ok()) break;
-        if (status_frame.request_id == 0) break;  // connection-level notice
-        // Request-level typed rejection (e.g. the server refused the
-        // submission): resolve that request as an error result.
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = pending_.find(status_frame.request_id);
-        if (it == pending_.end()) break;
-        std::shared_ptr<QueryTicket::State> state = std::move(it->second);
-        pending_.erase(it);
-        ServedQuery out;
-        state->status = status_frame.status;
-        state->done.store(true, std::memory_order_release);
-        out.ticket = QueryTicket(std::move(state));
-        out.answer = Result<KnnAnswer>(status_frame.status);
-        results_.push_back(std::move(out));
-        results_cv_.notify_all();
-        break;
-      }
-      case MessageKind::kStatsReply: {
-        StatsReplyFrame reply;
-        if (!DecodeStatsReply(body, &reply).ok()) break;
+    } else if (header.kind == MessageKind::kStatsReply) {
+      StatsReplyFrame reply;
+      if (DecodeStatsReply(body, &reply).ok()) {
         std::lock_guard<std::mutex> lock(mu_);
         stats_value_ = reply.stats;
         stats_ready_ = true;
-        stats_cv_.notify_all();
-        break;
+        cv_.notify_all();
       }
-      case MessageKind::kFinish: {
-        std::lock_guard<std::mutex> lock(mu_);
-        server_done_ = true;
-        results_cv_.notify_all();
-        break;
-      }
-      default:
-        // Unknown server-bound kinds are ignored: forward compatibility
-        // for chatter a newer server might add.
-        break;
+    } else if (header.kind == MessageKind::kFinish) {
+      // Submit refuses from here on, so pending_ only shrinks.
+      std::lock_guard<std::mutex> lock(mu_);
+      server_done_ = true;
+    }
+    // Other kinds are ignored: forward compatibility for chatter a
+    // newer server might add.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (server_done_ && pending_.empty() && !closed_) {
+      closed_ = true;
+      cv_.notify_all();
     }
   }
+  // The connection is dead. Accepted queries always resolve: every
+  // outstanding request gets a typed error result carrying the first
+  // failure, in id order (pending_ is an ordered map), so a drain loop
+  // sees as many results as it submitted queries.
+  Break(st);
+  std::vector<uint64_t> ids;
+  Status cause;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    cause = broken_status_;
+    for (const auto& entry : pending_) ids.push_back(entry.first);
+  }
+  for (uint64_t id : ids) {
+    Status lost = Status::Unavailable("connection lost before result: " +
+                                      cause.ToString());
+    if (cause.has_io_context()) lost.WithIoContext(cause.io_context());
+    ServedQuery out;
+    out.answer = Result<KnnAnswer>(std::move(lost));
+    Deliver(id, std::move(out));
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  closed_ = true;
+  cv_.notify_all();
 }
 
 }  // namespace hydra

@@ -73,7 +73,6 @@ ConnectionPool::ConnectionPool(std::vector<Endpoint> endpoints,
   for (size_t i = 0; i < slots_.size(); ++i) {
     slots_[i]->manager = std::thread([this, i] { ManagerLoop(i); });
   }
-  prober_ = std::thread([this] { ProbeLoop(); });
 }
 
 ConnectionPool::~ConnectionPool() { Stop(); }
@@ -167,6 +166,11 @@ bool ConnectionPool::WaitAnyHealthy(std::chrono::milliseconds timeout) {
   }
 }
 
+bool ConnectionPool::Stopping() {
+  std::lock_guard<std::mutex> lock(stop_mu_);
+  return stopping_;
+}
+
 bool ConnectionPool::BackoffWait(size_t i, uint64_t attempt) {
   // The shared backoff schedule keyed by endpoint, so a fleet of
   // reconnecting endpoints decorrelates — but interruptible, so Stop()
@@ -180,18 +184,21 @@ bool ConnectionPool::BackoffWait(size_t i, uint64_t attempt) {
 
 void ConnectionPool::ManagerLoop(size_t i) {
   Slot& slot = *slots_[i];
+  const std::chrono::microseconds probe_period(
+      static_cast<int64_t>(probe_ms_ * 1000.0) + 1);
   uint64_t attempt = 0;
-  while (true) {
-    {
-      std::lock_guard<std::mutex> lock(stop_mu_);
-      if (stopping_) return;
-    }
+  while (!Stopping()) {
     {
       std::lock_guard<std::mutex> lock(slot.mu);
       ++slot.reconnect_attempts;
     }
-    Result<std::unique_ptr<HydraClient>> connected =
-        HydraClient::Connect(slot.endpoint.host, slot.endpoint.port);
+    // The client's receive thread hands every result straight to
+    // on_result_ — the typed failures of a dying connection included.
+    Result<std::unique_ptr<HydraClient>> connected = HydraClient::Connect(
+        slot.endpoint.host, slot.endpoint.port,
+        [this, i](ServedQuery served) {
+          if (on_result_) on_result_(i, std::move(served));
+        });
     if (!connected.ok()) {
       SetHealth(i, EndpointHealth::kDown);
       if (!BackoffWait(i, attempt++)) return;
@@ -206,85 +213,53 @@ void ConnectionPool::ManagerLoop(size_t i) {
       ++slot.generation;
     }
     // Stop() finishes the clients it finds published. One published
-    // after Stop() looked would wait in Next() forever, so the manager
-    // finishes it itself: either Stop() saw the client or this check
-    // sees stopping_ (Finish is idempotent).
-    bool stopping;
-    {
-      std::lock_guard<std::mutex> lock(stop_mu_);
-      stopping = stopping_;
-    }
-    if (stopping) client->Finish();
+    // after Stop() looked would never close, so the manager finishes it
+    // itself: either Stop() saw the client or this check sees stopping_
+    // (Finish is idempotent).
+    if (Stopping()) client->Finish();
     SetHealth(i, EndpointHealth::kHealthy);
-    // Drain until the connection dies (or Stop() finishes it). Next()
-    // hands back every result — including the typed kUnavailable batch
-    // FailConnection files for in-flight queries on a dying connection
-    // — then nullopt. Delivering those BEFORE the slot's client is
-    // replaced is what keeps (endpoint, request_id) unique among
-    // outstanding attempts for the replica set's routing table.
-    while (std::optional<ServedQuery> served = client->Next()) {
-      if (on_result_) on_result_(i, std::move(*served));
+    // Probe until the connection closes (it dies, or Stop() finished it
+    // and the server drained it). WaitClosed returns only after the
+    // receive thread's last delivery, so a dying connection's results
+    // all reach on_result_ BEFORE the slot gets a new client — which
+    // keeps (endpoint, request_id) unique among outstanding attempts
+    // for the replica set's routing table. Holding `client` until then
+    // means it is never destroyed on its own receive thread.
+    while (!client->WaitClosed(probe_period)) {
+      {
+        std::lock_guard<std::mutex> lock(slot.mu);
+        ++slot.probes_sent;
+      }
+      // StatsRequest doubles as the protocol ping: a reply proves the
+      // server end-to-end (reader thread, session, pump) is alive. A
+      // failed ping means the transport broke; the close follows.
+      if (client->Ping().ok()) {
+        ReportHealthy(i);
+      } else {
+        std::lock_guard<std::mutex> lock(slot.mu);
+        ++slot.probes_failed;
+      }
     }
     {
       std::lock_guard<std::mutex> lock(slot.mu);
       slot.client = nullptr;
     }
     SetHealth(i, EndpointHealth::kDown);
-    {
-      std::lock_guard<std::mutex> lock(stop_mu_);
-      if (stopping_) return;
-    }
-    if (!BackoffWait(i, attempt++)) return;
+    if (Stopping() || !BackoffWait(i, attempt++)) return;
     SetHealth(i, EndpointHealth::kProbing);
-  }
-}
-
-void ConnectionPool::ProbeLoop() {
-  while (true) {
-    {
-      std::unique_lock<std::mutex> lock(stop_mu_);
-      if (stop_cv_.wait_for(
-              lock,
-              std::chrono::microseconds(
-                  static_cast<int64_t>(probe_ms_ * 1000.0) + 1),
-              [this] { return stopping_; })) {
-        return;
-      }
-    }
-    for (size_t i = 0; i < slots_.size(); ++i) {
-      std::shared_ptr<HydraClient> client = Lease(i);
-      if (client == nullptr) continue;
-      {
-        std::lock_guard<std::mutex> lock(slots_[i]->mu);
-        ++slots_[i]->probes_sent;
-      }
-      // StatsRequest doubles as the protocol ping: a reply proves the
-      // server end-to-end (reader thread, session, pump) is alive.
-      const Status ping = client->Ping();
-      if (ping.ok()) {
-        ReportHealthy(i);
-      } else {
-        std::lock_guard<std::mutex> lock(slots_[i]->mu);
-        ++slots_[i]->probes_failed;
-        // The transport is broken: the manager's drain loop observes
-        // the same failure and demotes to kDown; nothing more to do.
-      }
-    }
   }
 }
 
 void ConnectionPool::Stop() {
   {
     std::lock_guard<std::mutex> lock(stop_mu_);
-    if (stopping_) {
-      // Already stopped (idempotent).
-    }
     stopping_ = true;
   }
   stop_cv_.notify_all();
   // Finishing a live client closes its submission side; the server
-  // drains what is in flight and answers kFinish, so the manager's
-  // drain loop delivers every outstanding result and exits.
+  // drains what is in flight and answers kFinish, so the receive thread
+  // delivers every outstanding result, the client closes and its
+  // manager withdraws it and exits.
   for (auto& slot : slots_) {
     std::shared_ptr<HydraClient> client;
     {
@@ -295,13 +270,6 @@ void ConnectionPool::Stop() {
   }
   for (auto& slot : slots_) {
     if (slot->manager.joinable()) slot->manager.join();
-  }
-  if (prober_.joinable()) prober_.join();
-  // Drop the last leases so the clients tear down (their destructors
-  // wait for pending tickets, which the drain above already resolved).
-  for (auto& slot : slots_) {
-    std::lock_guard<std::mutex> lock(slot->mu);
-    slot->client = nullptr;
   }
 }
 

@@ -36,8 +36,8 @@ std::string EndpointToString(const Endpoint& endpoint);
 //      +------backoff----------+<------------------------------+
 //
 // kSuspect means "a query on this endpoint failed typed but the
-// transport still looks alive" — the prober either clears it (ping OK)
-// or the connection dies on its own and the endpoint goes kDown. kDown
+// transport still looks alive" — the next probe either clears it (ping
+// OK) or the connection dies on its own and the endpoint goes kDown. kDown
 // endpoints reconnect with capped decorrelated exponential backoff
 // (mirroring the HYDRA_IO_BACKOFF_US policy in BufferManager) and pass
 // through kProbing while a connect attempt is in flight.
@@ -71,18 +71,22 @@ struct EndpointStatus {
 
 // A reconnecting pool of HydraClient connections, one per endpoint —
 // the transport layer under ReplicaSetBackend that replaces the
-// one-socket-for-life client. Each endpoint gets a manager thread that
+// one-socket-for-life client. Each endpoint gets one thread that
 // connects (with backoff), publishes the live client for leasing,
-// drains its completion stream into `on_result`, and loops back to
-// reconnecting when the connection dies. A dying connection resolves
-// its in-flight queries to typed kUnavailable (HydraClient's
-// FailConnection contract), and those typed results flow through
-// `on_result` like any other — which is exactly the hook the replica
-// set uses to re-submit retry-safe queries elsewhere.
+// probes it every probe_ms while it lives, and loops back to
+// reconnecting when it closes. Each client's receive thread delivers
+// its results straight to `on_result`. A dying connection resolves its
+// in-flight queries to typed kUnavailable (HydraClient's failure
+// contract), and those typed results flow through `on_result` like any
+// other — which is exactly the hook the replica set uses to re-submit
+// retry-safe queries elsewhere — all before the endpoint's next client
+// is published.
 //
 // Threading: Lease/health/Report* are safe from any thread. Callbacks
-// (`on_result`, `on_health`) run on pool-internal threads with no pool
-// locks held; they may call back into the pool freely.
+// (`on_result` on a client's receive thread, `on_health` on an endpoint
+// thread or a caller of Report*) run with no pool or client locks held;
+// they may call back into the pool and Submit/Cancel on leased clients
+// freely.
 class ConnectionPool {
  public:
   // endpoint index + the served query (results and typed failures both).
@@ -109,7 +113,7 @@ class ConnectionPool {
   EndpointStatus endpoint_status(size_t i) const;
 
   // A query on endpoint i's live connection failed typed: demote
-  // healthy → suspect. The prober re-verifies; the connection dying
+  // healthy → suspect. The next probe re-verifies; the connection dying
   // demotes further to down on its own.
   void ReportSuspect(size_t i);
   // An OK answer from endpoint i: clear suspect → healthy.
@@ -120,9 +124,9 @@ class ConnectionPool {
   bool WaitHealthy(size_t i, std::chrono::milliseconds timeout);
   bool WaitAnyHealthy(std::chrono::milliseconds timeout);
 
-  // Stops probing, finishes every live connection (draining in-flight
-  // queries through on_result), joins all threads. Idempotent; the
-  // destructor calls it.
+  // Stops reconnecting, finishes every live connection (its in-flight
+  // queries still reach on_result), joins the endpoint threads.
+  // Idempotent; the destructor calls it.
   void Stop();
 
  private:
@@ -140,7 +144,7 @@ class ConnectionPool {
   };
 
   void ManagerLoop(size_t i);
-  void ProbeLoop();
+  bool Stopping();
   void SetHealth(size_t i, EndpointHealth health);
   // Interruptible decorrelated backoff sleep; false when stopping.
   bool BackoffWait(size_t i, uint64_t attempt);
@@ -155,7 +159,6 @@ class ConnectionPool {
   std::mutex stop_mu_;
   std::condition_variable stop_cv_;
   bool stopping_ = false;
-  std::thread prober_;
 };
 
 }  // namespace hydra

@@ -183,8 +183,9 @@ class ReplicaSetBackend : public ServingBackend {
   // Unresolved-or-undrained-attempt requests by replica-set ticket id.
   std::map<uint64_t, std::shared_ptr<Request>> requests_;
   // (endpoint, client request_id) → replica-set ticket id. Unique among
-  // outstanding attempts because a dying connection delivers ALL its
-  // results before the endpoint's next connection submits anything.
+  // outstanding attempts because a dying connection's receive thread
+  // delivers ALL its results before the pool publishes the endpoint's
+  // next connection (it waits for HydraClient::WaitClosed).
   std::map<std::pair<size_t, uint64_t>, uint64_t> attempt_index_;
   // Completed queries awaiting their turn in the ordered stream.
   std::map<uint64_t, ServedQuery> done_;

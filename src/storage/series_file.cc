@@ -1,6 +1,7 @@
 #include "storage/series_file.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -118,12 +119,43 @@ Result<std::unique_ptr<SeriesFileReader>> SeriesFileReader::Open(
     return Failure(StatusCode::kInvalidArgument,
                    "unsupported version " + std::to_string(head[1]), path, 0);
   }
+  // The header's counts size everything below, so they are checked
+  // first: the bytes they claim must fit in 64 bits, and a version-2
+  // file must hold them before its footer is allocated. A version-1
+  // file may still be truncated (reads and ReadAll fail IoError).
+  const bool has_footer = head[1] >= 2;
+  uint64_t per_series = 0;  // payload bytes, plus footer bytes in v2
+  uint64_t end = 0;
+  if (__builtin_mul_overflow(head[3], uint64_t{sizeof(float)}, &per_series) ||
+      __builtin_add_overflow(per_series,
+                             has_footer ? uint64_t{sizeof(uint32_t)} : 0,
+                             &per_series) ||
+      __builtin_mul_overflow(head[2], per_series, &end) ||
+      __builtin_add_overflow(end, uint64_t{kHeaderBytes}, &end)) {
+    return Failure(StatusCode::kInvalidArgument,
+                   "header claims more bytes than 64 bits hold: " +
+                       std::to_string(head[2]) + " series of length " +
+                       std::to_string(head[3]),
+                   path, 0);
+  }
+  struct stat st = {};
+  if (::fstat(fd, &st) != 0) {
+    err = errno;
+    return Failure(StatusCode::kIoError, "cannot stat", path, 0, err);
+  }
+  reader->file_bytes_ = static_cast<uint64_t>(st.st_size);
+  if (has_footer && end > reader->file_bytes_) {
+    return Failure(StatusCode::kIoError,
+                   "file shorter than its header claims: " +
+                       std::to_string(end) + " bytes expected",
+                   path, reader->file_bytes_);
+  }
   reader->header_.num_series = head[2];
   reader->header_.length = head[3];
   // Version 2 carries the checksum footer after the payload; load it up
   // front so every ReadSeries can verify without extra reads. Version-1
   // files leave `checksums_` empty and skip verification.
-  if (head[1] >= 2 && head[2] > 0) {
+  if (has_footer && head[2] > 0) {
     const uint64_t footer_at = kHeaderBytes + head[2] * head[3] * sizeof(float);
     std::vector<uint32_t>& checksums = reader->checksums_;
     checksums.resize(head[2]);
@@ -219,6 +251,16 @@ Status SeriesFileReader::ReadSeries(uint64_t first, uint64_t count,
 }
 
 Result<Dataset> SeriesFileReader::ReadAll(QueryCounters* counters) {
+  // Open checked that this fits in 64 bits; a version-1 file may still
+  // be shorter than it, and the Dataset is sized only once it is not.
+  const uint64_t end =
+      kHeaderBytes + header_.num_series * header_.length * sizeof(float);
+  if (end > file_bytes_) {
+    return Failure(StatusCode::kIoError,
+                   "file shorter than its header claims: " +
+                       std::to_string(end) + " bytes expected",
+                   path_, file_bytes_);
+  }
   Dataset ds(header_.num_series, header_.length);
   if (header_.num_series > 0) {
     HYDRA_RETURN_IF_ERROR(ReadSeries(0, header_.num_series,

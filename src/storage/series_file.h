@@ -72,6 +72,9 @@ Status WriteSeriesFile(const std::string& path, const Dataset& dataset);
 
 class SeriesFileReader {
  public:
+  // Reads the header and, for version 2, the footer. A header whose
+  // counts overflow 64 bits fails InvalidArgument; a version-2 file too
+  // short for its payload and footer fails IoError.
   static Result<std::unique_ptr<SeriesFileReader>> Open(
       const std::string& path);
   ~SeriesFileReader();
@@ -95,7 +98,9 @@ class SeriesFileReader {
   Status ReadSeries(uint64_t first, uint64_t count, float* out,
                     QueryCounters* counters);
 
-  // Convenience: whole file into a Dataset (sequential, one seek).
+  // Convenience: whole file into a Dataset (sequential, one seek). A
+  // version-1 file shorter than its header claims fails IoError before
+  // the Dataset is allocated.
   Result<Dataset> ReadAll(QueryCounters* counters);
 
   // Replaces the fault-injection config (normally armed from the
@@ -119,6 +124,7 @@ class SeriesFileReader {
   const int fd_;
   SeriesFileHeader header_;
   std::string path_;
+  uint64_t file_bytes_ = 0;          // the file's size at Open
   std::vector<uint32_t> checksums_;  // empty for version-1 files
   // The current injector: one acquire load per ReadSeries. Every
   // injector ever installed stays alive in `injectors_` until the reader

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 
 #include "common/rng.h"
@@ -64,6 +65,42 @@ TEST(Flann, AutoSelectsOneAlgorithm) {
   auto ans = index.value()->Search(q, params, nullptr);
   ASSERT_TRUE(ans.ok());
   EXPECT_EQ(ans.value().size(), 3u);
+}
+
+// Auto-selection reads no clock: every build of the same data picks the
+// same structure and answers exactly as that structure forced.
+TEST(Flann, AutoSelectionIsDeterministic) {
+  Dataset ds = MakeData();
+  Rng rng(67);
+  Dataset queries = MakeNoiseQueries(ds, 8, 0.1, rng);
+  SearchParams params;
+  params.mode = SearchMode::kNgApproximate;
+  params.k = 5;
+  std::optional<bool> kd;
+  std::unique_ptr<FlannIndex> forced;
+  for (int build = 0; build < 5; ++build) {
+    auto index = FlannIndex::Build(ds);
+    ASSERT_TRUE(index.ok());
+    if (!kd.has_value()) {
+      kd = index.value()->uses_kd_forest();
+      FlannOptions opts;
+      opts.algorithm = *kd ? FlannOptions::Algorithm::kKdForest
+                           : FlannOptions::Algorithm::kKmeansTree;
+      auto built = FlannIndex::Build(ds, opts);
+      ASSERT_TRUE(built.ok());
+      forced = std::move(built).value();
+    }
+    EXPECT_EQ(index.value()->uses_kd_forest(), *kd) << "build " << build;
+    for (size_t q = 0; q < queries.size(); ++q) {
+      auto got = index.value()->Search(queries.series(q), params, nullptr);
+      auto want = forced->Search(queries.series(q), params, nullptr);
+      ASSERT_TRUE(got.ok());
+      ASSERT_TRUE(want.ok());
+      EXPECT_EQ(got.value().ids, want.value().ids) << "query " << q;
+      EXPECT_EQ(got.value().distances, want.value().distances)
+          << "query " << q;
+    }
+  }
 }
 
 class FlannAlgoTest

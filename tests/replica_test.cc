@@ -19,6 +19,7 @@
 #include <filesystem>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -550,6 +551,128 @@ TEST(ReplicaTest, ImmediateDestructionNeverHangs) {
   }
   worker.join();
   EXPECT_EQ(cycles.load(), 200);
+}
+
+// --- Delivery order and re-entrancy --------------------------------
+
+// A connection that dies with queries in flight hands every one of
+// them to on_result — served or typed — before the endpoint's next
+// client is published: each delivery sees generation 1, and the restart
+// brings generation 2 only after all twelve.
+TEST(ReplicaTest, DyingConnectionDeliversEveryResultBeforeReconnect) {
+  ReplicaFixture fx(/*replicas=*/1, /*concurrency=*/4, /*n=*/4000,
+                    /*num_queries=*/12);
+  FaultConfig slow;
+  slow.latency_rate = 1.0;
+  slow.latency_us = 2000;
+  fx.pools[0]->set_fault_config(slow);
+
+  std::mutex mu;
+  std::vector<uint64_t> seen;  // the endpoint's generation per delivery
+  std::atomic<ConnectionPool*> pool_ptr{nullptr};
+  ConnPoolOptions options;
+  options.probe_ms = 20;
+  options.backoff_base_us = 1000;
+  options.backoff_cap_us = 20000;
+  ConnectionPool pool(fx.endpoints, options, [&](size_t, ServedQuery) {
+    const uint64_t generation = pool_ptr.load()->endpoint_status(0).generation;
+    // A slow consumer: a reconnect that did not wait for the deliveries
+    // would overtake them.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::lock_guard<std::mutex> lock(mu);
+    seen.push_back(generation);
+  });
+  pool_ptr.store(&pool);
+  ASSERT_TRUE(pool.WaitHealthy(0, std::chrono::seconds(5)));
+  // Held across the restart, as a replica set's attempts hold theirs.
+  std::shared_ptr<HydraClient> client = pool.Lease(0);
+  ASSERT_NE(client, nullptr);
+  for (size_t q = 0; q < fx.queries.size(); ++q) {
+    ASSERT_TRUE(client->Submit(fx.queries.series(q), Exact()).valid());
+  }
+  fx.Restart(0);  // in-flight queries die typed with the connection
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (pool.endpoint_status(0).generation < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(pool.endpoint_status(0).generation, 2u);
+  pool.Stop();
+  client.reset();
+  fx.pools[0]->set_fault_config(FaultConfig{});
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(seen.size(), fx.queries.size());
+  for (size_t d = 0; d < seen.size(); ++d) {
+    EXPECT_EQ(seen[d], 1u) << "delivery " << d;
+  }
+  ExpectPinsDrain(fx.pools[0].get(), "dying connection");
+}
+
+// With one replica, a retry-safe failure is re-submitted to the very
+// connection that delivered it — from inside its delivery — while
+// another thread keeps round-tripping stats() on that connection. The
+// query exhausts its budget typed (two retries, no failover) instead of
+// deadlocking, and the connection serves the next query right.
+TEST(ReplicaTest, LoneReplicaRetryResubmitsOnTheDeliveringConnection) {
+  ReplicaFixture fx(/*replicas=*/1);
+  std::vector<KnnAnswer> reference =
+      SerialReference(*fx.indexes[0], fx.queries, Exact());
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  std::thread worker([&] {
+    auto connected = ReplicaSetBackend::Connect(
+        fx.endpoints, FastProbe(ReplicaPolicy::kPrimaryFailover));
+    EXPECT_TRUE(connected.ok());
+    if (connected.ok()) {
+      std::unique_ptr<ReplicaSetBackend> backend =
+          std::move(connected).value();
+      EXPECT_TRUE(backend->WaitHealthy(0, std::chrono::seconds(5)));
+      std::atomic<bool> stop{false};
+      std::thread poller([&] {
+        while (!stop.load()) (void)backend->stats();
+      });
+      FaultConfig broken;
+      broken.seed = 42;
+      broken.permanent_rate = 1.0;
+      fx.pools[0]->set_fault_config(broken);
+      EXPECT_TRUE(backend->Submit(fx.queries.series(0), Exact()).valid());
+      std::optional<ServedQuery> failed = backend->Next();
+      EXPECT_TRUE(failed.has_value());
+      if (failed.has_value()) {
+        EXPECT_FALSE(failed->answer.ok());
+        if (!failed->answer.ok()) {
+          EXPECT_EQ(failed->answer.status().code(), StatusCode::kIoError)
+              << failed->answer.status().ToString();
+        }
+      }
+      EXPECT_EQ(backend->retries(), 2u);
+      EXPECT_EQ(backend->failovers(), 0u);
+
+      fx.pools[0]->set_fault_config(FaultConfig{});
+      EXPECT_TRUE(backend->Submit(fx.queries.series(1), Exact()).valid());
+      std::optional<ServedQuery> served = backend->Next();
+      EXPECT_TRUE(served.has_value());
+      if (served.has_value()) {
+        EXPECT_TRUE(served->answer.ok()) << served->answer.status().ToString();
+        if (served->answer.ok()) {
+          ExpectIdentical(reference[1], served->answer.value(),
+                          "after lone-replica retries");
+        }
+      }
+      stop.store(true);
+      poller.join();
+    }
+    done.set_value();
+  });
+  if (finished.wait_for(std::chrono::seconds(60)) !=
+      std::future_status::ready) {
+    std::fprintf(stderr, "lone-replica retry hung\n");
+    std::_Exit(1);
+  }
+  worker.join();
+  ExpectPinsDrain(fx.pools[0].get(), "lone replica");
 }
 
 // --- Stats surfacing (satellite) -----------------------------------

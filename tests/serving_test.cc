@@ -1352,11 +1352,17 @@ TEST(Serving, DestructorResolvesUndrainedTicketsTyped) {
     ASSERT_TRUE(queued.valid());
     EXPECT_FALSE(queued.done());
     index.AwaitStarted(1);
-    // The gate stays closed until well after the destructor has entered
-    // and discarded the queued submission; only then does query 0 get to
-    // finish and let the destructor's in-flight wait return.
-    releaser = std::thread([&index] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    // The gate stays closed until the destructor has discarded the
+    // queued submission (it marks that ticket done before it waits for
+    // in-flight work); only then does query 0 get to finish and let the
+    // destructor's in-flight wait return. The wait is bounded, so a
+    // destructor that never resolves the ticket fails below, not hangs.
+    releaser = std::thread([&index, &queued] {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!queued.done() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
       index.ReleaseAll(2);
     });
     // Destructor: discards the never-admitted query, resolves its

@@ -156,6 +156,49 @@ TEST_F(StorageTest, ReadPastTruncatedEndIsIoError) {
             StatusCode::kIoError);
 }
 
+// A header the file cannot back fails typed, before anything is sized by
+// its counts. Each file here is the 32-byte header plus 64 payload bytes.
+std::string WriteClaimingHeader(const std::string& path, uint64_t version,
+                                uint64_t num_series, uint64_t length) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  EXPECT_NE(f, nullptr);
+  if (f == nullptr) return path;
+  const uint64_t head[4] = {SeriesFileHeader::kMagic, version, num_series,
+                            length};
+  const float payload[16] = {};
+  EXPECT_EQ(std::fwrite(head, sizeof(head), 1, f), 1u);
+  EXPECT_EQ(std::fwrite(payload, sizeof(payload), 1, f), 1u);
+  EXPECT_EQ(std::fclose(f), 0);
+  return path;
+}
+
+TEST_F(StorageTest, HeaderBytesBeyond64BitsAreInvalidArgument) {
+  auto reader = SeriesFileReader::Open(
+      WriteClaimingHeader(Path("overflow.hsf"), 2, uint64_t{1} << 62, 256));
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kInvalidArgument)
+      << reader.status().ToString();
+}
+
+TEST_F(StorageTest, Version2FileShorterThanHeaderIsIoErrorAtOpen) {
+  // 2^30 series would be a 4 GiB footer: refused before allocation.
+  auto reader = SeriesFileReader::Open(
+      WriteClaimingHeader(Path("short_v2.hsf"), 2, uint64_t{1} << 30, 256));
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kIoError)
+      << reader.status().ToString();
+}
+
+TEST_F(StorageTest, Version1PayloadBeyondFileFailsReadAll) {
+  auto reader = SeriesFileReader::Open(
+      WriteClaimingHeader(Path("short_v1.hsf"), 1, uint64_t{1} << 40, 256));
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  auto all = reader.value()->ReadAll(nullptr);
+  ASSERT_FALSE(all.ok());
+  EXPECT_EQ(all.status().code(), StatusCode::kIoError)
+      << all.status().ToString();
+}
+
 // A write whose final flush fails (no space left) must not report OK.
 TEST(StorageWriters, FullDeviceFailsBothWriters) {
   if (!std::filesystem::exists("/dev/full")) {
