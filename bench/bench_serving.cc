@@ -54,8 +54,8 @@
 //      must stay bit-identical to the unsharded serial protocol at
 //      every shard count x concurrency;
 //   5. a REPLICATED availability sweep: two servers over the same
-//      collection (each with its own buffer pool) behind a
-//      ReplicaSetBackend. Three scenarios — healthy baseline, one
+//      collection (each with its own index, buffer pool and worker
+//      pool) behind a ReplicaSetBackend. Three scenarios — healthy baseline, one
 //      replica's storage slowed to 5 ms per read (hedging masks the slow
 //      replica), and a replica killed + restarted mid-load (failover
 //      masks the dead one) — reporting the answered-OK-within-deadline
@@ -63,8 +63,9 @@
 //      bit-identical to the serial reference.
 //
 // Exit status 1 when any match_serial is NO, any row outside section 5
-// has avg_recall below 1 (all search here is exact), or any row
-// resolved fewer queries than it submitted (done != n).
+// has avg_recall below 1 (all search here is exact), any row resolved
+// fewer queries than it submitted (done != n), or the degraded replica
+// of section 5 saw no read attempt.
 
 #include <algorithm>
 #include <chrono>
@@ -82,6 +83,7 @@
 #include "common/rng.h"
 #include "core/generators.h"
 #include "core/ground_truth.h"
+#include "exec/thread_pool.h"
 #include "harness/experiment.h"
 #include "index/factory.h"
 #include "index/sharded/sharded_index.h"
@@ -370,8 +372,9 @@ int main(int argc, char** argv) {
   }
 
   // ---- Replicated availability sweep ------------------------------
-  // Two servers over the same collection, each with its own buffer pool,
-  // behind a ReplicaSetBackend. Three scenarios at one below-saturation
+  // Two servers over the same collection, each with its own index over
+  // its own buffer pool and its own worker pool, behind a
+  // ReplicaSetBackend. Three scenarios at one below-saturation
   // rate: healthy baseline, one replica's storage degraded (latency
   // faults on that replica's pool only — hedging masks the slow
   // replica), and one replica killed + restarted mid-load (failover +
@@ -392,23 +395,31 @@ int main(int argc, char** argv) {
         32, std::min<size_t>(400, static_cast<size_t>(rate * 2.0)));
     const double run_seconds = static_cast<double>(total) / rate;
 
-    std::unique_ptr<hydra::BufferManager> bm_build = open_pool(capacity);
-    std::unique_ptr<hydra::Index> index = build(method, bm_build.get());
+    // A replica is its own index over its own pool, served by its own
+    // workers: a degraded replica's slow reads then sleep in its own
+    // threads, and its healthy peer's hedges never queue behind them.
+    std::vector<std::unique_ptr<hydra::BufferManager>> pools;
+    std::vector<std::unique_ptr<hydra::Index>> indexes;
+    std::vector<std::unique_ptr<hydra::ThreadPool>> workers;
+    std::vector<hydra::ServerOptions> server_options(kReplicas);
+    for (size_t r = 0; r < kReplicas; ++r) {
+      pools.push_back(open_pool(capacity));
+      indexes.push_back(build(method, pools.back().get()));
+      workers.push_back(std::make_unique<hydra::ThreadPool>(concurrency));
+      server_options[r].serving.concurrency = concurrency;
+      server_options[r].serving.queue_capacity = total + concurrency;
+      server_options[r].serving.pool = workers.back().get();
+    }
     hydra::SearchParams avail_params = params;
     avail_params.deadline_ms = 2000.0;
     const std::vector<hydra::KnnAnswer> reference =
-        hydra::SerialAnswers(*index, queries, avail_params);
+        hydra::SerialAnswers(*indexes[0], queries, avail_params);
 
-    std::vector<std::unique_ptr<hydra::BufferManager>> pools;
     std::vector<std::unique_ptr<hydra::HydraServer>> servers;
     std::vector<hydra::Endpoint> endpoints;
-    hydra::ServerOptions server_options;
-    server_options.serving.concurrency = concurrency;
-    server_options.serving.queue_capacity = total + concurrency;
     for (size_t r = 0; r < kReplicas; ++r) {
-      pools.push_back(open_pool(capacity));
-      auto server = hydra::HydraServer::Start(*index, pools.back().get(),
-                                              server_options);
+      auto server = hydra::HydraServer::Start(*indexes[r], pools[r].get(),
+                                              server_options[r]);
       if (!server.ok()) {
         std::fprintf(stderr, "replica start failed: %s\n",
                      server.status().ToString().c_str());
@@ -461,6 +472,17 @@ int main(int argc, char** argv) {
     pools[1]->set_fault_config(slow);
     scenario("degraded-hedged", hydra::ReplicaPolicy::kHedged,
              smoke ? 10.0 : 25.0, nullptr);
+    // A degraded replica that read nothing degraded nothing: the row
+    // would measure two healthy replicas.
+    const uint64_t slow_reads =
+        pools[1]->reader().fault_injector().attempts();
+    std::printf("# degraded replica read attempts: %llu\n",
+                static_cast<unsigned long long>(slow_reads));
+    if (slow_reads == 0) {
+      std::fprintf(stderr, "VIOLATION: the degraded replica's pool saw no "
+                           "read attempt\n");
+      ok = false;
+    }
     pools[1]->set_fault_config(hydra::FaultConfig::FromEnv());
 
     // Kill replica 1 a quarter into the run, restart it (same port)
@@ -473,10 +495,10 @@ int main(int argc, char** argv) {
       servers[1]->Stop();
       std::this_thread::sleep_for(
           std::chrono::duration<double>(run_seconds * 0.35));
-      hydra::ServerOptions restart = server_options;
+      hydra::ServerOptions restart = server_options[1];
       restart.port = victim_port;
       auto restarted =
-          hydra::HydraServer::Start(*index, pools[1].get(), restart);
+          hydra::HydraServer::Start(*indexes[1], pools[1].get(), restart);
       if (restarted.ok()) servers[1] = std::move(restarted).value();
     });
 

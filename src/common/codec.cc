@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "common/crc32.h"
+
 namespace hydra {
 
 void EncodeStatus(const Status& st, ByteWriter* w) {
@@ -63,6 +65,40 @@ Result<std::string> ReadFileBytes(const std::string& path) {
   std::fclose(f);
   if (failed) return Status::IoError("read failed: " + path);
   return bytes;
+}
+
+void SealIndexFile(std::string* bytes) {
+  ByteWriter(bytes).U32(Crc32c(bytes->data(), bytes->size()));
+}
+
+Result<ByteReader> OpenIndexFile(const std::string& bytes, uint32_t magic,
+                                 uint32_t version, const std::string& kind,
+                                 const std::string& path) {
+  const std::span<const char> all(bytes);
+  uint32_t footer = 0;
+  const bool sealed = all.size() >= 4 &&
+                      ByteReader(all.last(4)).U32(&footer).ok() &&
+                      footer == Crc32c(all.data(), all.size() - 4);
+  ByteReader reader(sealed ? all.first(all.size() - 4) : all);
+  uint32_t file_magic = 0;
+  uint32_t file_version = 0;
+  const bool headed = reader.U32(&file_magic).ok() &&
+                      reader.U32(&file_version).ok() && file_magic == magic;
+  auto unsupported = [&] {
+    return Status::InvalidArgument("unsupported " + kind + " version: " +
+                                   path);
+  };
+  if (!sealed) {
+    if (headed && file_version == 1) return unsupported();
+    return Status::DataCorruption(kind + " index file fails its CRC-32C: " +
+                                  path);
+  }
+  if (!headed) {
+    return Status::InvalidArgument(kind + " index file magic not found: " +
+                                   path);
+  }
+  if (file_version != version) return unsupported();
+  return reader;
 }
 
 }  // namespace hydra

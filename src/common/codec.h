@@ -209,6 +209,21 @@ Status DecodeStatus(ByteReader* r, Status* out);
 Status WriteFileBytes(const std::string& path, const std::string& bytes);
 Result<std::string> ReadFileBytes(const std::string& path);
 
+// Index files (DSTree and iSAX2+, format version 2): a u32 magic, a u32
+// format version, the encoded index, and a u32 footer holding the
+// CRC-32C (common/crc32.h) of every byte before it. SealIndexFile
+// appends the footer to an encoded file. OpenIndexFile checks the footer
+// before any field is decoded: a mismatch, or a file too short to hold
+// a footer, is DataCorruption naming `path`. It then checks the magic
+// and the version (InvalidArgument) and returns a reader over the bytes
+// between the version and the footer; `bytes` must outlive it. A
+// version-1 file has no footer; its intact header is reported as the
+// unsupported version it is, not as damage.
+void SealIndexFile(std::string* bytes);
+Result<ByteReader> OpenIndexFile(const std::string& bytes, uint32_t magic,
+                                 uint32_t version, const std::string& kind,
+                                 const std::string& path);
+
 }  // namespace hydra
 
 #endif  // HYDRA_COMMON_CODEC_H_

@@ -6,7 +6,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <string>
 
 #include "common/counters.h"
 #include "common/status.h"
@@ -14,66 +13,49 @@
 
 namespace hydra {
 
-class QueryScheduler;     // exec/query_scheduler.h
+class ServingSession;     // exec/query_scheduler.h
 class HydraClient;        // net/client.h
 class ReplicaSetBackend;  // net/replica_set.h
 
 // ---------------------------------------------------------------------------
 // The client-facing serving surface. Everything a caller needs to submit
-// queries and drain results lives in this header: the routing options,
-// the typed per-query ticket, the completed-query record, and the
-// ServingBackend interface both the in-process engine (ServingSession)
-// and the remote client (HydraClient) implement. Callers — the harness
+// queries and drain results lives in this header: the typed per-query
+// ticket, the completed-query record, and the ServingBackend interface
+// that the in-process engine (ServingSession), the remote client
+// (HydraClient) and the replica set implement. Callers — the harness
 // sweeps, bench_serving, hydra_cli — program against ServingBackend and
 // never name a concrete backend, which is what makes "local" vs
 // "remote" a one-line swap with identical answers (tests/net_serving
 // proves bit-identity).
 // ---------------------------------------------------------------------------
 
-// Admission class of a submitted query. Priority orders ADMISSION only:
-// when in-flight slots free up, waiting interactive queries are admitted
-// before normal ones, normal before background. It never preempts running
-// queries and never reorders the completion stream (Next() stays in
-// global submission order — the response protocol is position-free via
-// QueryTicket, so a front-end can interleave tenants however it likes).
-enum class QueryPriority : uint8_t {
-  kBackground = 0,
-  kNormal = 1,
-  kInteractive = 2,
-};
-
-// Per-submission routing: which tenant the query belongs to and how its
-// admission is ranked. Plain Submit(query, params) means the default
-// tenant at normal priority — the historical single-tenant behavior.
-struct SubmitOptions {
-  std::string tenant;  // "" = the default tenant
-  QueryPriority priority = QueryPriority::kNormal;
-};
-
 // Typed handle to one submitted query — the unit a response protocol
 // serializes. Replaces the raw uint64_t position ticket: the id is still
 // the submission position (Next() returns results in id order), but the
-// handle also carries the query's tenant/priority routing and a
-// thread-safe per-query status accessor that becomes meaningful the
-// moment the query completes, independent of who drains the stream.
-// Copyable and cheap (shared state with the backend); a
-// default-constructed or dropped-submission ticket is !valid().
+// handle also carries a thread-safe per-query status accessor that
+// becomes meaningful the moment the query completes, independent of who
+// drains the stream. Copyable and cheap (shared state with the
+// backend); a default-constructed or dropped-submission ticket is
+// !valid().
 class QueryTicket {
  public:
   QueryTicket() = default;
 
+  // id() of an invalid ticket. Never a valid id.
+  static constexpr uint64_t kDropped = UINT64_MAX;
+
   // False for a default-constructed ticket and for a submission the
   // backend dropped (stream closed while the producer was blocked).
   bool valid() const { return state_ != nullptr; }
-  // Submission position — Next() hands results back in id order. For an
-  // invalid ticket this is QueryScheduler::kDropped (UINT64_MAX).
-  uint64_t id() const;
-  const std::string& tenant() const;
-  QueryPriority priority() const;
+  // Submission position — Next() hands results back in id order;
+  // kDropped for an invalid ticket.
+  uint64_t id() const { return state_ != nullptr ? state_->id : kDropped; }
 
   // True once the query's result has been filed (whether or not it has
   // been drained from the completion stream yet).
-  bool done() const;
+  bool done() const {
+    return state_ != nullptr && state_->done.load(std::memory_order_acquire);
+  }
   // The query's terminal Status once done(): OK for a served answer, the
   // typed error otherwise (DeadlineExceeded, IoError, ...). Before
   // completion — and forever for an invalid ticket — a typed Unavailable
@@ -81,16 +63,20 @@ class QueryTicket {
   Status status() const;
 
  private:
-  friend class QueryScheduler;
+  friend class ServingSession;
   friend class HydraClient;
   friend class ReplicaSetBackend;
   struct State {
     uint64_t id = 0;
-    std::string tenant;
-    QueryPriority priority = QueryPriority::kNormal;
     // status is written before done is set (release); readers acquire.
     std::atomic<bool> done{false};
-    Status status = Status::OK();
+    Status status = Status::Unavailable("query pending");
+    // The one way a backend publishes a query's terminal status: OK for
+    // an answer, the typed error otherwise, then done.
+    void Resolve(const Result<KnnAnswer>& answer) {
+      status = answer.status();
+      done.store(true, std::memory_order_release);
+    }
   };
   explicit QueryTicket(std::shared_ptr<State> state)
       : state_(std::move(state)) {}
@@ -133,8 +119,8 @@ struct ServingStats {
   uint64_t hedges = 0;     // backup attempts launched by the hedger
 };
 
-// The single client-facing serving interface. Contract (both
-// implementations, enforced by the loopback equivalence suite):
+// The single client-facing serving interface. Contract (every
+// implementation, enforced by the loopback equivalence suite):
 //  - Submit copies the query span before returning; results come back
 //    from Next() in ticket-id (submission) order. After Finish — or
 //    after the backend/stream is torn down — Submit returns an invalid
@@ -150,8 +136,7 @@ class ServingBackend {
   virtual ~ServingBackend() = default;
 
   virtual QueryTicket Submit(std::span<const float> query,
-                             const SearchParams& params,
-                             const SubmitOptions& submit = {}) = 0;
+                             const SearchParams& params) = 0;
   virtual std::optional<ServedQuery> Next() = 0;
   virtual void Finish() = 0;
   virtual ServingStats stats() const = 0;

@@ -340,7 +340,7 @@ size_t DSTreeIndex::max_depth() const {
 
 namespace {
 constexpr uint32_t kDSTreeMagic = 0x44535452;  // "DSTR"
-constexpr uint32_t kDSTreeVersion = 1;
+constexpr uint32_t kDSTreeVersion = 2;  // 2: CRC-32C footer
 }  // namespace
 
 Status DSTreeIndex::Save(const std::string& path) const {
@@ -371,6 +371,7 @@ Status DSTreeIndex::Save(const std::string& path) const {
     w.I64Span(n.series_ids);
   }
   histogram_->Encode(&w);
+  SealIndexFile(&bytes);
   return WriteFileBytes(path, bytes);
 }
 
@@ -380,15 +381,9 @@ Result<std::unique_ptr<DSTreeIndex>> DSTreeIndex::Load(
     return Status::InvalidArgument("provider must not be null");
   }
   HYDRA_ASSIGN_OR_RETURN(const std::string bytes, ReadFileBytes(path));
-  ByteReader r(bytes);
-  uint32_t magic = 0;
-  uint32_t version = 0;
-  if (!r.U32(&magic).ok() || magic != kDSTreeMagic) {
-    return Status::InvalidArgument("not a dstree index file: " + path);
-  }
-  if (!r.U32(&version).ok() || version != kDSTreeVersion) {
-    return Status::InvalidArgument("unsupported dstree version: " + path);
-  }
+  HYDRA_ASSIGN_OR_RETURN(
+      ByteReader r,
+      OpenIndexFile(bytes, kDSTreeMagic, kDSTreeVersion, "dstree", path));
   DSTreeOptions options;
   uint64_t series_length = 0;
   HYDRA_RETURN_IF_ERROR(r.U64(&series_length));

@@ -73,6 +73,8 @@ class DSTreeIndex : public Index {
   // Persists the index structure (nodes, synopses, δ-histogram) so that a
   // later session can Load() it and serve queries against the same raw
   // data via any provider. Raw series are not duplicated into the file.
+  // The file ends in a CRC-32C footer that Load checks first: damage is
+  // DataCorruption naming the path (common/codec.h, OpenIndexFile).
   Status Save(const std::string& path) const;
   static Result<std::unique_ptr<DSTreeIndex>> Load(const std::string& path,
                                                    SeriesProvider* provider);

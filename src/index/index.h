@@ -46,18 +46,12 @@ struct SearchParams {
   // search returns answers identical to num_threads = 1 (the counter
   // full/abandoned split may shift; see index/leaf_scanner.h).
   size_t num_threads = 1;
-  // Inter-query parallelism: how many whole queries the serving engine
-  // (exec/query_scheduler.h) overlaps on the shared pool. Search() itself
-  // ignores it — it is the harness/serving knob (HYDRA_CONCURRENCY)
-  // carried alongside the other workload parameters. 1 = the paper's
-  // one-query-at-a-time protocol.
-  size_t concurrency = 1;
   // Cap on the pinned pages this query may hold concurrently on a shared
-  // bounded buffer pool (0 = provider default). The serving engine sets
-  // it to MaxConcurrentPins() / concurrency so overlapping queries can
-  // never starve each other of pins; the scanner clamps its
-  // provider-backed fan-outs to it (index/leaf_scanner.h). Affects only
-  // shard counts, never answers.
+  // bounded buffer pool (0 = provider default). The serving engine
+  // (exec/query_scheduler.h) sets it to MaxConcurrentPins() / admitted
+  // queries so overlapping queries can never starve each other of pins;
+  // the scanner clamps its provider-backed fan-outs to it
+  // (index/leaf_scanner.h). Affects only shard counts, never answers.
   uint64_t pin_budget = 0;
   // Asynchronous readahead depth in buffer-pool pages: the scan layers
   // announce this many pages of their upcoming id stream to the

@@ -237,7 +237,7 @@ size_t IsaxIndex::num_leaves() const {
 
 namespace {
 constexpr uint32_t kIsaxMagic = 0x49534158;  // "ISAX"
-constexpr uint32_t kIsaxVersion = 1;
+constexpr uint32_t kIsaxVersion = 2;  // 2: CRC-32C footer
 }  // namespace
 
 Status IsaxIndex::Save(const std::string& path) const {
@@ -274,6 +274,7 @@ Status IsaxIndex::Save(const std::string& path) const {
   w.U64Span(root_keys);
   w.I32Span(root_values);
   histogram_->Encode(&w);
+  SealIndexFile(&bytes);
   return WriteFileBytes(path, bytes);
 }
 
@@ -283,15 +284,9 @@ Result<std::unique_ptr<IsaxIndex>> IsaxIndex::Load(const std::string& path,
     return Status::InvalidArgument("provider must not be null");
   }
   HYDRA_ASSIGN_OR_RETURN(const std::string bytes, ReadFileBytes(path));
-  ByteReader r(bytes);
-  uint32_t magic = 0;
-  uint32_t version = 0;
-  if (!r.U32(&magic).ok() || magic != kIsaxMagic) {
-    return Status::InvalidArgument("not an isax index file: " + path);
-  }
-  if (!r.U32(&version).ok() || version != kIsaxVersion) {
-    return Status::InvalidArgument("unsupported isax version: " + path);
-  }
+  HYDRA_ASSIGN_OR_RETURN(
+      ByteReader r,
+      OpenIndexFile(bytes, kIsaxMagic, kIsaxVersion, "isax", path));
   IsaxOptions options;
   uint64_t series_length = 0;
   HYDRA_RETURN_IF_ERROR(r.U64(&series_length));

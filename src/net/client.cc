@@ -106,8 +106,7 @@ void HydraClient::Break(const Status& why) {
 }
 
 QueryTicket HydraClient::Submit(std::span<const float> query,
-                                const SearchParams& params,
-                                const SubmitOptions& submit) {
+                                const SearchParams& params) {
   std::shared_ptr<QueryTicket::State> state;
   std::string frame;
   // Holding the send lock across id assignment AND the write keeps
@@ -120,22 +119,17 @@ QueryTicket HydraClient::Submit(std::span<const float> query,
     if (finished_ || server_done_ || broken_) return QueryTicket();
     state = std::make_shared<QueryTicket::State>();
     state->id = next_request_id_++;
-    state->tenant = submit.tenant;
-    state->priority = submit.priority;
-    state->status = Status::Unavailable("query pending");
     pending_.emplace(state->id, state);
   }
   SubmitFrame msg;
   msg.request_id = state->id;
-  msg.tenant = submit.tenant;
-  msg.priority = submit.priority;
   msg.params = params;
   msg.params.cancel = nullptr;  // tokens never cross the wire
   msg.query.assign(query.begin(), query.end());
   EncodeSubmit(msg, &frame);
   if (!SendLocked(frame).ok()) {
     // The submission never reached the server: refuse it the way the
-    // scheduler refuses a dropped submission (invalid ticket), with no
+    // session refuses a dropped submission (invalid ticket), with no
     // phantom result in the stream — unless the receive thread already
     // took it into the dying connection's typed failures.
     std::lock_guard<std::mutex> lock(mu_);
@@ -209,8 +203,7 @@ void HydraClient::Deliver(uint64_t id, ServedQuery served) {
   if (it == pending_.end()) return;
   std::shared_ptr<QueryTicket::State> state = std::move(it->second);
   pending_.erase(it);
-  state->status = served.answer.ok() ? Status::OK() : served.answer.status();
-  state->done.store(true, std::memory_order_release);
+  state->Resolve(served.answer);
   served.ticket = QueryTicket(std::move(state));
   if (!sink_) {
     results_.push_back(std::move(served));

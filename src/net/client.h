@@ -69,9 +69,9 @@ class HydraClient : public ServingBackend {
   // ServingBackend. Submit serializes the query into a kSubmit frame;
   // the ticket's id is the wire request_id. An invalid ticket means the
   // submission was refused locally (after Finish / a dead connection) —
-  // same contract as the in-process scheduler.
-  QueryTicket Submit(std::span<const float> query, const SearchParams& params,
-                     const SubmitOptions& submit = {}) override;
+  // same contract as the in-process session.
+  QueryTicket Submit(std::span<const float> query,
+                     const SearchParams& params) override;
   std::optional<ServedQuery> Next() override;
   void Finish() override;
   // Round-trips a kStatsRequest: the SERVER session's numbers. Returns

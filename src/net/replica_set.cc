@@ -134,7 +134,7 @@ bool ReplicaSetBackend::TryDispatchLocked(const std::shared_ptr<Request>& req,
       QueryTicket ticket =
           client->Submit(std::span<const float>(req->query.data(),
                                                 req->query.size()),
-                         attempt_params, req->route);
+                         attempt_params);
       if (!ticket.valid()) continue;  // endpoint died under us; next
       attempt_index_[{i, ticket.id()}] = req->id;
       Request::Attempt attempt;
@@ -152,9 +152,7 @@ bool ReplicaSetBackend::TryDispatchLocked(const std::shared_ptr<Request>& req,
 void ReplicaSetBackend::ResolveLocked(const std::shared_ptr<Request>& req,
                                       ServedQuery served) {
   req->resolved = true;
-  req->ticket->status =
-      served.answer.ok() ? Status::OK() : served.answer.status();
-  req->ticket->done.store(true, std::memory_order_release);
+  req->ticket->Resolve(served.answer);
   ServedQuery out;
   out.ticket = QueryTicket(req->ticket);
   out.answer = std::move(served.answer);
@@ -250,21 +248,16 @@ void ReplicaSetBackend::OnHealth(size_t endpoint, EndpointHealth health) {
 }
 
 QueryTicket ReplicaSetBackend::Submit(std::span<const float> query,
-                                      const SearchParams& params,
-                                      const SubmitOptions& submit) {
+                                      const SearchParams& params) {
   std::lock_guard<std::mutex> lock(mu_);
   if (finished_ || stopping_) return QueryTicket();
   auto req = std::make_shared<Request>();
   req->id = next_id_++;
   req->ticket = std::make_shared<QueryTicket::State>();
   req->ticket->id = req->id;
-  req->ticket->tenant = submit.tenant;
-  req->ticket->priority = submit.priority;
-  req->ticket->status = Status::Unavailable("query pending");
   req->query.assign(query.begin(), query.end());
   req->params = params;
   req->params.cancel = nullptr;  // tokens never cross the wire
-  req->route = submit;
   req->submitted = Clock::now();
   req->retries_left = retry_budget_;
   requests_.emplace(req->id, req);

@@ -96,8 +96,8 @@ class ReplicaSetBackend : public ServingBackend {
   ReplicaSetBackend(const ReplicaSetBackend&) = delete;
   ReplicaSetBackend& operator=(const ReplicaSetBackend&) = delete;
 
-  QueryTicket Submit(std::span<const float> query, const SearchParams& params,
-                     const SubmitOptions& submit = {}) override;
+  QueryTicket Submit(std::span<const float> query,
+                     const SearchParams& params) override;
   std::optional<ServedQuery> Next() override;
   void Finish() override;
   // First live replica's server-session snapshot, with this set's own
@@ -128,7 +128,6 @@ class ReplicaSetBackend : public ServingBackend {
     std::shared_ptr<QueryTicket::State> ticket;
     std::vector<float> query;
     SearchParams params;  // as submitted (deadline_ms = the full budget)
-    SubmitOptions route;
     Clock::time_point submitted;
     uint64_t retries_left = 0;
     size_t first_endpoint = SIZE_MAX;

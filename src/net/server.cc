@@ -149,7 +149,7 @@ bool HydraServer::HandleSubmit(Connection* conn,
   // the budget from this moment (network transfer already spent some of
   // the client's patience; that is the client library's concern). The
   // same token is the disconnect-cancellation handle, and because
-  // params.cancel != nullptr the scheduler arms no second deadline.
+  // params.cancel != nullptr the session arms no second deadline.
   auto token = submit.params.deadline_ms > 0
                    ? CancellationToken::WithDeadline(submit.params.deadline_ms)
                    : std::make_shared<CancellationToken>();
@@ -173,12 +173,9 @@ bool HydraServer::HandleSubmit(Connection* conn,
     SendFrame(conn, frame);
     return true;
   }
-  SubmitOptions route;
-  route.tenant = submit.tenant;
-  route.priority = submit.priority;
   QueryTicket ticket = conn->session->Submit(
       std::span<const float>(submit.query.data(), submit.query.size()),
-      submit.params, route);
+      submit.params);
   if (!ticket.valid()) {
     // The session was finished under us (server stopping / racing
     // disconnect): the submission was refused, typed. Undo the
@@ -243,9 +240,10 @@ void HydraServer::ReaderLoop(Connection* conn) {
       }
       HelloFrame hello;
       const Status decoded = DecodeHello(body, &hello);
-      const uint16_t chosen = std::min(kProtocolVersion, hello.max_version);
-      if (!decoded.ok() || chosen < hello.min_version ||
-          hello.min_version > hello.max_version) {
+      // This server speaks exactly kProtocolVersion: a range without it
+      // (an older client's {1, 1} included) is refused typed.
+      if (!decoded.ok() || hello.min_version > kProtocolVersion ||
+          hello.max_version < kProtocolVersion) {
         frames_rejected_.fetch_add(1, std::memory_order_relaxed);
         StatusFrame err;
         err.status =
@@ -262,7 +260,6 @@ void HydraServer::ReaderLoop(Connection* conn) {
         break;
       }
       HelloAckFrame ack;
-      ack.version = chosen;
       std::string frame;
       EncodeHelloAck(ack, &frame);
       SendFrame(conn, frame);

@@ -41,7 +41,7 @@ struct ServerOptions {
 //     CancellationToken, armed with the frame's deadline_ms at RECEIPT
 //     time — the client's queue wait on its side of the socket does not
 //     count against the budget, the server-side queue wait does (the
-//     scheduler sees params.cancel != nullptr and arms nothing itself).
+//     session sees params.cancel != nullptr and arms nothing itself).
 //     kCancel fires the matching token; kStatsRequest answers with the
 //     session's ServingStats; kFinish closes the session's submission
 //     side.

@@ -32,7 +32,6 @@ void EncodeParams(const SearchParams& params, ByteWriter* w) {
   w->F64(params.epsilon);
   w->F64(params.delta);
   w->U64(params.num_threads);
-  w->U64(params.concurrency);
   w->U64(params.pin_budget);
   // kPrefetchOff is size_t(-1) == UINT64_MAX: the sentinel survives the
   // u64 round-trip unchanged.
@@ -59,8 +58,6 @@ Status DecodeParams(ByteReader* r, SearchParams* params) {
   HYDRA_RETURN_IF_ERROR(r->F64(&params->delta));
   HYDRA_RETURN_IF_ERROR(r->U64(&v));
   params->num_threads = static_cast<size_t>(v);
-  HYDRA_RETURN_IF_ERROR(r->U64(&v));
-  params->concurrency = static_cast<size_t>(v);
   HYDRA_RETURN_IF_ERROR(r->U64(&params->pin_budget));
   HYDRA_RETURN_IF_ERROR(r->U64(&v));
   params->prefetch_depth = static_cast<size_t>(v);
@@ -173,8 +170,6 @@ void EncodeSubmit(const SubmitFrame& msg, std::string* out) {
   std::string payload;
   ByteWriter w(&payload);
   w.U64(msg.request_id);
-  w.Str(msg.tenant);
-  w.U8(static_cast<uint8_t>(msg.priority));
   EncodeParams(msg.params, &w);
   w.FloatSpan(msg.query);
   AppendFrame(MessageKind::kSubmit, payload, out);
@@ -183,14 +178,6 @@ void EncodeSubmit(const SubmitFrame& msg, std::string* out) {
 Status DecodeSubmit(std::span<const char> payload, SubmitFrame* out) {
   ByteReader r(payload);
   HYDRA_RETURN_IF_ERROR(r.U64(&out->request_id));
-  HYDRA_RETURN_IF_ERROR(r.Str(&out->tenant));
-  uint8_t priority = 0;
-  HYDRA_RETURN_IF_ERROR(r.U8(&priority));
-  if (priority > static_cast<uint8_t>(QueryPriority::kInteractive)) {
-    return Status::InvalidArgument("unknown QueryPriority on wire: " +
-                                   std::to_string(priority));
-  }
-  out->priority = static_cast<QueryPriority>(priority);
   HYDRA_RETURN_IF_ERROR(DecodeParams(&r, &out->params));
   HYDRA_RETURN_IF_ERROR(r.FloatVec(&out->query));
   return ExpectExhausted(r, "submit");

@@ -15,7 +15,7 @@
 namespace hydra {
 
 // ---------------------------------------------------------------------------
-// Hydra wire protocol, version 1.
+// Hydra wire protocol, version 2.
 //
 // Every message on the socket is one length-prefixed frame:
 //
@@ -35,10 +35,16 @@ namespace hydra {
 // typed kStatus frame and keeps the connection.
 //
 // Version negotiation: the client opens with kHello carrying the
-// [min, max] protocol range it speaks; the server answers kHelloAck
-// with the version it chose (highest mutually supported) or a kStatus
-// error frame when the ranges do not overlap. All subsequent frames
-// carry the negotiated version in their header.
+// [min, max] protocol range it speaks. The server speaks version 2
+// only: it answers kHelloAck(2) when the range contains 2 and a
+// connection-level kFailedPrecondition kStatus frame otherwise, so a
+// client of another version is refused rather than misread. All
+// subsequent frames carry the negotiated version in their header.
+//
+// Version 2's kSubmit payload is request_id (u64), then SearchParams
+// field by field — mode (u8), k, nprobe, efs (u64), epsilon, delta
+// (f64), num_threads, pin_budget, prefetch_depth (u64), deadline_ms
+// (f64) — then the query (u64 count + f32 each).
 //
 // The response stream needs no sequencing of its own: each connection
 // is served by its own ServingSession, whose completion stream is
@@ -48,7 +54,7 @@ namespace hydra {
 // ---------------------------------------------------------------------------
 
 inline constexpr uint32_t kWireMagic = 0x48594452;  // "HYDR"
-inline constexpr uint16_t kProtocolVersion = 1;
+inline constexpr uint16_t kProtocolVersion = 2;
 inline constexpr size_t kFrameHeaderBytes = 16;
 inline constexpr uint64_t kMaxFramePayload = 64ull << 20;  // 64 MiB
 
@@ -99,9 +105,7 @@ struct HelloAckFrame {
 // token).
 struct SubmitFrame {
   uint64_t request_id = 0;  // client-chosen; echoed in the kResult frame
-  std::string tenant;
-  QueryPriority priority = QueryPriority::kNormal;
-  SearchParams params;  // .cancel is never encoded
+  SearchParams params;      // .cancel is never encoded
   std::vector<float> query;
 };
 

@@ -227,9 +227,9 @@ class OneUlpBackend : public ServingBackend {
  public:
   explicit OneUlpBackend(std::unique_ptr<ServingBackend> inner)
       : inner_(std::move(inner)) {}
-  QueryTicket Submit(std::span<const float> query, const SearchParams& params,
-                     const SubmitOptions& submit) override {
-    return inner_->Submit(query, params, submit);
+  QueryTicket Submit(std::span<const float> query,
+                     const SearchParams& params) override {
+    return inner_->Submit(query, params);
   }
   std::optional<ServedQuery> Next() override {
     std::optional<ServedQuery> served = inner_->Next();

@@ -306,28 +306,37 @@ struct ServerFixture {
   }
 };
 
-// A version range the server cannot satisfy gets a typed refusal frame.
+// A version range the server cannot satisfy gets a typed refusal frame:
+// one above it, and a version-1 client's {1, 1}.
 TEST(NetServingTest, VersionNegotiationRefusesDisjointRange) {
   ServerFixture fx;
-  auto socket = TcpSocket::Connect("127.0.0.1", fx.server->port());
-  ASSERT_TRUE(socket.ok());
-  HelloFrame hello;
-  hello.min_version = kProtocolVersion + 5;
-  hello.max_version = kProtocolVersion + 9;
-  std::string frame;
-  EncodeHello(hello, &frame);
-  ASSERT_TRUE(socket.value().SendAll(frame.data(), frame.size()).ok());
-  FrameHeader header;
-  std::string payload;
-  ASSERT_TRUE(ReadFrame(socket.value(), &header, &payload).ok());
-  ASSERT_EQ(header.kind, MessageKind::kStatus);
-  StatusFrame refused;
-  ASSERT_TRUE(DecodeStatusFrame(
-                  std::span<const char>(payload.data(), payload.size()),
-                  &refused)
-                  .ok());
-  EXPECT_EQ(refused.request_id, 0u);  // connection-level
-  EXPECT_EQ(refused.status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(kProtocolVersion, 2);
+  for (const auto& [min_version, max_version] :
+       {std::pair<int, int>{kProtocolVersion + 5, kProtocolVersion + 9},
+        std::pair<int, int>{1, 1}}) {
+    const std::string what = "hello {" + std::to_string(min_version) +
+                             ", " + std::to_string(max_version) + "}";
+    auto socket = TcpSocket::Connect("127.0.0.1", fx.server->port());
+    ASSERT_TRUE(socket.ok()) << what;
+    HelloFrame hello;
+    hello.min_version = static_cast<uint16_t>(min_version);
+    hello.max_version = static_cast<uint16_t>(max_version);
+    std::string frame;
+    EncodeHello(hello, &frame);
+    ASSERT_TRUE(socket.value().SendAll(frame.data(), frame.size()).ok());
+    FrameHeader header;
+    std::string payload;
+    ASSERT_TRUE(ReadFrame(socket.value(), &header, &payload).ok()) << what;
+    ASSERT_EQ(header.kind, MessageKind::kStatus) << what;
+    StatusFrame refused;
+    ASSERT_TRUE(DecodeStatusFrame(
+                    std::span<const char>(payload.data(), payload.size()),
+                    &refused)
+                    .ok());
+    EXPECT_EQ(refused.request_id, 0u) << what;  // connection-level
+    EXPECT_EQ(refused.status.code(), StatusCode::kFailedPrecondition)
+        << what;
+  }
   // And the full client path reports the same typed refusal... while a
   // well-versioned client still connects fine afterwards.
   auto ok_client = HydraClient::Connect("127.0.0.1", fx.server->port());

@@ -1,7 +1,6 @@
 // Property suite for the wire protocol (src/net/wire.h): every message
 // kind round-trips bit-identically — max-length queries with hostile
-// float bit patterns, every StatusCode, every tenant/priority combo —
-// and every truncation or corruption of a valid frame is rejected with
+// float bit patterns, every StatusCode — and every truncation or corruption of a valid frame is rejected with
 // a typed Status, never a crash or an out-of-bounds read. The codec is
 // the trust boundary of the serving front-end; this suite is the
 // contract the server's keep-serving-on-garbage policy rests on.
@@ -140,16 +139,10 @@ TEST(NetWireTest, HelloAndAckRoundTrip) {
   EXPECT_EQ(ack_back.version, 3);
 }
 
-// Every tenant/priority combination, a max-length query full of hostile
-// bit patterns (NaN, infinities, denormals, negative zero), and every
-// SearchParams field at a non-default value — all must come back bit
-// for bit.
+// A max-length query full of hostile bit patterns (NaN, infinities,
+// denormals, negative zero), and every SearchParams field at a
+// non-default value — all must come back bit for bit.
 TEST(NetWireTest, SubmitRoundTripExhaustive) {
-  const std::string tenants[] = {"", "tenant-a",
-                                 std::string("nul\0byte", 8)};
-  const QueryPriority priorities[] = {QueryPriority::kBackground,
-                                      QueryPriority::kNormal,
-                                      QueryPriority::kInteractive};
   // Max-length in the paper's terms: a long series of adversarial
   // floats. 16384 floats ≈ 64 KiB payload, well formed but large.
   std::vector<float> query(16384);
@@ -164,62 +157,49 @@ TEST(NetWireTest, SubmitRoundTripExhaustive) {
   query[3] = std::numeric_limits<float>::denorm_min();
   query[4] = -0.0f;
 
-  for (const std::string& tenant : tenants) {
-    for (QueryPriority priority : priorities) {
-      SubmitFrame msg;
-      msg.request_id = 0x123456789ABCDEFull;
-      msg.tenant = tenant;
-      msg.priority = priority;
-      msg.query = query;
-      msg.params.mode = SearchMode::kDeltaEpsilon;
-      msg.params.k = 17;
-      msg.params.nprobe = 33;
-      msg.params.efs = 65;
-      msg.params.epsilon = 0.125;
-      msg.params.delta = 0.875;
-      msg.params.num_threads = 6;
-      msg.params.concurrency = 9;
-      msg.params.pin_budget = 42;
-      msg.params.prefetch_depth = SearchParams::kPrefetchOff;  // sentinel
-      msg.params.deadline_ms = 1234.5;
+  SubmitFrame msg;
+  msg.request_id = 0x123456789ABCDEFull;
+  msg.query = query;
+  msg.params.mode = SearchMode::kDeltaEpsilon;
+  msg.params.k = 17;
+  msg.params.nprobe = 33;
+  msg.params.efs = 65;
+  msg.params.epsilon = 0.125;
+  msg.params.delta = 0.875;
+  msg.params.num_threads = 6;
+  msg.params.pin_budget = 42;
+  msg.params.prefetch_depth = SearchParams::kPrefetchOff;  // sentinel
+  msg.params.deadline_ms = 1234.5;
 
-      std::string frame;
-      EncodeSubmit(msg, &frame);
-      EXPECT_EQ(HeaderOf(frame).kind, MessageKind::kSubmit);
-      SubmitFrame back;
-      ASSERT_TRUE(DecodeSubmit(PayloadOf(frame), &back).ok());
-      EXPECT_EQ(back.request_id, msg.request_id);
-      EXPECT_EQ(back.tenant, tenant);
-      EXPECT_EQ(back.priority, priority);
-      EXPECT_TRUE(BitIdentical(back.query, query));
-      EXPECT_EQ(back.params.mode, SearchMode::kDeltaEpsilon);
-      EXPECT_EQ(back.params.k, 17u);
-      EXPECT_EQ(back.params.nprobe, 33u);
-      EXPECT_EQ(back.params.efs, 65u);
-      EXPECT_EQ(back.params.epsilon, 0.125);
-      EXPECT_EQ(back.params.delta, 0.875);
-      EXPECT_EQ(back.params.num_threads, 6u);
-      EXPECT_EQ(back.params.concurrency, 9u);
-      EXPECT_EQ(back.params.pin_budget, 42u);
-      EXPECT_EQ(back.params.prefetch_depth, SearchParams::kPrefetchOff);
-      EXPECT_EQ(back.params.deadline_ms, 1234.5);
-      EXPECT_EQ(back.params.cancel, nullptr);  // tokens never cross
-    }
-  }
+  std::string frame;
+  EncodeSubmit(msg, &frame);
+  EXPECT_EQ(HeaderOf(frame).kind, MessageKind::kSubmit);
+  SubmitFrame back;
+  ASSERT_TRUE(DecodeSubmit(PayloadOf(frame), &back).ok());
+  EXPECT_EQ(back.request_id, msg.request_id);
+  EXPECT_TRUE(BitIdentical(back.query, query));
+  EXPECT_EQ(back.params.mode, SearchMode::kDeltaEpsilon);
+  EXPECT_EQ(back.params.k, 17u);
+  EXPECT_EQ(back.params.nprobe, 33u);
+  EXPECT_EQ(back.params.efs, 65u);
+  EXPECT_EQ(back.params.epsilon, 0.125);
+  EXPECT_EQ(back.params.delta, 0.875);
+  EXPECT_EQ(back.params.num_threads, 6u);
+  EXPECT_EQ(back.params.pin_budget, 42u);
+  EXPECT_EQ(back.params.prefetch_depth, SearchParams::kPrefetchOff);
+  EXPECT_EQ(back.params.deadline_ms, 1234.5);
+  EXPECT_EQ(back.params.cancel, nullptr);  // tokens never cross
 }
 
-TEST(NetWireTest, SubmitRejectsUnknownModeAndPriority) {
+TEST(NetWireTest, SubmitRejectsUnknownMode) {
   SubmitFrame msg;
   msg.request_id = 1;
   msg.query = {1.0f};
   std::string frame;
   EncodeSubmit(msg, &frame);
-  // Payload layout starts with request_id (8) then tenant (4-byte len).
-  // Corrupt the priority/mode bytes via targeted re-encode instead:
-  // build a frame whose priority byte is out of range.
+  // Payload layout starts with request_id (8), then the mode byte.
   std::string payload(PayloadOf(frame).begin(), PayloadOf(frame).end());
-  // priority is the byte right after request_id + tenant(len=0 → 4B).
-  payload[8 + 4] = 99;
+  payload[8] = 99;
   SubmitFrame back;
   Status st = DecodeSubmit(
       std::span<const char>(payload.data(), payload.size()), &back);
@@ -406,7 +386,6 @@ TEST(NetWireTest, KnownMessageKindBounds) {
 TEST(NetWireTest, EveryTruncationRejectedTyped) {
   SubmitFrame submit;
   submit.request_id = 3;
-  submit.tenant = "t";
   submit.query = {1.0f, 2.0f, 3.0f};
   submit.params.deadline_ms = 10;
   ResultFrame result;
@@ -508,7 +487,6 @@ TEST(NetWireTest, EveryTruncationRejectedTyped) {
 TEST(NetWireTest, CorruptionFuzzNeverCrashes) {
   SubmitFrame submit;
   submit.request_id = 11;
-  submit.tenant = "fuzz";
   submit.query.assign(256, 1.5f);
   std::string frame;
   EncodeSubmit(submit, &frame);

@@ -84,6 +84,19 @@ void ExpectPinsDrain(BufferManager* bm, const std::string& what) {
   EXPECT_EQ(bm->PinnedPages(), 0u) << what;
 }
 
+// Polls `done` every millisecond until it holds or `timeout` passes;
+// returns whether it held. The tests wait on conditions, not on fixed
+// sleeps, so a loaded runner cannot make them flake.
+template <typename Cond>
+bool WaitUntil(Cond done, std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
 // N replicas of ONE logical collection: same generator seeds, so every
 // replica serves identical data from its own storage and buffer pool —
 // a failover may move a query between replicas but never change its
@@ -295,7 +308,14 @@ TEST(ReplicaTest, KillPrimaryMidQueryFailsOverRightOrTyped) {
       ASSERT_TRUE(backend->Submit(fx.queries.series(q), Exact()).valid())
           << what;
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    // Kill once the slowed primary is reading: its queries are then
+    // genuinely in flight.
+    ASSERT_TRUE(WaitUntil(
+        [&] {
+          return fx.pools[0]->reader().fault_injector().attempts() > 0;
+        },
+        std::chrono::seconds(10)))
+        << what;
     fx.servers[0]->Stop();  // in-flight attempts die typed, then retry
 
     size_t ok = 0;
@@ -402,19 +422,24 @@ TEST(ReplicaTest, ReconnectBackoffStaysWithinBounds) {
   options.probe_ms = 50;
   options.backoff_base_us = 2000;
   options.backoff_cap_us = 16000;
+  const auto started = std::chrono::steady_clock::now();
   ConnectionPool pool({Endpoint{"127.0.0.1", port}}, options,
                       [](size_t, ServedQuery) {});
-  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  // A stuck schedule never reaches the fifth attempt. A hot loop reaches
+  // it sooner than the four delays between the attempts allow:
+  // 2 + 4 + 8 + 16 ms, to which jitter only adds.
+  ASSERT_TRUE(WaitUntil(
+      [&] { return pool.endpoint_status(0).reconnect_attempts >= 5; },
+      std::chrono::seconds(10)));
+  EXPECT_GE(std::chrono::steady_clock::now() - started,
+            std::chrono::milliseconds(2 + 4 + 8 + 16));
   const EndpointStatus refused = pool.endpoint_status(0);
   EXPECT_TRUE(refused.health == EndpointHealth::kDown ||
               refused.health == EndpointHealth::kProbing)
       << EndpointHealthName(refused.health);
   EXPECT_EQ(pool.Lease(0), nullptr);
   EXPECT_EQ(refused.generation, 0u);
-  // 600ms over delays 2,4,8,16,16,... (+ jitter ≤ delay/2): a hot loop
-  // would log thousands of attempts, a stuck schedule near zero.
   EXPECT_GE(refused.reconnect_attempts, 5u);
-  EXPECT_LE(refused.reconnect_attempts, 120u);
   EXPECT_FALSE(pool.WaitHealthy(0, std::chrono::milliseconds(50)));
 
   fx.Restart(0);

@@ -27,6 +27,15 @@ class SerializeTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
+// Recomputes the CRC-32C footer of an index file whose bytes a test
+// changed, so that Load gets past the footer to the structural checks
+// under test.
+std::string Reseal(std::string bytes) {
+  bytes.resize(bytes.size() - 4);
+  SealIndexFile(&bytes);
+  return bytes;
+}
+
 TEST_F(SerializeTest, PrimitivesRoundTrip) {
   std::string path = Path("prim.bin");
   {
@@ -293,7 +302,7 @@ TEST_F(SerializeTest, ChildLinkOutOfRangeRejected) {
   auto bytes = ReadFileBytes(path);
   ASSERT_TRUE(bytes.ok());
 
-  // v1 layout: magic, version and four u64 options, the node count, then
+  // Layout: magic, version and four u64 options, the node count, then
   // the root: its segmentation and four envelope vectors (u64 count +
   // 8-byte elements each), count, is_leaf, split_start, split_end,
   // split_on_std, split_value, and its left link.
@@ -307,7 +316,7 @@ TEST_F(SerializeTest, ChildLinkOutOfRangeRejected) {
   for (size_t b = 0; b < 4; ++b) {
     corrupt[left_at + b] = static_cast<char>((out_of_range >> (8 * b)) & 0xff);
   }
-  ASSERT_TRUE(WriteFileBytes(path, corrupt).ok());
+  ASSERT_TRUE(WriteFileBytes(path, Reseal(corrupt)).ok());
 
   auto loaded = DSTreeIndex::Load(path, &f.provider);
   EXPECT_FALSE(loaded.ok());
@@ -330,10 +339,10 @@ TEST_F(SerializeTest, IsaxMoreSegmentsThanPointsRejected) {
   auto bytes = ReadFileBytes(path);
   ASSERT_TRUE(bytes.ok());
 
-  // v1 layout: magic and version (u32 each), then the u64 series length.
+  // Layout: magic and version (u32 each), then the u64 series length.
   std::string corrupt = bytes.value();
   corrupt[8] = 8;
-  ASSERT_TRUE(WriteFileBytes(path, corrupt).ok());
+  ASSERT_TRUE(WriteFileBytes(path, Reseal(corrupt)).ok());
 
   Dataset narrow = MakeRandomWalk(200, 8, rng);
   InMemoryProvider narrow_provider(&narrow);
@@ -353,17 +362,20 @@ void ExpectCorruptFileStatus(const Status& st) {
 // Every strict prefix of a saved index file fails Load typed, and each of
 // 2,000 seeded one-byte corruptions either fails Load typed or loads an
 // index whose exact search returns — the loader is fuzzed the way
-// net_wire_test fuzzes frames.
+// net_wire_test fuzzes frames. Each mutated file is resealed, so these
+// cases test the structural checks behind the CRC-32C footer.
 template <typename TreeIndex>
 void FuzzIndexFile(const TreeIndex& index, const std::string& path,
                    const Dataset& queries, SeriesProvider* provider) {
   ASSERT_TRUE(index.Save(path).ok());
   auto saved = ReadFileBytes(path);
   ASSERT_TRUE(saved.ok());
-  const std::string& bytes = saved.value();
+  const std::string bytes = saved.value().substr(0, saved.value().size() - 4);
 
   for (size_t len = 0; len < bytes.size(); ++len) {
-    ASSERT_TRUE(WriteFileBytes(path, bytes.substr(0, len)).ok());
+    std::string prefix = bytes.substr(0, len);
+    SealIndexFile(&prefix);
+    ASSERT_TRUE(WriteFileBytes(path, prefix).ok());
     auto loaded = TreeIndex::Load(path, provider);
     ASSERT_FALSE(loaded.ok()) << "prefix of " << len << " bytes loaded";
     ExpectCorruptFileStatus(loaded.status());
@@ -378,6 +390,7 @@ void FuzzIndexFile(const TreeIndex& index, const std::string& path,
     std::string mutated = bytes;
     mutated[rng.NextUint64(mutated.size())] ^=
         static_cast<char>(1 + rng.NextUint64(255));
+    SealIndexFile(&mutated);
     ASSERT_TRUE(WriteFileBytes(path, mutated).ok());
     auto loaded = TreeIndex::Load(path, provider);
     if (!loaded.ok()) {
@@ -417,6 +430,75 @@ TEST_F(SerializeTest, CorruptIndexFilesFailTypedOrSearch) {
   auto isax = IsaxIndex::Build(data, &provider, iopts);
   ASSERT_TRUE(isax.ok());
   FuzzIndexFile(*isax.value(), Path("fuzz_isax.idx"), queries, &provider);
+}
+
+// Without resealing, the footer catches every damage before any field is
+// decoded: inverting any one byte of a saved file, or cutting it short
+// anywhere, fails Load with DataCorruption naming the file. A version-1
+// file (no footer) is refused as an unsupported version.
+template <typename TreeIndex>
+void ExpectFooterCatchesDamage(const TreeIndex& index,
+                               const std::string& path,
+                               SeriesProvider* provider) {
+  ASSERT_TRUE(index.Save(path).ok());
+  auto saved = ReadFileBytes(path);
+  ASSERT_TRUE(saved.ok());
+  const std::string& bytes = saved.value();
+  ASSERT_TRUE(TreeIndex::Load(path, provider).ok());
+
+  auto expect_corrupt = [&](const std::string& damaged,
+                            const std::string& what) {
+    ASSERT_TRUE(WriteFileBytes(path, damaged).ok());
+    auto loaded = TreeIndex::Load(path, provider);
+    ASSERT_FALSE(loaded.ok()) << what << " loaded";
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataCorruption)
+        << what << ": " << loaded.status().ToString();
+    EXPECT_NE(loaded.status().message().find(path), std::string::npos)
+        << what;
+  };
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    std::string flipped = bytes;
+    flipped[i] = static_cast<char>(~flipped[i]);
+    expect_corrupt(flipped, "byte " + std::to_string(i) + " inverted");
+  }
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    expect_corrupt(bytes.substr(0, len),
+                   "prefix of " + std::to_string(len) + " bytes");
+  }
+
+  std::string v1 = bytes.substr(0, bytes.size() - 4);
+  v1[4] = 1;  // the u32 version after the u32 magic
+  ASSERT_TRUE(WriteFileBytes(path, v1).ok());
+  auto loaded = TreeIndex::Load(path, provider);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("unsupported"), std::string::npos)
+      << loaded.status().ToString();
+}
+
+TEST_F(SerializeTest, FooterCatchesEveryFlipAndPrefix) {
+  Rng rng(92);
+  Dataset data = MakeRandomWalk(60, 32, rng);
+  InMemoryProvider provider(&data);
+
+  DSTreeOptions dopts;
+  dopts.leaf_capacity = 8;
+  dopts.histogram_pairs = 50;
+  dopts.histogram_bins = 8;
+  auto dstree = DSTreeIndex::Build(data, &provider, dopts);
+  ASSERT_TRUE(dstree.ok());
+  ExpectFooterCatchesDamage(*dstree.value(), Path("footer_dstree.idx"),
+                            &provider);
+
+  IsaxOptions iopts;
+  iopts.segments = 4;
+  iopts.leaf_capacity = 8;
+  iopts.histogram_pairs = 50;
+  iopts.histogram_bins = 8;
+  auto isax = IsaxIndex::Build(data, &provider, iopts);
+  ASSERT_TRUE(isax.ok());
+  ExpectFooterCatchesDamage(*isax.value(), Path("footer_isax.idx"),
+                            &provider);
 }
 
 }  // namespace

@@ -541,7 +541,7 @@ TEST(Serving, CompletionStreamPreservesSubmissionOrder) {
   ServingOptions options;
   options.concurrency = 3;
   options.pool = &pool;
-  QueryScheduler scheduler(index, options);
+  ServingSession scheduler(index, nullptr, options);
   for (int i = 0; i < 3; ++i) {
     std::vector<float> q = Query(i);
     scheduler.Submit(q, Exact(1));
@@ -569,7 +569,7 @@ TEST(Serving, BoundedQueueExertsBackpressure) {
   options.concurrency = 1;
   options.queue_capacity = 2;
   options.pool = &pool;
-  QueryScheduler scheduler(index, options);
+  ServingSession scheduler(index, nullptr, options);
 
   // Query 0 is admitted (in flight); 1 and 2 fill the bounded queue.
   for (int i = 0; i < 3; ++i) {
@@ -616,7 +616,7 @@ TEST(Serving, CleanShutdownWithQueriesInFlight) {
     options.concurrency = 2;
     options.queue_capacity = 4;
     options.pool = &pool;
-    QueryScheduler scheduler(index, options);
+    ServingSession scheduler(index, nullptr, options);
     // 2 admitted + 4 queued.
     for (int i = 0; i < 6; ++i) {
       std::vector<float> q = Query(i);
@@ -644,7 +644,7 @@ TEST(Serving, ShutdownWakesBlockedSubmitter) {
     options.concurrency = 1;
     options.queue_capacity = 1;
     options.pool = &pool;
-    QueryScheduler scheduler(index, options);
+    ServingSession scheduler(index, nullptr, options);
     std::vector<float> q0 = Query(0);
     std::vector<float> q1 = Query(1);
     scheduler.Submit(q0, Exact(1));  // admitted
@@ -675,7 +675,7 @@ TEST(Serving, FinishThenDrainYieldsEveryResult) {
   LinearScanIndex index(&w.provider);
   ServingOptions options;
   options.concurrency = 4;
-  QueryScheduler scheduler(index, options);
+  ServingSession scheduler(index, nullptr, options);
   for (size_t q = 0; q < w.queries.size(); ++q) {
     scheduler.Submit(w.queries.series(q), Exact(5));
   }
@@ -1029,7 +1029,7 @@ TEST(ServingBatched, OpportunisticCoalescingFormsBatchesUnderQueueDepth) {
   options.batch_window = 4;
   options.queue_capacity = 16;
   options.pool = &pool;
-  QueryScheduler scheduler(index, options);
+  ServingSession scheduler(index, nullptr, options);
   EXPECT_EQ(scheduler.batch_window(), 4u);
 
   std::vector<float> q0 = Query(0);
@@ -1072,7 +1072,7 @@ TEST(ServingBatched, ExpiredMemberDegradesAloneInBatch) {
   options.batch_window = 4;
   options.queue_capacity = 16;
   options.pool = &pool;
-  QueryScheduler scheduler(index, options);
+  ServingSession scheduler(index, nullptr, options);
 
   std::vector<float> q0 = Query(0);
   scheduler.Submit(q0, Exact(1));
@@ -1115,53 +1115,45 @@ TEST(ServingBatched, ExpiredMemberDegradesAloneInBatch) {
   EXPECT_EQ(index.batch_sizes(), expected_sizes);
 }
 
-// --- Priority classes, per-tenant admission, typed tickets ---
+// --- FIFO admission, typed tickets ---
 
-// Queued queries dispatch strictly by priority class (interactive >
-// normal > background), FIFO within a class; the completion stream stays
-// in submission order regardless.
-TEST(ServingTenants, PriorityClassesDispatchInOrder) {
+// Queued queries dispatch in submission order, one at a time through the
+// single slot; the completion stream stays in submission order too.
+TEST(ServingAdmission, QueuedQueriesDispatchInSubmissionOrder) {
   GatedIndex index;
   ThreadPool pool(2);
   ServingOptions options;
   options.concurrency = 1;
   options.queue_capacity = 8;
   options.pool = &pool;
-  QueryScheduler scheduler(index, options);
+  ServingSession scheduler(index, nullptr, options);
 
-  // Query 0 occupies the single slot; 1..3 queue in mixed classes.
+  // Query 0 occupies the single slot; 1..3 queue behind it.
   std::vector<float> q0 = Query(0);
   scheduler.Submit(q0, Exact(1));
   index.AwaitStarted(1);
 
-  SubmitOptions background;
-  background.priority = QueryPriority::kBackground;
-  SubmitOptions interactive;
-  interactive.priority = QueryPriority::kInteractive;
   std::vector<float> q1 = Query(1);
-  scheduler.Submit(q1, Exact(1), background);
+  scheduler.Submit(q1, Exact(1));
   std::vector<float> q2 = Query(2);
-  scheduler.Submit(q2, Exact(1));  // normal
+  scheduler.Submit(q2, Exact(1));
   std::vector<float> q3 = Query(3);
-  scheduler.Submit(q3, Exact(1), interactive);
+  scheduler.Submit(q3, Exact(1));
 
   // Each release frees the slot for the next dispatch decision.
   index.Release(0);
   index.AwaitStarted(2);
-  index.Release(3);
+  index.Release(1);
   index.AwaitStarted(3);
   index.Release(2);
   index.AwaitStarted(4);
-  index.Release(1);
+  index.Release(3);
   scheduler.Finish();
 
-  // Dispatch order: the interactive latecomer jumped the queue, the
-  // background query ran last.
-  const std::vector<int> expected = {0, 3, 2, 1};
+  // Dispatch order: first come, first served.
+  const std::vector<int> expected = {0, 1, 2, 3};
   EXPECT_EQ(index.started_order(), expected);
 
-  // Completion stream: still submission order, with the ticket carrying
-  // each query's class.
   for (int i = 0; i < 4; ++i) {
     std::optional<ServedQuery> served = scheduler.Next();
     ASSERT_TRUE(served.has_value());
@@ -1173,66 +1165,10 @@ TEST(ServingTenants, PriorityClassesDispatchInOrder) {
   EXPECT_EQ(scheduler.Next(), std::nullopt);
 }
 
-// A tenant at its per-tenant queue cap blocks in Submit while other
-// tenants keep flowing through the shared queue.
-TEST(ServingTenants, TenantCapBlocksOnlyThatTenant) {
-  GatedIndex index;
-  ThreadPool pool(2);
-  ServingOptions options;
-  options.concurrency = 1;
-  options.queue_capacity = 8;
-  options.tenant_queue_capacity = 1;
-  options.pool = &pool;
-  QueryScheduler scheduler(index, options);
-
-  SubmitOptions tenant_a;
-  tenant_a.tenant = "a";
-  SubmitOptions tenant_b;
-  tenant_b.tenant = "b";
-
-  std::vector<float> q0 = Query(0);
-  scheduler.Submit(q0, Exact(1), tenant_a);  // admitted (in flight)
-  index.AwaitStarted(1);
-  std::vector<float> q1 = Query(1);
-  scheduler.Submit(q1, Exact(1), tenant_a);  // fills tenant a's queue slot
-
-  // Tenant a's next submission must park on ITS cap...
-  std::atomic<bool> submitted{false};
-  std::thread submitter([&] {
-    std::vector<float> q = Query(2);
-    scheduler.Submit(q, Exact(1), tenant_a);
-    submitted.store(true);
-  });
-  while (scheduler.blocked_submitters() == 0 && !submitted.load()) {
-    std::this_thread::yield();
-  }
-  EXPECT_FALSE(submitted.load());
-  EXPECT_EQ(scheduler.blocked_submitters(), 1u);
-
-  // ...while tenant b sails through the shared queue unimpeded.
-  std::vector<float> q3 = Query(3);
-  QueryTicket b_ticket = scheduler.Submit(q3, Exact(1), tenant_b);
-  EXPECT_TRUE(b_ticket.valid());
-  EXPECT_EQ(b_ticket.tenant(), "b");
-  EXPECT_EQ(scheduler.blocked_submitters(), 1u);
-
-  // Query 0 completing dispatches query 1, freeing tenant a's slot: the
-  // parked submitter gets through.
-  index.Release(0);
-  submitter.join();
-  EXPECT_TRUE(submitted.load());
-
-  index.ReleaseAll(4);
-  scheduler.Finish();
-  int consumed = 0;
-  while (scheduler.Next().has_value()) ++consumed;
-  EXPECT_EQ(consumed, 4);
-}
-
 // The typed ticket: identity at submit time, a pending placeholder while
 // queued, the query's real terminal Status once served — readable even
 // after the scheduler itself is gone.
-TEST(ServingTenants, TicketCarriesIdentityAndTerminalStatus) {
+TEST(ServingAdmission, TicketCarriesIdentityAndTerminalStatus) {
   GatedIndex index;
   ThreadPool pool(2);
   QueryTicket ok_ticket;
@@ -1242,17 +1178,12 @@ TEST(ServingTenants, TicketCarriesIdentityAndTerminalStatus) {
     options.concurrency = 1;
     options.queue_capacity = 4;
     options.pool = &pool;
-    QueryScheduler scheduler(index, options);
+    ServingSession scheduler(index, nullptr, options);
 
-    SubmitOptions submit;
-    submit.tenant = "alice";
-    submit.priority = QueryPriority::kInteractive;
     std::vector<float> q0 = Query(0);
-    ok_ticket = scheduler.Submit(q0, Exact(1), submit);
+    ok_ticket = scheduler.Submit(q0, Exact(1));
     ASSERT_TRUE(ok_ticket.valid());
     EXPECT_EQ(ok_ticket.id(), 0u);
-    EXPECT_EQ(ok_ticket.tenant(), "alice");
-    EXPECT_EQ(ok_ticket.priority(), QueryPriority::kInteractive);
     index.AwaitStarted(1);
 
     // Parked behind query 0 with a deadline the queue will consume.
@@ -1287,7 +1218,7 @@ TEST(Serving, SubmitAfterFinishRefusedTypedNeverBlocks) {
   LinearScanIndex index(&w.provider);
   ServingOptions options;
   options.concurrency = 2;
-  QueryScheduler scheduler(index, options);
+  ServingSession scheduler(index, nullptr, options);
   scheduler.Finish();
   QueryTicket late = scheduler.Submit(w.queries.series(0), Exact(5));
   EXPECT_FALSE(late.valid());
@@ -1307,7 +1238,7 @@ TEST(Serving, FinishRacingSubmittersStayTypedAndAccountable) {
   ServingOptions options;
   options.concurrency = 2;
   options.queue_capacity = 2;
-  QueryScheduler scheduler(index, options);
+  ServingSession scheduler(index, nullptr, options);
   std::atomic<size_t> accepted{0};
   std::vector<std::thread> submitters;
   for (size_t t = 0; t < 4; ++t) {
@@ -1344,7 +1275,7 @@ TEST(Serving, DestructorResolvesUndrainedTicketsTyped) {
     options.concurrency = 1;
     options.queue_capacity = 2;
     options.pool = &pool;
-    QueryScheduler scheduler(index, options);
+    ServingSession scheduler(index, nullptr, options);
     std::vector<float> q0 = Query(0);
     std::vector<float> q1 = Query(1);
     scheduler.Submit(q0, Exact(1));  // admitted, parked in the gate
