@@ -1,6 +1,7 @@
 // Micro-benchmarks of the hot kernels (google-benchmark): distance
-// computations, summarization transforms, and lower-bound evaluations.
-// These are the inner loops whose cost the figure benches aggregate.
+// computations, summarization transforms, lower-bound evaluations, and
+// the CRC-32C that verifies every page read. These are the inner loops
+// whose cost the figure benches aggregate.
 
 #include <benchmark/benchmark.h>
 
@@ -8,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "core/generators.h"
 #include "distance/euclidean.h"
@@ -159,6 +161,48 @@ void BM_DftTransform(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DftTransform)->Arg(256)->Arg(1024);
+
+// CRC-32C over the bytes of one 16-series page of 256-float series:
+// the single-buffer Crc32c over all 16 KB, and the block kernel over its
+// 16 series of 1 KB, as a verified page read runs it. Each is timed as
+// dispatched (SSE4.2 where the CPU has it) and pinned to the table.
+constexpr size_t kCrcBlocks = 16;
+constexpr size_t kCrcBlockBytes = 1024;
+
+std::vector<uint8_t> CrcPage() {
+  Rng rng(42);
+  std::vector<uint8_t> page(kCrcBlocks * kCrcBlockBytes);
+  for (uint8_t& b : page) b = static_cast<uint8_t>(rng.NextUint64(256));
+  return page;
+}
+
+void BM_Crc32c(benchmark::State& state, Crc32cFn crc) {
+  const std::vector<uint8_t> page = CrcPage();
+  uint32_t sum = 0;
+  for (auto _ : state) {
+    // Each call extends the last checksum, so none can be elided.
+    sum = crc(page.data(), page.size(), sum);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(page.size()));
+}
+BENCHMARK_CAPTURE(BM_Crc32c, dispatched, &Crc32c);
+BENCHMARK_CAPTURE(BM_Crc32c, table, &Crc32cTable);
+
+void BM_Crc32cBlocks(benchmark::State& state, Crc32cBlocksFn crc) {
+  const std::vector<uint8_t> page = CrcPage();
+  uint32_t out[kCrcBlocks];
+  for (auto _ : state) {
+    crc(page.data(), kCrcBlocks, kCrcBlockBytes, out);
+    benchmark::DoNotOptimize(out);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(page.size()));
+}
+BENCHMARK_CAPTURE(BM_Crc32cBlocks, dispatched, &Crc32cBlocks);
+BENCHMARK_CAPTURE(BM_Crc32cBlocks, table, &Crc32cBlocksTable);
 
 }  // namespace
 }  // namespace hydra

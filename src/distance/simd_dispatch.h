@@ -106,17 +106,23 @@ const char* SimdTargetName(SimdTarget target);
 // leaves `out` untouched on anything else.
 bool ParseSimdTarget(std::string_view value, SimdTarget* out);
 
-// CRC-32C implementations behind hydra::Crc32c (common/crc32.h), chosen
-// here so that HYDRA_SIMD governs the checksum as it does the kernels.
+// CRC-32C implementations behind hydra::Crc32c and hydra::Crc32cBlocks
+// (common/crc32.h), chosen here so that HYDRA_SIMD governs the checksum
+// as it does the kernels.
 using Crc32cFn = uint32_t (*)(const void* data, size_t bytes, uint32_t crc);
+using Crc32cBlocksFn = void (*)(const void* data, size_t count,
+                                size_t block_bytes, uint32_t* out);
 
-// The SSE4.2 `crc32` implementation, or nullptr when the build's
-// architecture or the running CPU lacks it.
+// The SSE4.2 `crc32` implementations, or nullptr when the build's
+// architecture or the running CPU lacks the instruction.
 Crc32cFn Sse42Crc32c();
+Crc32cBlocksFn Sse42Crc32cBlocks();
 
-// What Crc32c runs, fixed on first call: Sse42Crc32c() when it exists
-// and the active target is not kScalar, otherwise Crc32cTable.
+// What Crc32c and Crc32cBlocks run, fixed on first call: the SSE4.2
+// implementation when it exists and the active target is not kScalar,
+// otherwise Crc32cTable / Crc32cBlocksTable.
 Crc32cFn ActiveCrc32c();
+Crc32cBlocksFn ActiveCrc32cBlocks();
 
 }  // namespace hydra
 

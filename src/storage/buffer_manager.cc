@@ -128,9 +128,7 @@ void BufferManager::ConsumePrefetched(const std::shared_ptr<PageFrame>& frame,
   }
 }
 
-std::shared_ptr<PageFrame> BufferManager::EvictOneLocked(
-    bool clear_reference) {
-  if (ring_.empty()) return nullptr;
+size_t BufferManager::EvictOneLocked(bool clear_reference) {
   // Two full sweeps give every referenced frame its second chance; the
   // extra rounds absorb frames whose pin appeared between the unlocked
   // observation and the shard-locked recheck. A non-clearing (prefetch)
@@ -154,36 +152,38 @@ std::shared_ptr<PageFrame> BufferManager::EvictOneLocked(
     // first pin of any fetch is taken while holding this shard lock (at
     // least shared), so a frame observed unpinned here cannot gain a pin
     // until it is out of the table.
-    std::shared_ptr<PageFrame> victim = frame;
-    Shard& shard = ShardFor(victim->id);
+    Shard& shard = ShardFor(frame->id);
     {
       std::unique_lock<std::shared_mutex> shard_lock(shard.mu);
-      if (victim->pins.load(std::memory_order_acquire) != 0) {
+      if (frame->pins.load(std::memory_order_acquire) != 0) {
         ++hand_;
         continue;
       }
-      shard.pages.erase(victim->id);
+      shard.pages.erase(frame->id);
     }
-    ring_.erase(ring_.begin() + static_cast<ptrdiff_t>(hand_));
-    if (!ring_.empty()) hand_ %= ring_.size();
-    ReleasePrefetchCredit(victim);
-    return victim;
+    ReleasePrefetchCredit(frame);
+    return hand_;
   }
-  return nullptr;
+  return ring_.size();
 }
 
 bool BufferManager::AdmitToRing(const std::shared_ptr<PageFrame>& frame,
                                 bool for_prefetch) {
   std::lock_guard<std::mutex> lock(clock_mu_);
-  while (ring_.size() >= capacity_pages_) {
-    std::shared_ptr<PageFrame> victim =
-        EvictOneLocked(/*clear_reference=*/!for_prefetch);
-    if (victim == nullptr) return false;
-    // The victim is unpinned and out of the table, so no reader can
-    // reach its bytes any more: its buffer becomes the new page's.
-    frame->data.swap(victim->data);
+  if (ring_.size() < capacity_pages_) {
+    ring_.push_back(frame);
+    return true;
   }
-  ring_.push_back(frame);
+  const size_t slot = EvictOneLocked(/*clear_reference=*/!for_prefetch);
+  if (slot == ring_.size()) return false;
+  // The victim is unpinned and out of the table, so no reader can reach
+  // its bytes any more: its buffer becomes the new page's, and the new
+  // page takes its slot. The hand moves past it, so the newcomer is the
+  // last frame the next sweep looks at.
+  std::shared_ptr<PageFrame>& victim = ring_[slot];
+  frame->data.swap(victim->data);
+  victim = frame;
+  hand_ = slot + 1;
   return true;
 }
 
@@ -523,6 +523,7 @@ void BufferManager::DrainPrefetches() {
 
 Result<PinnedRun> BufferManager::PinSeriesChecked(uint64_t i,
                                                   QueryCounters* counters) {
+  HYDRA_RETURN_IF_ERROR(CheckSeriesId(i));
   const uint64_t len = reader_->series_length();
   const uint64_t page_id = i / page_series_;
   if (counters != nullptr) ++counters->series_accessed;
@@ -537,6 +538,7 @@ Result<PinnedRun> BufferManager::PinSeriesChecked(uint64_t i,
 Result<PinnedRun> BufferManager::PinRunChecked(uint64_t first,
                                                uint64_t max_count,
                                                QueryCounters* counters) {
+  HYDRA_RETURN_IF_ERROR(CheckSeriesId(first));
   const uint64_t len = reader_->series_length();
   const uint64_t page_id = first / page_series_;
   const uint64_t page_first = page_id * page_series_;
@@ -574,6 +576,16 @@ size_t BufferManager::PinnedPages() {
     }
   }
   return pinned;
+}
+
+std::vector<uint64_t> BufferManager::RingPages() {
+  std::lock_guard<std::mutex> lock(clock_mu_);
+  std::vector<uint64_t> pages;
+  pages.reserve(ring_.size());
+  for (const std::shared_ptr<PageFrame>& frame : ring_) {
+    pages.push_back(frame->id);
+  }
+  return pages;
 }
 
 std::span<const float> BufferManager::GetSeries(uint64_t i,

@@ -190,10 +190,12 @@ class SeriesProvider {
   // collapse every failure into an empty handle, these surface the
   // provider's actual Status — DataCorruption vs. I/O give-up vs. pool
   // exhaustion — so the scan layers can fail a query with its real cause.
-  // The defaults wrap the unchecked fetches with a generic IoError;
-  // providers with richer diagnostics (BufferManager) override.
+  // An id at or past num_series() is OutOfRange before anything is
+  // fetched. The defaults wrap the unchecked fetches with a generic
+  // IoError; providers with richer diagnostics (BufferManager) override.
   virtual Result<PinnedRun> PinSeriesChecked(uint64_t i,
                                              QueryCounters* counters) {
+    HYDRA_RETURN_IF_ERROR(CheckSeriesId(i));
     PinnedRun run = PinSeries(i, counters);
     if (run.empty()) {
       return Status::IoError("series fetch failed: id " + std::to_string(i));
@@ -202,6 +204,7 @@ class SeriesProvider {
   }
   virtual Result<PinnedRun> PinRunChecked(uint64_t first, uint64_t max_count,
                                           QueryCounters* counters) {
+    HYDRA_RETURN_IF_ERROR(CheckSeriesId(first));
     PinnedRun run = PinRun(first, max_count, counters);
     if (run.empty()) {
       return Status::IoError("series run fetch failed: first " +
@@ -259,6 +262,16 @@ class SeriesProvider {
   // and exempt from eviction, so a span outlives any other thread's
   // fetch/evict activity for as long as its handle is held).
   virtual bool SupportsConcurrentReads() const { return false; }
+
+ protected:
+  // OutOfRange for an id at or past num_series(): the checked fetches'
+  // first step.
+  Status CheckSeriesId(uint64_t i) const {
+    if (i < num_series()) return Status::OK();
+    return Status::OutOfRange("series id " + std::to_string(i) +
+                              " past the collection of " +
+                              std::to_string(num_series()));
+  }
 };
 
 class InMemoryProvider : public SeriesProvider {
@@ -304,10 +317,14 @@ class InMemoryProvider : public SeriesProvider {
 //  * Eviction is pin-aware CLOCK (second chance): a sweep under the pool
 //    lock skips pinned frames, clears reference bits once, and rechecks
 //    the victim's pin count under its shard's exclusive lock before
-//    removal. If every frame is pinned, the fetch that needed the slot
-//    briefly yields (scan-layer pins last one candidate evaluation, so
-//    contention from concurrent scans clears quickly) and then fails
-//    cleanly (empty PinnedRun) instead of over-committing memory.
+//    removing it from the table. Replacement is in place and O(1): the
+//    admitted frame takes the victim's ring slot (and its page buffer)
+//    and the hand moves past it; only a failed load (AbortLoad) and
+//    DropCache remove ring entries. If every frame is pinned, the fetch
+//    that needed the slot briefly yields (scan-layer pins last one
+//    candidate evaluation, so contention from concurrent scans clears
+//    quickly) and then fails cleanly (empty PinnedRun) instead of
+//    over-committing memory.
 //  * Page loads are single-flight: concurrent misses on one page find
 //    the loading frame in the table and wait; exactly one read is issued
 //    and exactly one miss is counted (waiters count as hits). Prefetch
@@ -401,7 +418,8 @@ class BufferManager : public SeriesProvider {
   // time these report; the status is the terminal verdict (IoError for an
   // exhausted retry budget or a permanent error, DataCorruption for a
   // checksum mismatch that survived a re-read, Unavailable for a pool
-  // whose every page is pinned).
+  // whose every page is pinned). An id past the collection is OutOfRange
+  // and touches no page.
   Result<PinnedRun> PinSeriesChecked(uint64_t i,
                                      QueryCounters* counters) override;
   Result<PinnedRun> PinRunChecked(uint64_t first, uint64_t max_count,
@@ -464,6 +482,10 @@ class BufferManager : public SeriesProvider {
   // the leak regressions assert a pool returns to zero pinned frames
   // after a query fails mid-scan.
   size_t PinnedPages();
+  // Page ids in CLOCK ring order, slot 0 first. Test/debug
+  // instrumentation: the replacement-policy test reads each victim's
+  // slot, and the ring's size, from it.
+  std::vector<uint64_t> RingPages();
 
   // Replaces the underlying reader's fault-injection config (tests).
   // Call while no fetch is in flight.
@@ -536,18 +558,20 @@ class BufferManager : public SeriesProvider {
   // counts prefetch_useful and charges the deferred load cost.
   void ConsumePrefetched(const std::shared_ptr<internal::PageFrame>& frame,
                          QueryCounters* counters);
-  // Makes room (evicting if needed, and taking over the victim's page
-  // buffer) and adds `frame` to the CLOCK ring. False when capacity is
-  // exhausted by pinned frames. Prefetch admissions never clear
-  // reference bits (see class comment).
+  // Adds `frame` to the CLOCK ring: appended while the ring is below
+  // capacity, otherwise in the slot of an evicted victim, whose page
+  // buffer it takes over. False when capacity is exhausted by pinned
+  // frames. Prefetch admissions never clear reference bits (see class
+  // comment).
   bool AdmitToRing(const std::shared_ptr<internal::PageFrame>& frame,
                    bool for_prefetch);
-  // CLOCK sweep under clock_mu_; evicts one unpinned frame from ring and
-  // table and returns it, or nullptr when no frame could be evicted.
+  // CLOCK sweep under clock_mu_; removes one unpinned frame from the
+  // table and returns its ring slot (the frame stays in the ring for the
+  // caller to replace), or ring_.size() when no frame could be evicted.
   // With `clear_reference` false the sweep only takes frames whose
   // reference bit is already clear (single pass, no second chances
   // granted).
-  std::shared_ptr<internal::PageFrame> EvictOneLocked(bool clear_reference);
+  size_t EvictOneLocked(bool clear_reference);
   // Unwinds a failed load: records `error` on the frame, removes it from
   // table (and ring when `in_ring`), marks it failed, wakes waiters,
   // drops the loader's pin.

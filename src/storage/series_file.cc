@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -16,6 +17,9 @@ namespace hydra {
 namespace {
 
 constexpr size_t kHeaderBytes = 4 * sizeof(uint64_t);  // magic+ver+n+len
+// Series checksummed per Crc32cBlocks call while a read is verified: a
+// stack array of checksums, so verifying ReadAll allocates nothing.
+constexpr size_t kVerifyChunk = 64;
 
 // A storage failure: "what: path @ offset N (errno E: text)", so a
 // failure in a multi-file experiment names the file and byte it died
@@ -79,10 +83,8 @@ Status WriteSeriesFile(const std::string& path, const Dataset& dataset) {
   // changes afterwards.
   if (ok && dataset.size() > 0) {
     std::vector<uint32_t> checksums(dataset.size());
-    for (uint64_t i = 0; i < dataset.size(); ++i) {
-      checksums[i] =
-          Crc32c(dataset.series(i).data(), dataset.length() * sizeof(float));
-    }
+    Crc32cBlocks(dataset.data(), dataset.size(),
+                 dataset.length() * sizeof(float), checksums.data());
     ok = std::fwrite(checksums.data(), sizeof(uint32_t), checksums.size(),
                      f) == checksums.size();
   }
@@ -179,10 +181,11 @@ void SeriesFileReader::set_fault_config(const FaultConfig& config) {
 
 Status SeriesFileReader::ReadSeries(uint64_t first, uint64_t count,
                                     float* out, QueryCounters* counters) {
-  if (first + count > header_.num_series) {
+  // `first + count` can wrap around 64 bits, so the check subtracts.
+  if (first > header_.num_series || count > header_.num_series - first) {
     return Status::OutOfRange(
-        "read past end of series file: series [" + std::to_string(first) +
-        ", " + std::to_string(first + count) + ") of " +
+        "read past end of series file: " + std::to_string(count) +
+        " series from series " + std::to_string(first) + " of " +
         std::to_string(header_.num_series) + " in " + path_);
   }
   const uint64_t stride = header_.length * sizeof(float);
@@ -236,14 +239,23 @@ Status SeriesFileReader::ReadSeries(uint64_t first, uint64_t count,
   // modeling the device lying; on version-2 files the checksum pass below
   // is what catches it.
   injector->CorruptPayload(fault, out, count * header_.length);
-  if (!checksums_.empty()) {
-    for (uint64_t i = 0; i < count; ++i) {
-      const uint32_t actual = Crc32c(out + i * header_.length, stride);
-      if (actual != checksums_[first + i]) {
+  return checksums_.empty() ? Status::OK() : Verify(first, count, out);
+}
+
+Status SeriesFileReader::Verify(uint64_t first, uint64_t count,
+                                const float* data) const {
+  const uint64_t stride = header_.length * sizeof(float);
+  uint32_t actual[kVerifyChunk];
+  for (uint64_t done = 0; done < count; done += kVerifyChunk) {
+    const uint64_t n = std::min<uint64_t>(kVerifyChunk, count - done);
+    Crc32cBlocks(data + done * header_.length, n, stride, actual);
+    for (uint64_t i = 0; i < n; ++i) {
+      if (actual[i] != checksums_[first + done + i]) {
+        const uint64_t series = first + done + i;
         return Failure(StatusCode::kDataCorruption,
                        "checksum mismatch on series " +
-                           std::to_string(first + i),
-                       path_, offset + i * stride);
+                           std::to_string(series),
+                       path_, kHeaderBytes + series * stride);
       }
     }
   }

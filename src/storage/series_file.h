@@ -33,8 +33,14 @@ namespace hydra {
 // when it is not contiguous with the previous read, matching how the
 // paper counts disk seeks. Every read of a version-2 file is verified
 // against the footer; a mismatch surfaces as Status::DataCorruption
-// (retryable: the buffer pool re-reads once before giving up). I/O
-// failures carry errno, file path and byte offset in the status message.
+// (retryable: the buffer pool re-reads before giving up) naming the
+// first series that differs and its byte offset. Verification is one
+// code path for page misses, prefetch loads and ReadAll: the read series
+// are checksummed in fixed-size chunks by Crc32cBlocks
+// (common/crc32.h), which runs four independent CRC chains where the
+// CPU has SSE4.2; WriteSeriesFile computes the footer with the same
+// kernel. I/O failures carry errno, file path and byte offset in the
+// status message.
 //
 // ReadSeries is thread-safe and takes no lock: each read is one pread
 // loop on the file descriptor straight into the caller's buffer, so the
@@ -91,8 +97,9 @@ class SeriesFileReader {
   bool verifies_checksums() const { return !checksums_.empty(); }
 
   // Reads series [first, first + count) into `out` (count × length
-  // floats). Charges bytes_read always, and one random_ios when the range
-  // does not start where the previous read ended. On a version-2 file the
+  // floats); a range that does not fit in the file is OutOfRange.
+  // Charges bytes_read always, and one random_ios when the range does
+  // not start where the previous read ended. On a version-2 file the
   // payload is verified against the checksum footer; a mismatch returns
   // Status::DataCorruption and the contents of `out` are unspecified.
   Status ReadSeries(uint64_t first, uint64_t count, float* out,
@@ -120,6 +127,10 @@ class SeriesFileReader {
       : fd_(fd), path_(std::move(path)) {
     set_fault_config(FaultConfig::FromEnv());
   }
+
+  // Checks series [first, first + count), read into `data`, against the
+  // footer; DataCorruption names the first series that differs.
+  Status Verify(uint64_t first, uint64_t count, const float* data) const;
 
   const int fd_;
   SeriesFileHeader header_;

@@ -216,6 +216,46 @@ TEST_F(BufferPoolTest, RecycledBuffersServeBothPageSizes) {
   EXPECT_EQ(bm->cache_hits(), 0u);
 }
 
+// CLOCK replacement worked by hand in a 3-page pool of one-series pages.
+// A newcomer takes its victim's slot with its reference bit set, and the
+// hand moves past it. A pinned frame is skipped without losing its
+// reference bit, so the hand takes the next unreferenced frame instead.
+TEST_F(BufferPoolTest, ClockReplacesVictimsInPlaceInHandOrder) {
+  auto bm = OpenPool(8, 4, /*page_series=*/1, /*capacity_pages=*/3);
+  ASSERT_NE(bm, nullptr);
+  // Fetches page `page`, which must miss or hit as `miss` says, and
+  // checks the ring's slots afterwards.
+  auto fetch = [&](uint64_t page, bool miss,
+                   const std::vector<uint64_t>& ring) {
+    const uint64_t misses = bm->cache_misses();
+    ASSERT_FALSE(bm->PinSeries(page, nullptr).empty()) << "page " << page;
+    EXPECT_EQ(bm->cache_misses(), misses + (miss ? 1 : 0)) << "page " << page;
+    EXPECT_EQ(bm->RingPages(), ring) << "after page " << page;
+  };
+  fetch(0, true, {0});
+  fetch(1, true, {0, 1});
+  fetch(2, true, {0, 1, 2});
+  // Full. The sweep clears 0, 1 and 2, then takes 0; the hand rests on 1.
+  fetch(3, true, {3, 1, 2});
+  fetch(1, false, {3, 1, 2});  // sets 1's bit again
+  // 1 loses its bit; 2 has none and goes.
+  fetch(4, true, {3, 1, 4});
+  // Pin 1: its bit is set and stays set while the sweep skips it.
+  PinnedRun pin = bm->PinSeries(1, nullptr);
+  ASSERT_FALSE(pin.empty());
+  // From slot 0: clear 3, skip 1, clear 4; 3 goes.
+  fetch(5, true, {5, 1, 4});
+  // The hand is on 1, which would go if it were not pinned: 4 goes.
+  fetch(6, true, {5, 1, 6});
+  pin.Release();
+  // From slot 0: clear 5, 1 and 6; 5 goes.
+  fetch(7, true, {7, 1, 6});
+  // 1 no longer has its bit: it goes.
+  fetch(0, true, {7, 0, 6});
+  EXPECT_EQ(bm->cache_misses(), 9u);
+  EXPECT_EQ(bm->cache_hits(), 2u);
+}
+
 // --- prefetch pipeline ---
 
 TEST_F(BufferPoolTest, PrefetchWarmsPoolAndDefersChargesToConsumer) {

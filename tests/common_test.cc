@@ -307,13 +307,53 @@ TEST(Crc32c, EveryImplementationMatchesTheTable) {
 }
 
 // HYDRA_SIMD=scalar pins the table; otherwise the hardware path runs
-// wherever the CPU has one.
+// wherever the CPU has one. The block kernel follows the same choice.
 TEST(Crc32c, DispatchFollowsTheSimdTarget) {
   if (ActiveSimdTarget() == SimdTarget::kScalar ||
       Sse42Crc32c() == nullptr) {
     EXPECT_EQ(ActiveCrc32c(), &Crc32cTable);
+    EXPECT_EQ(ActiveCrc32cBlocks(), &Crc32cBlocksTable);
   } else {
     EXPECT_EQ(ActiveCrc32c(), Sse42Crc32c());
+    EXPECT_EQ(ActiveCrc32cBlocks(), Sse42Crc32cBlocks());
+  }
+}
+
+// Every block kernel this CPU can run: the table, the four-chain SSE4.2
+// path where the CPU has it, and the dispatched Crc32cBlocks.
+std::vector<Crc32cBlocksFn> SupportedBlockCrcs() {
+  std::vector<Crc32cBlocksFn> crcs = {&Crc32cBlocksTable, &Crc32cBlocks};
+  if (Sse42Crc32cBlocks() != nullptr) crcs.push_back(Sse42Crc32cBlocks());
+  return crcs;
+}
+
+// Each block kernel returns Crc32cTable of every block: counts below,
+// at and past a group of four chains, blocks with and without a tail
+// after their last 8-byte word, and unaligned starts. The slot past the
+// last block is never written.
+TEST(Crc32c, BlockKernelsMatchTheTableOnEveryBlock) {
+  constexpr uint32_t kUnwritten = 0xDEADBEEFu;
+  Rng rng(25);
+  std::vector<uint8_t> bytes(17 * 1028 + 8);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.NextUint64(256));
+  const std::vector<size_t> counts = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17};
+  const std::vector<size_t> sizes = {1, 4, 7, 8, 12, 1024, 1028};
+  for (Crc32cBlocksFn crc : SupportedBlockCrcs()) {
+    for (size_t count : counts) {
+      for (size_t size : sizes) {
+        for (size_t align = 1; align < 8; align += 2) {
+          const uint8_t* p = bytes.data() + align;
+          std::vector<uint32_t> out(count + 1, kUnwritten);
+          crc(p, count, size, out.data());
+          for (size_t b = 0; b < count; ++b) {
+            ASSERT_EQ(out[b], Crc32cTable(p + b * size, size, 0))
+                << "block " << b << " of " << count << ", " << size
+                << " bytes, alignment " << align;
+          }
+          ASSERT_EQ(out[count], kUnwritten) << "wrote past block " << count;
+        }
+      }
+    }
   }
 }
 

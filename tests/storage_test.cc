@@ -2,8 +2,10 @@
 
 #include <cerrno>
 #include <cstdio>
+#include <cstdint>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "common/codec.h"
 #include "common/rng.h"
@@ -25,8 +27,24 @@ class StorageTest : public ::testing::Test {
 
   std::string Path(const std::string& name) { return (dir_ / name).string(); }
 
+  // Inverts the byte at `offset` of the file at `path`; a second call
+  // restores it.
+  static void FlipByte(const std::string& path, uint64_t offset) {
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
+    const int byte = std::fgetc(f);
+    ASSERT_NE(byte, EOF);
+    ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
+    ASSERT_NE(std::fputc(byte ^ 0xFF, f), EOF);
+    ASSERT_EQ(std::fclose(f), 0);
+  }
+
   std::filesystem::path dir_;
 };
+
+// Bytes before the first series of a series file.
+constexpr uint64_t kHeaderBytes = 32;
 
 TEST_F(StorageTest, WriteThenReadAllRoundTrips) {
   Rng rng(1);
@@ -73,6 +91,84 @@ TEST_F(StorageTest, ReadPastEndRejected) {
   std::vector<float> buf(8 * 8);
   EXPECT_EQ(reader.value()->ReadSeries(2, 3, buf.data(), nullptr).code(),
             StatusCode::kOutOfRange);
+}
+
+// `first + count` may wrap around 64 bits; such a range still lies past
+// the end. The buffer holds the whole file, so a read that got through
+// would fail without overrunning it.
+TEST_F(StorageTest, ReadRangesThatWrapAreOutOfRange) {
+  Rng rng(15);
+  Dataset ds = MakeRandomWalk(100, 8, rng);
+  std::string path = Path("wrap.hsf");
+  ASSERT_TRUE(WriteSeriesFile(path, ds).ok());
+  auto reader = SeriesFileReader::Open(path);
+  ASSERT_TRUE(reader.ok());
+  std::vector<float> buf(101 * 8);
+  SeriesFileReader& file = *reader.value();
+  EXPECT_EQ(file.ReadSeries(UINT64_MAX - 15, 16, buf.data(), nullptr).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(file.ReadSeries(2, UINT64_MAX - 1, buf.data(), nullptr).code(),
+            StatusCode::kOutOfRange);
+}
+
+// One byte flipped on disk in any series of a 16-series read fails the
+// read as DataCorruption naming that series and its offset, whichever
+// of the four checksum chains it lands in. The read starts off a group
+// boundary, and a 52-byte series ends in a 4-byte tail.
+TEST_F(StorageTest, CorruptionNamesTheSeriesItIsIn) {
+  constexpr uint64_t kLength = 13;
+  constexpr uint64_t kStride = kLength * sizeof(float);
+  constexpr uint64_t kFirst = 5;
+  Rng rng(16);
+  Dataset ds = MakeRandomWalk(40, kLength, rng);
+  std::string path = Path("flip.hsf");
+  ASSERT_TRUE(WriteSeriesFile(path, ds).ok());
+  auto reader = SeriesFileReader::Open(path);
+  ASSERT_TRUE(reader.ok());
+  SeriesFileReader& file = *reader.value();
+  ASSERT_TRUE(file.verifies_checksums());
+  std::vector<float> buf(16 * kLength);
+  ASSERT_TRUE(file.ReadSeries(kFirst, 16, buf.data(), nullptr).ok());
+  for (uint64_t i = 0; i < 16; ++i) {
+    const uint64_t series = kFirst + i;
+    const uint64_t at = kHeaderBytes + series * kStride;
+    const uint64_t flipped = at + (i * 11) % kStride;
+    FlipByte(path, flipped);
+    const Status st = file.ReadSeries(kFirst, 16, buf.data(), nullptr);
+    FlipByte(path, flipped);
+    EXPECT_EQ(st.code(), StatusCode::kDataCorruption) << "series " << series;
+    EXPECT_NE(st.message().find("checksum mismatch on series " +
+                                std::to_string(series) + ":"),
+              std::string::npos)
+        << st.message();
+    ASSERT_TRUE(st.has_io_context()) << st.ToString();
+    EXPECT_EQ(st.io_context().offset, at) << "series " << series;
+  }
+  EXPECT_TRUE(file.ReadSeries(kFirst, 16, buf.data(), nullptr).ok());
+}
+
+// ReadAll verifies in chunks; a mismatch past the first chunk is still
+// found, and of two mismatches the earlier one is named.
+TEST_F(StorageTest, ReadAllNamesTheFirstCorruptSeries) {
+  constexpr uint64_t kStride = 13 * sizeof(float);
+  Rng rng(17);
+  Dataset ds = MakeRandomWalk(150, 13, rng);
+  std::string path = Path("readall.hsf");
+  ASSERT_TRUE(WriteSeriesFile(path, ds).ok());
+  auto reader = SeriesFileReader::Open(path);
+  ASSERT_TRUE(reader.ok());
+  FlipByte(path, kHeaderBytes + 130 * kStride + 3);
+  Result<Dataset> all = reader.value()->ReadAll(nullptr);
+  ASSERT_FALSE(all.ok());
+  EXPECT_EQ(all.status().code(), StatusCode::kDataCorruption);
+  ASSERT_TRUE(all.status().has_io_context());
+  EXPECT_EQ(all.status().io_context().offset, kHeaderBytes + 130 * kStride);
+  FlipByte(path, kHeaderBytes + 64 * kStride + 50);
+  all = reader.value()->ReadAll(nullptr);
+  ASSERT_FALSE(all.ok());
+  EXPECT_EQ(all.status().code(), StatusCode::kDataCorruption);
+  ASSERT_TRUE(all.status().has_io_context());
+  EXPECT_EQ(all.status().io_context().offset, kHeaderBytes + 64 * kStride);
 }
 
 TEST_F(StorageTest, SequentialReadsChargeOneSeek) {
@@ -225,6 +321,47 @@ TEST(InMemoryProvider, ServesSeriesAndCountsAccess) {
   EXPECT_FLOAT_EQ(s[0], ds.series(2)[0]);
   EXPECT_EQ(c.series_accessed, 1u);
   EXPECT_EQ(c.bytes_read, 0u);  // in-memory: no I/O charge
+}
+
+// A checked fetch of an id at or past the end is OutOfRange: the
+// default checked fetches serve InMemoryProvider.
+TEST(InMemoryProvider, CheckedFetchesRejectIdsPastTheCollection) {
+  Rng rng(18);
+  Dataset ds = MakeRandomWalk(5, 8, rng);
+  InMemoryProvider provider(&ds);
+  EXPECT_TRUE(provider.PinSeriesChecked(4, nullptr).ok());
+  EXPECT_TRUE(provider.PinRunChecked(4, 1, nullptr).ok());
+  EXPECT_EQ(provider.PinSeriesChecked(ds.size(), nullptr).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(provider.PinRunChecked(ds.size(), 1, nullptr).status().code(),
+            StatusCode::kOutOfRange);
+}
+
+// The pool rejects an id past the collection before it touches a page:
+// no read, no retry, no miss. 100 series in pages of 16 leave a last
+// page of 4, and UINT64_MAX - 5 lies on a page whose range wraps.
+TEST_F(StorageTest, BufferManagerCheckedFetchesRejectIdsPastTheCollection) {
+  Rng rng(19);
+  Dataset ds = MakeRandomWalk(100, 8, rng);
+  std::string path = Path("range.hsf");
+  ASSERT_TRUE(WriteSeriesFile(path, ds).ok());
+  auto opened = BufferManager::Open(path, /*page_series=*/16,
+                                    /*capacity_pages=*/4);
+  ASSERT_TRUE(opened.ok());
+  BufferManager& bm = *opened.value();
+  ASSERT_TRUE(bm.PinSeriesChecked(99, nullptr).ok());
+  const uint64_t misses = bm.cache_misses();
+  EXPECT_EQ(bm.PinSeriesChecked(100, nullptr).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(bm.PinRunChecked(100, 1, nullptr).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(bm.PinSeriesChecked(UINT64_MAX - 5, nullptr).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(bm.PinRunChecked(UINT64_MAX - 5, 16, nullptr).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_TRUE(bm.PinSeries(100, nullptr).empty());
+  EXPECT_EQ(bm.io_retries(), 0u);
+  EXPECT_EQ(bm.cache_misses(), misses);
 }
 
 TEST_F(StorageTest, BufferManagerServesCorrectData) {
