@@ -294,7 +294,7 @@ int main(int argc, char** argv) {
   // same schedule, same determinism column (answers are moved, never
   // recomputed, so they must match the serial reference bit for bit);
   // the latency columns then include framing, TCP, and the server's
-  // reader/pump threads.
+  // connection thread and the workers that send results.
   const size_t open_concurrency = size.levels.back();
   const size_t open_capacity = size.capacities.back();
   for (bool loopback : {false, true}) {
@@ -310,7 +310,7 @@ int main(int argc, char** argv) {
       std::unique_ptr<hydra::HydraServer> server;
       if (loopback) {
         hydra::ServerOptions server_options;
-        // The per-connection session shape is fixed at Start, so it is
+        // The server's session shape is fixed at Start, so it is
         // configured here to what the runner will ask for (the factory's
         // options cannot reach across the wire).
         server_options.serving.concurrency = open_concurrency;

@@ -73,27 +73,34 @@ ServingSession::ServingSession(const Index& index, SeriesProvider* provider,
 ServingSession::~ServingSession() {
   std::unique_lock<std::mutex> lock(mu_);
   finished_ = true;
-  // Never-admitted queries are discarded: the consumer of their results
-  // is the thread destroying the stream. Their tickets outlive the
-  // session (shared state), so each one is resolved to a TERMINAL typed
-  // kUnavailable before being dropped — a front-end polling
-  // ticket.done() must see every accepted query reach a final state, not
-  // hang on "query pending" forever. Admitted tasks reference this
-  // object, so the destructor must see them out — and so must any
-  // producer still inside Submit (woken by the notify below): waiting on
-  // submitters_ keeps the mutex/cvs alive until the last one left.
-  for (const std::shared_ptr<Request>& req : pending_) {
-    req->ticket->Resolve(Status::Unavailable(
-        "dropped submission: session destroyed before admission"));
-  }
-  pending_.clear();
+  std::deque<std::shared_ptr<Request>> dropped;
+  dropped.swap(pending_);
   space_cv_.notify_all();
+  lock.unlock();
+  // Never-admitted queries are discarded. Their tickets outlive the
+  // session (shared state), so each one is resolved to a TERMINAL typed
+  // kUnavailable — a front-end polling ticket.done() must see every
+  // accepted query reach a final state, not hang on "query pending"
+  // forever — and a sink gets that result.
+  for (const std::shared_ptr<Request>& req : dropped) {
+    ServedQuery out;
+    out.ticket = QueryTicket(req->ticket);
+    out.answer = Status::Unavailable(
+        "dropped submission: session destroyed before admission");
+    req->ticket->Resolve(out.answer);
+    if (req->sink) req->sink(std::move(out));
+  }
+  // Admitted tasks and their sinks reference this object, so the
+  // destructor must see them out — and any producer still inside Submit
+  // (woken above): waiting on submitters_ keeps the mutex/cvs alive.
+  lock.lock();
   results_cv_.wait(lock,
                    [this] { return in_flight_ == 0 && submitters_ == 0; });
 }
 
 QueryTicket ServingSession::Submit(std::span<const float> query,
-                                   const SearchParams& caller_params) {
+                                   const SearchParams& caller_params,
+                                   Sink sink) {
   SearchParams params = caller_params;
   if (per_query_pin_budget_ != 0) {
     params.pin_budget = params.pin_budget == 0
@@ -134,9 +141,10 @@ QueryTicket ServingSession::Submit(std::span<const float> query,
   }
   auto req = std::make_shared<Request>();
   req->ticket = std::make_shared<QueryTicket::State>();
-  req->ticket->id = next_ticket_++;
+  req->ticket->id = sink ? next_sink_ticket_++ : next_ticket_++;
   req->query.assign(query.begin(), query.end());
   req->params = std::move(params);
+  req->sink = std::move(sink);
   pending_.push_back(req);
   DispatchLocked();
   return QueryTicket(req->ticket);
@@ -210,8 +218,8 @@ void ServingSession::Serve(const std::shared_ptr<Request>& req) {
     }
   }
   out.seconds = req->submitted.ElapsedSeconds();
-  std::lock_guard<std::mutex> lock(mu_);
-  CompleteLocked(std::span<ServedQuery>(&out, 1));
+  Complete(std::span<const std::shared_ptr<Request>>(&req, 1),
+           std::span<ServedQuery>(&out, 1));
 }
 
 void ServingSession::ServeBatch(
@@ -259,18 +267,21 @@ void ServingSession::ServeBatch(
       outs[i].seconds = reqs[i]->submitted.ElapsedSeconds();
     }
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  CompleteLocked(outs);
+  Complete(reqs, outs);
 }
 
-void ServingSession::CompleteLocked(std::span<ServedQuery> outs) {
-  for (ServedQuery& out : outs) {
-    // The ticket is resolved before the result becomes drainable, so a
-    // thread that sees done() == true reads the final status; the
-    // handle outlives the session.
-    out.ticket.state_->Resolve(out.answer);
-    const uint64_t id = out.ticket.id();
-    done_.emplace(id, std::move(out));
+void ServingSession::Complete(std::span<const std::shared_ptr<Request>> reqs,
+                              std::span<ServedQuery> outs) {
+  // The ticket is resolved before the result is delivered, so a thread
+  // that sees done() == true reads the final status. Sinks run before
+  // the slot is released, so the destructor waits for them too.
+  for (ServedQuery& out : outs) out.ticket.state_->Resolve(out.answer);
+  for (size_t i = 0; i < outs.size(); ++i) {
+    if (reqs[i]->sink) reqs[i]->sink(std::move(outs[i]));
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  for (size_t i = 0; i < outs.size(); ++i) {
+    if (!reqs[i]->sink) done_.emplace(outs[i].ticket.id(), std::move(outs[i]));
   }
   --in_flight_;  // a batch held one slot
   DispatchLocked();
@@ -299,7 +310,7 @@ void ServingSession::Finish() {
   std::lock_guard<std::mutex> lock(mu_);
   finished_ = true;
   space_cv_.notify_all();
-  results_cv_.notify_all();  // under the lock: see CompleteLocked()
+  results_cv_.notify_all();  // under the lock: see Complete()
 }
 
 size_t ServingSession::blocked_submitters() const {

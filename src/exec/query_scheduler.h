@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -85,11 +86,11 @@ struct ServingOptions {
 size_t DefaultBatchWindow();
 
 // The in-process ServingBackend — the object the harness served runner
-// (RunLoad), bench_serving, and HydraServer's per-connection sessions
-// drive. One FIFO submission queue sits in front of N in-flight
-// whole-query tasks on the ThreadPool, and a completion stream hands
-// results back in submission order regardless of completion order —
-// serving output is deterministic even though execution overlaps.
+// (RunLoad), bench_serving, and HydraServer's one session drive. One
+// FIFO submission queue sits in front of N in-flight whole-query tasks
+// on the ThreadPool, and a completion stream hands results back in
+// submission order regardless of completion order — serving output is
+// deterministic even though execution overlaps.
 //
 // Resource split: admission is clamped to the provider's pin capacity
 // (never more in-flight queries than pages — excess queries just
@@ -106,10 +107,10 @@ size_t DefaultBatchWindow();
 //
 // Thread safety: Submit/Next/Finish may be called from any threads
 // (typically one producer and one consumer). The destructor drains the
-// queries already admitted (their tasks reference this object),
-// resolves never-admitted ones typed kUnavailable, wakes producers
-// blocked in Submit (their submissions are dropped), and waits until
-// the last of them has left before tearing down.
+// queries already admitted (their tasks reference this object) and
+// their sinks, resolves never-admitted ones typed kUnavailable, wakes
+// producers blocked in Submit (their submissions are dropped), and
+// waits until the last of them has left before tearing down.
 class ServingSession : public ServingBackend {
  public:
   // `provider` is the storage the index searches over (nullptr for
@@ -122,6 +123,9 @@ class ServingSession : public ServingBackend {
   ServingSession(const ServingSession&) = delete;
   ServingSession& operator=(const ServingSession&) = delete;
 
+  // Receives one query's result on the pool worker that finished it.
+  using Sink = std::function<void(ServedQuery)>;
+
   // Applies the session's pin and prefetch budgets, then enqueues the
   // query (the span is copied; the caller's buffer is free immediately).
   // Blocks while the submission queue is full. Returns the query's
@@ -132,11 +136,20 @@ class ServingSession : public ServingBackend {
   // submission is refused promptly with the invalid ticket (typed
   // kUnavailable status), never blocked forever on backpressure; a
   // producer already parked on a full queue when Finish lands is woken
-  // and refused the same way. A network front-end leans on this: a
-  // disconnecting client's session can be finished while its submitter
-  // thread is still mid-Submit.
+  // and refused the same way. HydraServer::Stop leans on this: it
+  // finishes the session while connection threads are still mid-Submit.
   QueryTicket Submit(std::span<const float> query,
-                     const SearchParams& params) override;
+                     const SearchParams& params) override {
+    return Submit(query, params, Sink());
+  }
+  // As above, but the result goes to `sink` and never enters Next()'s
+  // stream. The sink may run before Submit returns. It runs after the
+  // ticket is resolved and before the query's in-flight slot is
+  // released, with no session lock held, so the destructor waits for
+  // it; a query the destructor drops before admission reaches its sink
+  // typed kUnavailable. Every accepted query is delivered exactly once.
+  QueryTicket Submit(std::span<const float> query,
+                     const SearchParams& params, Sink sink);
   // Blocks for the result of the next ticket in submission order;
   // nullopt once Finish() was called and every submitted query was
   // consumed.
@@ -169,6 +182,7 @@ class ServingSession : public ServingBackend {
     std::vector<float> query;
     SearchParams params;
     Timer submitted;  // starts at Submit()
+    Sink sink;        // empty = the result joins Next()'s stream
   };
 
   // Admits pending queries in FIFO order while in-flight slots are free,
@@ -186,10 +200,11 @@ class ServingSession : public ServingBackend {
   // Runs a coalesced batch (size >= 2) through Index::BatchSearch; a
   // member whose deadline already expired never joins the index call.
   void ServeBatch(const std::vector<std::shared_ptr<Request>>& reqs);
-  // Files completed queries (resolving their tickets), releases the one
-  // in-flight slot they held, admits what is waiting and wakes the
-  // consumer. Called with mu_ held.
-  void CompleteLocked(std::span<ServedQuery> outs);
+  // Resolves the tickets, hands each result outs[i] to reqs[i]'s sink or
+  // files it for Next(), releases the one in-flight slot they held,
+  // admits what is waiting and wakes the consumer.
+  void Complete(std::span<const std::shared_ptr<Request>> reqs,
+                std::span<ServedQuery> outs);
 
   const Index& index_;
   ThreadPool* pool_;
@@ -206,6 +221,8 @@ class ServingSession : public ServingBackend {
   std::map<uint64_t, ServedQuery> done_;          // completed, unconsumed
   uint64_t next_ticket_ = 0;
   uint64_t next_result_ = 0;
+  // Sink queries are numbered apart, so Next() never waits on one.
+  uint64_t next_sink_ticket_ = 0;
   size_t in_flight_ = 0;
   // Producers currently inside Submit (blocked or not): the destructor
   // waits them out so a woken submitter never touches freed state.

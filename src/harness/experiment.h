@@ -138,7 +138,7 @@ Table SerialTable(const std::vector<RunResult>& rows,
 // or a ReplicaSetBackend instead — the runner never names a concrete
 // backend, so the same measurement code produces local, loopback and
 // replicated rows. A remote factory cannot honor every field (the
-// server fixed its per-connection options at Start); wire it against a
+// server fixed its session's options at Start); wire it against a
 // server configured to match. A factory may return nullptr (connect
 // refused): the run is then reported as all errors.
 using ServingBackendFactory =

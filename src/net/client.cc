@@ -5,24 +5,6 @@
 #include <vector>
 
 namespace hydra {
-namespace {
-
-// Reads one complete frame: the handshake's reply, then every frame
-// the receive thread handles.
-Status ReadFrame(const TcpSocket& socket, FrameHeader* header,
-                 std::string* payload) {
-  char bytes[kFrameHeaderBytes];
-  HYDRA_RETURN_IF_ERROR(socket.RecvAll(bytes, sizeof(bytes)));
-  HYDRA_RETURN_IF_ERROR(DecodeFrameHeader(
-      std::span<const char>(bytes, sizeof(bytes)), header));
-  payload->resize(static_cast<size_t>(header->length));
-  if (header->length > 0) {
-    HYDRA_RETURN_IF_ERROR(socket.RecvAll(payload->data(), payload->size()));
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 Result<std::unique_ptr<HydraClient>> HydraClient::Connect(
     const std::string& host, uint16_t port, Sink sink) {
@@ -35,7 +17,7 @@ Result<std::unique_ptr<HydraClient>> HydraClient::Connect(
   HYDRA_RETURN_IF_ERROR(socket.SendAll(frame.data(), frame.size()));
   FrameHeader header;
   std::string payload;
-  HYDRA_RETURN_IF_ERROR(ReadFrame(socket, &header, &payload));
+  HYDRA_RETURN_IF_ERROR(RecvFrame(socket, &header, &payload));
   const std::span<const char> body(payload.data(), payload.size());
   if (header.kind == MessageKind::kStatus) {
     StatusFrame refused;
@@ -109,10 +91,9 @@ QueryTicket HydraClient::Submit(std::span<const float> query,
                                 const SearchParams& params) {
   std::shared_ptr<QueryTicket::State> state;
   std::string frame;
-  // Holding the send lock across id assignment AND the write keeps
-  // concurrent submitters' frames on the wire in id order — which is
-  // what makes the server's completion stream (submission-ordered) come
-  // back in ticket-id order, matching the in-process contract.
+  // Holding the send lock across the check AND the write keeps a
+  // submission that passed the check ahead of Finish's kFinish on the
+  // wire: the server refuses a kSubmit that follows it.
   std::lock_guard<std::mutex> send_lock(send_mu_);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -140,10 +121,14 @@ QueryTicket HydraClient::Submit(std::span<const float> query,
 
 std::optional<ServedQuery> HydraClient::Next() {
   std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [this] { return !results_.empty() || closed_; });
+  // Once the connection is closed nothing more arrives, so the ids
+  // whose submit failed are skipped.
+  cv_.wait(lock, [this] { return results_.count(next_result_) || closed_; });
   if (results_.empty()) return std::nullopt;
-  ServedQuery out = std::move(results_.front());
-  results_.pop_front();
+  auto it = results_.begin();
+  ServedQuery out = std::move(it->second);
+  next_result_ = it->first + 1;
+  results_.erase(it);
   return out;
 }
 
@@ -206,7 +191,7 @@ void HydraClient::Deliver(uint64_t id, ServedQuery served) {
   state->Resolve(served.answer);
   served.ticket = QueryTicket(std::move(state));
   if (!sink_) {
-    results_.push_back(std::move(served));
+    results_.emplace(id, std::move(served));
     cv_.notify_all();
     return;
   }
@@ -220,7 +205,7 @@ void HydraClient::RecvLoop() {
   Status st;
   // Any read or decode failure ends the connection: a server speaking
   // garbage means the stream is desynced (same policy as the server).
-  while ((st = ReadFrame(socket_, &header, &payload)).ok()) {
+  while ((st = RecvFrame(socket_, &header, &payload)).ok()) {
     const std::span<const char> body(payload.data(), payload.size());
     if (header.kind == MessageKind::kResult) {
       ResultFrame result;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -24,13 +23,15 @@ namespace hydra {
 // an in-process ServingSession, spoken over one TCP connection to a
 // HydraServer. Callers written against ServingBackend cannot tell the
 // difference — answers are bit-identical (the wire moves bytes, never
-// recomputes them), results come back in submission order, and failures
-// surface as the same typed Status the server saw (IoContext included).
+// recomputes them), Next() hands results out in submission order, and
+// failures surface as the same typed Status the server saw (IoContext
+// included).
 //
 // Threading: one background receive thread owns the socket's read side
 // and is the one place a request is resolved. It hands each result to
-// the sink given at Connect — by default the ordered queue behind
-// Next() — and stats replies to their waiter. Submit and Next are safe
+// the sink given at Connect — by default the store behind Next(), which
+// orders results by request id whatever order the server sent them in
+// — and stats replies to their waiter. Submit and Next are safe
 // to call concurrently (the open-loop harness drives exactly that: a
 // submitter thread racing a drain thread); sends are serialized
 // internally and never deliver anything themselves.
@@ -129,8 +130,10 @@ class HydraClient : public ServingBackend {
   // Results, stats replies and close. Nothing else notifies it, so a
   // WaitClosed waiter sleeps through the deliveries to a sink.
   mutable std::condition_variable cv_;
-  // Submission-ordered completion queue of the default sink.
-  std::deque<ServedQuery> results_;
+  // The default sink's results by request id; Next() hands them out in
+  // id order, from next_result_ on.
+  std::map<uint64_t, ServedQuery> results_;
+  uint64_t next_result_ = 1;
   // request_id → ticket state of requests awaiting their result frame.
   std::map<uint64_t, std::shared_ptr<QueryTicket::State>> pending_;
   uint64_t next_request_id_ = 1;  // 0 is the connection-level sentinel

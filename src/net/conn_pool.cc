@@ -231,7 +231,7 @@ void ConnectionPool::ManagerLoop(size_t i) {
         ++slot.probes_sent;
       }
       // StatsRequest doubles as the protocol ping: a reply proves the
-      // server end-to-end (reader thread, session, pump) is alive. A
+      // server end-to-end (connection thread, session) is alive. A
       // failed ping means the transport broke; the close follows.
       if (client->Ping().ok()) {
         ReportHealthy(i);

@@ -100,20 +100,17 @@ class ReplicaSetBackend : public ServingBackend {
                      const SearchParams& params) override;
   std::optional<ServedQuery> Next() override;
   void Finish() override;
-  // First live replica's server-session snapshot, with this set's own
-  // routing counters (retries/failovers/hedges) merged in.
+  // First live replica's snapshot — its server's one session, covering
+  // every connection to that server — with this set's own routing
+  // counters (retries/failovers/hedges) merged in.
   ServingStats stats() const override;
 
   size_t replicas() const { return pool_->size(); }
-  EndpointHealth replica_health(size_t i) const { return pool_->health(i); }
   bool WaitHealthy(size_t i, std::chrono::milliseconds timeout) {
     return pool_->WaitHealthy(i, timeout);
   }
   bool WaitAnyHealthy(std::chrono::milliseconds timeout) {
     return pool_->WaitAnyHealthy(timeout);
-  }
-  EndpointStatus replica_status(size_t i) const {
-    return pool_->endpoint_status(i);
   }
 
   uint64_t retries() const { return retries_.load(); }

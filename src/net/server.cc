@@ -1,35 +1,89 @@
 #include "net/server.h"
 
-#include <algorithm>
+#include <poll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <map>
+#include <string>
 #include <utility>
 
-#include "storage/buffer_manager.h"
+#include "common/cancellation.h"
 
 namespace hydra {
 
-// Per-connection state. Threads: the reader owns the receive side of
-// the socket; the pump owns the session's completion stream; both send
-// (under send_mu). The token map is the cancellation rendezvous between
-// the reader (insert on submit, fire on kCancel/disconnect) and the
-// pump (erase as results retire).
+// Per-connection state, shared by the connection thread and the sinks
+// of the connection's queries (on pool workers). `mu` guards the token
+// map — the cancellation rendezvous — and the outbound bytes, which keep
+// frames whole and in order.
 struct HydraServer::Connection {
   TcpSocket socket;
-  std::unique_ptr<ServingSession> session;
-
-  std::mutex send_mu;
+  int wake_fd = -1;  // eventfd: outbound bytes wait for the thread
 
   std::mutex mu;
-  // request_id → cancellation token of the in-flight query; `order` is
-  // the FIFO of request_ids awaiting results (the session's Next()
-  // order is the submission order, so the front of this queue names the
-  // next result's request_id).
   std::map<uint64_t, std::shared_ptr<CancellationToken>> tokens;
-  std::deque<uint64_t> order;
+  std::string outbound;    // frames the socket has not taken yet
+  bool finishing = false;  // the client sent kFinish
+  bool closed = false;     // disconnected: later frames are dropped
 
-  std::atomic<bool> disconnecting{false};
+  std::atomic<bool> exited{false};  // the thread returned; reapable
+  std::thread thread;
 
-  std::thread reader;
-  std::thread pump;
+  // Appends `frame` to the outbound bytes. If they were empty, hands the
+  // socket what it takes without blocking, and wakes the connection
+  // thread to send what is left. Called with mu held.
+  void QueueLocked(const std::string& frame) {
+    if (closed) return;
+    const bool was_empty = outbound.empty();
+    outbound += frame;
+    if (!was_empty) return;  // the connection thread is sending
+    FlushLocked();
+    const uint64_t one = 1;
+    if (!outbound.empty()) (void)!::write(wake_fd, &one, sizeof(one));
+  }
+
+  // A failed send means the peer is gone: this and every later frame is
+  // dropped, and the shutdown wakes the thread, which disconnects.
+  void FlushLocked() {
+    Result<size_t> sent = socket.SendSome(outbound.data(), outbound.size());
+    if (sent.ok()) {
+      outbound.erase(0, sent.value());
+      return;
+    }
+    closed = true;
+    outbound.clear();
+    socket.ShutdownBoth();
+  }
+
+  // The kResult frame of one finished or refused query.
+  static std::string ResultFrameOf(uint64_t request_id, ServedQuery served) {
+    ResultFrame result;
+    result.request_id = request_id;
+    result.status =
+        served.answer.ok() ? Status::OK() : served.answer.status();
+    if (served.answer.ok()) result.answer = std::move(served.answer).value();
+    result.counters = served.counters;
+    result.seconds = served.seconds;
+    std::string frame;
+    EncodeResult(result, &frame);
+    return frame;
+  }
+
+  // The sink of one of the connection's queries, on the pool worker that
+  // finished it.
+  void Deliver(uint64_t request_id, ServedQuery served) {
+    std::string frame = ResultFrameOf(request_id, std::move(served));
+    std::lock_guard<std::mutex> lock(mu);
+    tokens.erase(request_id);
+    if (finishing && tokens.empty()) EncodeFinish(&frame);
+    QueueLocked(frame);
+  }
+
+  void QueueFrame(const std::string& frame) {
+    std::lock_guard<std::mutex> lock(mu);
+    QueueLocked(frame);
+  }
 };
 
 Result<std::unique_ptr<HydraServer>> HydraServer::Start(
@@ -37,18 +91,16 @@ Result<std::unique_ptr<HydraServer>> HydraServer::Start(
     const ServerOptions& options) {
   HYDRA_ASSIGN_OR_RETURN(TcpListener listener,
                          TcpListener::Listen(options.port));
-  std::unique_ptr<HydraServer> server(
-      new HydraServer(index, provider, options, std::move(listener)));
+  std::unique_ptr<HydraServer> server(new HydraServer(
+      index, provider, options.serving, std::move(listener)));
   server->acceptor_ = std::thread([s = server.get()] { s->AcceptLoop(); });
   return server;
 }
 
 HydraServer::HydraServer(const Index& index, SeriesProvider* provider,
-                         ServerOptions options, TcpListener listener)
-    : index_(index),
-      provider_(provider),
-      options_(std::move(options)),
-      listener_(std::move(listener)) {}
+                         const ServingOptions& serving, TcpListener listener)
+    : listener_(std::move(listener)),
+      session_(std::make_unique<ServingSession>(index, provider, serving)) {}
 
 HydraServer::~HydraServer() { Stop(); }
 
@@ -61,21 +113,20 @@ void HydraServer::Stop() {
   listener_.Shutdown();
   if (acceptor_.joinable()) acceptor_.join();
   listener_.Close();
-  // Disconnect every connection: shutting the socket down unblocks its
-  // reader, whose exit path cancels in-flight queries, finishes the
-  // session and sees the pump out.
-  std::vector<std::unique_ptr<Connection>> conns;
+  session_->Finish();  // refuses submitters parked on a full queue
+  std::vector<std::shared_ptr<Connection>> conns;
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     conns.swap(conns_);
   }
+  // Shutting a socket down ends its thread's wait; the thread's
+  // disconnect cancels the connection's in-flight queries.
   for (auto& conn : conns) {
+    std::lock_guard<std::mutex> lock(conn->mu);  // the thread closes it
     conn->socket.ShutdownBoth();
   }
-  for (auto& conn : conns) {
-    if (conn->reader.joinable()) conn->reader.join();
-    if (conn->pump.joinable()) conn->pump.join();
-  }
+  for (auto& conn : conns) conn->thread.join();
+  session_.reset();  // waits for every admitted query and its delivery
 }
 
 void HydraServer::AcceptLoop() {
@@ -87,63 +138,201 @@ void HydraServer::AcceptLoop() {
       return;
     }
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    auto conn = std::make_unique<Connection>();
+    auto conn = std::make_shared<Connection>();
     conn->socket = std::move(accepted).value();
-    conn->session = std::make_unique<ServingSession>(index_, provider_,
-                                                     options_.serving);
-    Connection* raw = conn.get();
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      conns_.push_back(std::move(conn));
-    }
-    raw->reader = std::thread([this, raw] { ReaderLoop(raw); });
-    raw->pump = std::thread([this, raw] { PumpLoop(raw); });
+    conn->wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    if (conn->wake_fd < 0) continue;  // out of descriptors: dropped
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    // Reap closed connections, so a long-running server keeps its
+    // thread stacks.
+    std::erase_if(conns_, [](const std::shared_ptr<Connection>& c) {
+      if (!c->exited.load(std::memory_order_acquire)) return false;
+      c->thread.join();
+      return true;
+    });
+    conn->thread = std::thread([this, conn] { Serve(conn); });
+    conns_.push_back(std::move(conn));
   }
 }
 
-void HydraServer::SendFrame(Connection* conn, const std::string& frame) {
-  std::lock_guard<std::mutex> lock(conn->send_mu);
-  (void)conn->socket.SendAll(frame.data(), frame.size());
+void HydraServer::Reject(Connection& conn, uint64_t request_id,
+                         const Status& why) {
+  frames_rejected_.fetch_add(1, std::memory_order_relaxed);
+  std::string frame;
+  EncodeStatusFrame(StatusFrame{request_id, why}, &frame);
+  conn.QueueFrame(frame);
 }
 
-void HydraServer::BeginDisconnect(Connection* conn) {
-  if (conn->disconnecting.exchange(true)) return;
+bool HydraServer::Negotiate(Connection& conn, const FrameHeader& header,
+                            std::span<const char> body) {
+  if (header.kind != MessageKind::kHello) {
+    Reject(conn, 0,
+           Status::FailedPrecondition(
+               "protocol violation: first frame must be Hello"));
+    return false;
+  }
+  HelloFrame hello;
+  const Status decoded = DecodeHello(body, &hello);
+  // This server speaks exactly kProtocolVersion: a range without it (an
+  // older client's {2, 2} included) is refused typed.
+  if (!decoded.ok() || hello.min_version > kProtocolVersion ||
+      hello.max_version < kProtocolVersion) {
+    Reject(conn, 0,
+           decoded.ok() ? Status::FailedPrecondition(
+                              "no common protocol version: server speaks " +
+                              std::to_string(kProtocolVersion) +
+                              ", client offered [" +
+                              std::to_string(hello.min_version) + ", " +
+                              std::to_string(hello.max_version) + "]")
+                        : decoded);
+    return false;
+  }
+  std::string frame;
+  EncodeHelloAck(HelloAckFrame{}, &frame);
+  conn.QueueFrame(frame);
+  return true;
+}
+
+void HydraServer::Serve(const std::shared_ptr<Connection>& conn) {
+  FrameHeader header;
+  std::string payload;
+  bool negotiated = false;
+  bool open = true;
+  while (open) {
+    bool sending = false;
+    {
+      std::lock_guard<std::mutex> lock(conn->mu);
+      sending = !conn->outbound.empty();
+    }
+    // Reading goes on while results wait to be sent: a client may stop
+    // reading until its own blocked send completes (a replica set sends
+    // under the lock its receive thread takes).
+    pollfd fds[2] = {
+        {conn->socket.fd(),
+         static_cast<short>(POLLIN | (sending ? POLLOUT : 0)), 0},
+        {conn->wake_fd, POLLIN, 0}};
+    if (::poll(fds, 2, -1) < 0) {
+      open = errno == EINTR;
+      continue;
+    }
+    if (fds[1].revents != 0) {
+      uint64_t wakes = 0;
+      (void)!::read(conn->wake_fd, &wakes, sizeof(wakes));
+    }
+    if ((fds[0].revents & POLLOUT) != 0) {
+      std::lock_guard<std::mutex> lock(conn->mu);
+      conn->FlushLocked();
+    }
+    if ((fds[0].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+    const Status read = RecvFrame(conn->socket, &header, &payload);
+    if (!read.ok()) {
+      // Bad magic / oversized length: the byte stream is out of sync and
+      // nothing after this point can be trusted — typed error frame,
+      // then disconnect. Any other failure: the peer is gone (or Stop
+      // shut the socket down).
+      if (read.code() == StatusCode::kInvalidArgument) {
+        Reject(*conn, 0, read);
+      }
+      break;
+    }
+    const std::span<const char> body(payload.data(), payload.size());
+    if (negotiated) {
+      HandleFrame(conn, header, body);
+    } else {
+      open = negotiated = Negotiate(*conn, header, body);
+    }
+  }
+  std::lock_guard<std::mutex> lock(conn->mu);
+  conn->closed = true;
+  conn->outbound.clear();
   // Fire every outstanding query's token: the scan layers abandon at
   // their next cancellation point, releasing pins and skipping queued
   // prefetches — a vanished client cannot strand buffer-pool capacity.
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    for (auto& [id, token] : conn->tokens) token->Cancel();
-  }
-  // Close the submission side; the pump drains the (now cancelled)
-  // remainder of the completion stream and exits. Results it sends
-  // toward a dead socket are dropped by SendFrame.
-  conn->session->Finish();
-  conn->socket.ShutdownBoth();
+  for (auto& [id, token] : conn->tokens) token->Cancel();
+  // Nothing touches a closed connection's descriptors again.
+  conn->socket.Close();
+  ::close(conn->wake_fd);
+  conn->exited.store(true, std::memory_order_release);
 }
 
-bool HydraServer::HandleSubmit(Connection* conn,
+void HydraServer::HandleFrame(const std::shared_ptr<Connection>& conn,
+                              const FrameHeader& header,
+                              std::span<const char> body) {
+  if (!KnownMessageKind(static_cast<uint16_t>(header.kind))) {
+    // Unknown kind: this version doesn't speak it, but the frame was
+    // well-formed and fully consumed — reject typed, keep the
+    // connection.
+    Reject(*conn, 0,
+           Status::Unimplemented(
+               "unknown message kind: " +
+               std::to_string(static_cast<uint16_t>(header.kind))));
+    return;
+  }
+  switch (header.kind) {
+    case MessageKind::kSubmit:
+      HandleSubmit(conn, body);
+      return;
+    case MessageKind::kCancel: {
+      CancelFrame cancel;
+      if (DecodeCancel(body, &cancel).ok()) {
+        std::lock_guard<std::mutex> lock(conn->mu);
+        auto it = conn->tokens.find(cancel.request_id);
+        // Unknown id = already completed (or never existed): cancel is
+        // inherently racy, so that is simply a no-op, not an error.
+        if (it != conn->tokens.end()) it->second->Cancel();
+      }
+      return;
+    }
+    case MessageKind::kStatsRequest: {
+      StatsReplyFrame reply;
+      reply.stats = session_->stats();
+      // Server-level policing counters ride along with the session
+      // snapshot: one round-trip tells an operator both how the
+      // session is configured and what the listener has been doing.
+      reply.stats.connections_accepted =
+          connections_accepted_.load(std::memory_order_relaxed);
+      reply.stats.frames_rejected =
+          frames_rejected_.load(std::memory_order_relaxed);
+      std::string frame;
+      EncodeStatsReply(reply, &frame);
+      conn->QueueFrame(frame);
+      return;
+    }
+    case MessageKind::kFinish: {
+      // Client is done submitting. Our kFinish follows its last result
+      // (see Deliver); kCancel/kStatsRequest are still served until the
+      // client closes.
+      std::lock_guard<std::mutex> lock(conn->mu);
+      std::string frame;
+      if (!conn->finishing && conn->tokens.empty()) EncodeFinish(&frame);
+      conn->finishing = true;
+      if (!frame.empty()) conn->QueueLocked(frame);
+      return;
+    }
+    default:
+      // Known kind that only flows server → client (Result, HelloAck,
+      // ...): a client sending it is confused but not fatal.
+      Reject(*conn, 0,
+             Status::InvalidArgument(
+                 "unexpected client-bound message kind: " +
+                 std::to_string(static_cast<uint16_t>(header.kind))));
+      return;
+  }
+}
+
+void HydraServer::HandleSubmit(const std::shared_ptr<Connection>& conn,
                                std::span<const char> payload) {
   SubmitFrame submit;
-  const Status decoded = DecodeSubmit(payload, &submit);
-  if (!decoded.ok()) {
-    frames_rejected_.fetch_add(1, std::memory_order_relaxed);
-    StatusFrame err;
-    err.request_id = 0;  // the id cannot be trusted out of a bad payload
-    err.status = decoded;
-    std::string frame;
-    EncodeStatusFrame(err, &frame);
-    SendFrame(conn, frame);
-    return true;  // payload-level failure: the connection survives
-  }
-  if (submit.request_id == 0) {
-    StatusFrame err;
-    err.status = Status::InvalidArgument(
+  Status decoded = DecodeSubmit(payload, &submit);
+  if (decoded.ok() && submit.request_id == 0) {
+    decoded = Status::InvalidArgument(
         "request_id 0 is reserved for connection-level status");
-    std::string frame;
-    EncodeStatusFrame(err, &frame);
-    SendFrame(conn, frame);
-    return true;
+  }
+  if (!decoded.ok()) {
+    // Payload-level failure: the connection survives. The id cannot be
+    // trusted out of a bad payload.
+    Reject(*conn, 0, decoded);
+    return;
   }
   // Deadline re-arming happens HERE, at frame receipt: the token carries
   // the budget from this moment (network transfer already spent some of
@@ -154,214 +343,39 @@ bool HydraServer::HandleSubmit(Connection* conn,
                    ? CancellationToken::WithDeadline(submit.params.deadline_ms)
                    : std::make_shared<CancellationToken>();
   submit.params.cancel = token;
-  bool duplicate = false;
+  const uint64_t id = submit.request_id;
+  Status refused;
   {
-    // One critical section: the token insert and the order push must be
-    // atomic with respect to the pump retiring results, and a duplicate
-    // in-flight id must not disturb the original's bookkeeping.
     std::lock_guard<std::mutex> lock(conn->mu);
-    duplicate = !conn->tokens.emplace(submit.request_id, token).second;
-    if (!duplicate) conn->order.push_back(submit.request_id);
-  }
-  if (duplicate) {
-    frames_rejected_.fetch_add(1, std::memory_order_relaxed);
-    StatusFrame err;
-    err.request_id = submit.request_id;
-    err.status = Status::InvalidArgument("request_id already in flight");
-    std::string frame;
-    EncodeStatusFrame(err, &frame);
-    SendFrame(conn, frame);
-    return true;
-  }
-  QueryTicket ticket = conn->session->Submit(
-      std::span<const float>(submit.query.data(), submit.query.size()),
-      submit.params);
-  if (!ticket.valid()) {
-    // The session was finished under us (server stopping / racing
-    // disconnect): the submission was refused, typed. Undo the
-    // bookkeeping and tell the client.
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->tokens.erase(submit.request_id);
-      auto it = std::find(conn->order.begin(), conn->order.end(),
-                          submit.request_id);
-      if (it != conn->order.end()) conn->order.erase(it);
-    }
-    ResultFrame result;
-    result.request_id = submit.request_id;
-    result.status = ticket.status();
-    std::string frame;
-    EncodeResult(result, &frame);
-    SendFrame(conn, frame);
-  }
-  return true;
-}
-
-void HydraServer::ReaderLoop(Connection* conn) {
-  // --- Version negotiation: the first frame must be kHello. -------------
-  bool negotiated = false;
-  char header_bytes[kFrameHeaderBytes];
-  std::string payload;
-  while (true) {
-    if (!conn->socket.RecvAll(header_bytes, sizeof(header_bytes)).ok()) {
-      break;  // peer gone (or Stop shut the socket down)
-    }
-    FrameHeader header;
-    const Status header_ok = DecodeFrameHeader(
-        std::span<const char>(header_bytes, sizeof(header_bytes)), &header);
-    if (!header_ok.ok()) {
-      // Bad magic / oversized length: the byte stream is out of sync and
-      // nothing after this point can be trusted — typed error frame,
-      // then disconnect.
-      frames_rejected_.fetch_add(1, std::memory_order_relaxed);
-      StatusFrame err;
-      err.status = header_ok;
-      std::string frame;
-      EncodeStatusFrame(err, &frame);
-      SendFrame(conn, frame);
-      break;
-    }
-    payload.resize(static_cast<size_t>(header.length));
-    if (header.length > 0 &&
-        !conn->socket.RecvAll(payload.data(), payload.size()).ok()) {
-      break;
-    }
-    const std::span<const char> body(payload.data(), payload.size());
-    if (!negotiated) {
-      if (header.kind != MessageKind::kHello) {
-        frames_rejected_.fetch_add(1, std::memory_order_relaxed);
-        StatusFrame err;
-        err.status = Status::FailedPrecondition(
-            "protocol violation: first frame must be Hello");
-        std::string frame;
-        EncodeStatusFrame(err, &frame);
-        SendFrame(conn, frame);
-        break;
-      }
-      HelloFrame hello;
-      const Status decoded = DecodeHello(body, &hello);
-      // This server speaks exactly kProtocolVersion: a range without it
-      // (an older client's {1, 1} included) is refused typed.
-      if (!decoded.ok() || hello.min_version > kProtocolVersion ||
-          hello.max_version < kProtocolVersion) {
-        frames_rejected_.fetch_add(1, std::memory_order_relaxed);
-        StatusFrame err;
-        err.status =
-            decoded.ok()
-                ? Status::FailedPrecondition(
-                      "no common protocol version: server speaks " +
-                      std::to_string(kProtocolVersion) + ", client offered [" +
-                      std::to_string(hello.min_version) + ", " +
-                      std::to_string(hello.max_version) + "]")
-                : decoded;
-        std::string frame;
-        EncodeStatusFrame(err, &frame);
-        SendFrame(conn, frame);
-        break;
-      }
-      HelloAckFrame ack;
-      std::string frame;
-      EncodeHelloAck(ack, &frame);
-      SendFrame(conn, frame);
-      negotiated = true;
-      continue;
-    }
-    if (!KnownMessageKind(static_cast<uint16_t>(header.kind))) {
-      // Unknown kind: this version doesn't speak it, but the frame was
-      // well-formed and fully consumed — reject typed, keep the
-      // connection.
-      frames_rejected_.fetch_add(1, std::memory_order_relaxed);
-      StatusFrame err;
-      err.status = Status::Unimplemented(
-          "unknown message kind: " +
-          std::to_string(static_cast<uint16_t>(header.kind)));
-      std::string frame;
-      EncodeStatusFrame(err, &frame);
-      SendFrame(conn, frame);
-      continue;
-    }
-    switch (header.kind) {
-      case MessageKind::kSubmit:
-        HandleSubmit(conn, body);
-        break;
-      case MessageKind::kCancel: {
-        CancelFrame cancel;
-        if (DecodeCancel(body, &cancel).ok()) {
-          std::lock_guard<std::mutex> lock(conn->mu);
-          auto it = conn->tokens.find(cancel.request_id);
-          // Unknown id = already completed (or never existed): cancel is
-          // inherently racy, so that is simply a no-op, not an error.
-          if (it != conn->tokens.end()) it->second->Cancel();
-        }
-        break;
-      }
-      case MessageKind::kStatsRequest: {
-        StatsReplyFrame reply;
-        reply.stats = conn->session->stats();
-        // Server-level policing counters ride along with the session
-        // snapshot: one round-trip tells an operator both how the
-        // session is configured and what the listener has been doing.
-        reply.stats.connections_accepted =
-            connections_accepted_.load(std::memory_order_relaxed);
-        reply.stats.frames_rejected =
-            frames_rejected_.load(std::memory_order_relaxed);
-        std::string frame;
-        EncodeStatsReply(reply, &frame);
-        SendFrame(conn, frame);
-        break;
-      }
-      case MessageKind::kFinish:
-        // Client is done submitting. The pump drains the remaining
-        // results and answers with its own kFinish; the reader keeps
-        // serving kCancel/kStatsRequest until the client closes.
-        conn->session->Finish();
-        break;
-      default: {
-        // Known kind that only flows server → client (Result, HelloAck,
-        // ...): a client sending it is confused but not fatal.
-        frames_rejected_.fetch_add(1, std::memory_order_relaxed);
-        StatusFrame err;
-        err.status = Status::InvalidArgument(
-            "unexpected client-bound message kind: " +
-            std::to_string(static_cast<uint16_t>(header.kind)));
-        std::string frame;
-        EncodeStatusFrame(err, &frame);
-        SendFrame(conn, frame);
-        break;
-      }
+    if (conn->finishing) {
+      refused = Status::Unavailable("submission after Finish");
+    } else if (!conn->tokens.emplace(id, token).second) {
+      refused = Status::InvalidArgument("request_id already in flight");
     }
   }
-  BeginDisconnect(conn);
-}
-
-void HydraServer::PumpLoop(Connection* conn) {
-  while (true) {
-    std::optional<ServedQuery> served = conn->session->Next();
-    if (!served.has_value()) break;
-    ResultFrame result;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      // The session's completion stream is in submission order, so the
-      // oldest unanswered request_id is this result's.
-      if (!conn->order.empty()) {
-        result.request_id = conn->order.front();
-        conn->order.pop_front();
-        conn->tokens.erase(result.request_id);
-      }
-    }
-    result.status = served->answer.ok() ? Status::OK()
-                                        : served->answer.status();
-    if (served->answer.ok()) result.answer = std::move(served->answer).value();
-    result.counters = served->counters;
-    result.seconds = served->seconds;
-    std::string frame;
-    EncodeResult(result, &frame);
-    SendFrame(conn, frame);
+  if (refused.code() == StatusCode::kInvalidArgument) {
+    // A duplicate must not disturb the original's bookkeeping.
+    Reject(*conn, id, refused);
+    return;
   }
-  // End-of-stream marker: the client's Next() drains to nullopt on this.
-  std::string frame;
-  EncodeFinish(&frame);
-  SendFrame(conn, frame);
+  if (refused.ok()) {
+    // The sink may run before Submit returns: it needs only the
+    // connection and the request id, never the ticket.
+    QueryTicket ticket = session_->Submit(
+        std::span<const float>(submit.query.data(), submit.query.size()),
+        submit.params, [conn, id](ServedQuery served) {
+          conn->Deliver(id, std::move(served));
+        });
+    if (ticket.valid()) return;
+    // The session was finished under us (server stopping): the
+    // submission was refused, typed.
+    std::lock_guard<std::mutex> lock(conn->mu);
+    conn->tokens.erase(id);
+    refused = ticket.status();
+  }
+  ServedQuery refusal;
+  refusal.answer = refused;
+  conn->QueueFrame(Connection::ResultFrameOf(id, std::move(refusal)));
 }
 
 }  // namespace hydra

@@ -3,15 +3,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <string>
+#include <span>
 #include <thread>
 #include <vector>
 
-#include "common/cancellation.h"
 #include "common/status.h"
 #include "exec/query_scheduler.h"
 #include "net/socket.h"
@@ -23,38 +20,36 @@ class SeriesProvider;  // storage/buffer_manager.h
 
 struct ServerOptions {
   uint16_t port = 0;  // 0 = kernel-assigned ephemeral port (see port())
-  // Per-connection serving configuration: every accepted connection gets
-  // its OWN ServingSession over the shared index/provider with these
-  // options — pin/prefetch budget negotiation happens per connection,
-  // and one connection's completion stream is independent of (and never
-  // blocked by) another's.
+  // The server's one ServingSession, which every connection submits
+  // into: its admission limit, queue, capability clamp and pin/prefetch
+  // split cover all connections together.
   ServingOptions serving;
 };
 
 // TCP front-end over the serving engine. Listens on loopback, speaks
-// the net/wire.h frame protocol, and maps each connection onto one
-// ServingSession:
+// the net/wire.h frame protocol, and submits every connection's queries
+// into one ServingSession:
 //
-//   reader thread (per connection): negotiates the protocol version
-//     (kHello/kHelloAck), then deserializes kSubmit frames into
-//     ServingSession::Submit. Each submission gets a fresh
-//     CancellationToken, armed with the frame's deadline_ms at RECEIPT
-//     time — the client's queue wait on its side of the socket does not
-//     count against the budget, the server-side queue wait does (the
-//     session sees params.cancel != nullptr and arms nothing itself).
-//     kCancel fires the matching token; kStatsRequest answers with the
-//     session's ServingStats; kFinish closes the session's submission
-//     side.
-//   pump thread (per connection): drains ServingSession::Next() — whose
-//     order IS the client's submission order — and writes each result
-//     back as a kResult frame; after the drain it sends kFinish (the
-//     client's end-of-stream marker).
+//   acceptor thread: accepts connections; joins and drops closed ones.
+//   connection thread (one per connection): negotiates the protocol
+//     version (kHello/kHelloAck), then polls the socket and a wake
+//     descriptor, reading a whole frame when the socket is readable.
+//     Each kSubmit gets a fresh CancellationToken, armed with the
+//     frame's deadline_ms at RECEIPT time — the client's queue wait on
+//     its side of the socket does not count against the budget, the
+//     server-side queue wait does. kCancel fires the matching token;
+//     after kFinish, the server's kFinish follows the last result.
+//   pool workers: the worker that finishes a query sends its kResult
+//     frame without blocking, so results leave in completion order.
+//     Bytes the socket does not take wait for the connection thread,
+//     which sends them when the socket is writable and keeps reading
+//     meanwhile. A client that stops reading holds only its own thread.
 //
 // Robustness contract (tests/net_serving_test.cc):
 //   - A dropped connection cancels every in-flight query of THAT client
-//     through the CancellationToken path, finishes the session, and
-//     drains it — all pins are released, and other connections keep
-//     being served. Same path for kill -9 clients and polite closes.
+//     through the CancellationToken path and drops their results — all
+//     pins are released, and other connections keep being served. Same
+//     path for kill -9 clients and polite closes.
 //   - Malformed payloads and unknown message kinds cost one typed
 //     kStatus error frame, never the connection; a bad magic or an
 //     oversized declared length poisons the stream itself, so those get
@@ -77,8 +72,9 @@ class HydraServer {
   uint16_t port() const { return listener_.port(); }
 
   // Stops accepting, disconnects every connection (cancelling its
-  // in-flight queries), joins all threads. Idempotent; the destructor
-  // calls it.
+  // in-flight queries), joins all threads and waits for every admitted
+  // query: afterwards nothing touches the index or the provider.
+  // Idempotent; the destructor calls it.
   void Stop();
 
   // Observability (racy by nature).
@@ -93,30 +89,30 @@ class HydraServer {
   struct Connection;
 
   HydraServer(const Index& index, SeriesProvider* provider,
-              ServerOptions options, TcpListener listener);
+              const ServingOptions& serving, TcpListener listener);
 
   void AcceptLoop();
-  void ReaderLoop(Connection* conn);
-  void PumpLoop(Connection* conn);
-  // The disconnect contract: cancel outstanding tokens, finish the
-  // session (the pump drains it and exits). Idempotent per connection.
-  void BeginDisconnect(Connection* conn);
-  // Serializes `frame` onto the connection's socket under its send lock.
-  // Send failures are swallowed: they mean the peer is gone, and the
-  // reader's disconnect path owns that event.
-  void SendFrame(Connection* conn, const std::string& frame);
-  bool HandleSubmit(Connection* conn, std::span<const char> payload);
+  // The connection thread, disconnect included.
+  void Serve(const std::shared_ptr<Connection>& conn);
+  // Answers the connection's first frame, which must be kHello; false =
+  // refused (disconnect).
+  bool Negotiate(Connection& conn, const FrameHeader& header,
+                 std::span<const char> body);
+  void HandleFrame(const std::shared_ptr<Connection>& conn,
+                   const FrameHeader& header, std::span<const char> body);
+  void HandleSubmit(const std::shared_ptr<Connection>& conn,
+                    std::span<const char> payload);
+  // Counts a rejected frame and answers it with a typed kStatus frame.
+  void Reject(Connection& conn, uint64_t request_id, const Status& why);
 
-  const Index& index_;
-  SeriesProvider* provider_;
-  ServerOptions options_;
   TcpListener listener_;
+  std::unique_ptr<ServingSession> session_;
   std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> connections_accepted_{0};
   std::atomic<uint64_t> frames_rejected_{0};
 
   std::mutex conns_mu_;
-  std::vector<std::unique_ptr<Connection>> conns_;
+  std::vector<std::shared_ptr<Connection>> conns_;
 
   std::thread acceptor_;
 };

@@ -93,6 +93,18 @@ Status TcpSocket::SendAll(const void* data, size_t len) const {
   return Status::OK();
 }
 
+Result<size_t> TcpSocket::SendSome(const void* data, size_t len) const {
+  ssize_t n = 0;
+  do {
+    n = ::send(fd_, data, len, MSG_NOSIGNAL | MSG_DONTWAIT);
+  } while (n < 0 && errno == EINTR);
+  if (n >= 0) return static_cast<size_t>(n);
+  const int err = errno;
+  if (err == EAGAIN || err == EWOULDBLOCK) return size_t{0};
+  return Status::Unavailable("send failed: " + ErrnoText(err))
+      .WithIoContext(SocketCtx(err));
+}
+
 Status TcpSocket::RecvAll(void* data, size_t len) const {
   char* p = static_cast<char*>(data);
   size_t got = 0;

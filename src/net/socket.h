@@ -10,10 +10,11 @@ namespace hydra {
 
 // Minimal RAII wrappers over POSIX TCP sockets — just enough surface
 // for the length-prefixed frame protocol (net/wire.h): connect/accept,
-// send-all/recv-all, and a shutdown that unblocks a peer (or our own
-// reader thread) parked in recv. No readiness multiplexing: the server
-// runs one reader thread per connection, so every read can simply
-// block.
+// send-all/recv-all, a non-blocking send, and a shutdown that unblocks
+// a peer (or our own thread) parked in recv or poll. Readiness is the
+// caller's business: the server's connection thread polls fd() for
+// input, or for output while results wait to be sent, and reads a
+// frame only once it is readable.
 
 // One connected stream socket. Movable, not copyable; the destructor
 // closes the descriptor.
@@ -37,6 +38,10 @@ class TcpSocket {
   // Writes all `len` bytes (looping over partial sends, EINTR retried).
   // Const: sending touches kernel state, not this wrapper.
   Status SendAll(const void* data, size_t len) const;
+  // Hands the socket what it takes of `len` bytes without blocking and
+  // returns that count: fewer than `len`, possibly 0, when the send
+  // buffer is full. Any failure means the connection is unusable.
+  Result<size_t> SendSome(const void* data, size_t len) const;
   // Reads exactly `len` bytes. A clean peer close mid-message — or
   // before any byte — surfaces as kUnavailable("connection closed");
   // other failures as kIoError. Both carry the socket errno in the
@@ -45,7 +50,7 @@ class TcpSocket {
 
   // Half-close / full shutdown: wakes a thread blocked in RecvAll with
   // "connection closed". Safe to call from another thread — this is how
-  // Stop() interrupts reader threads — and safe to call twice.
+  // Stop() interrupts connection threads — and safe to call twice.
   void ShutdownBoth();
 
   void Close();

@@ -138,6 +138,19 @@ Status DecodeFrameHeader(std::span<const char> bytes, FrameHeader* out) {
   return Status::OK();
 }
 
+Status RecvFrame(const TcpSocket& socket, FrameHeader* header,
+                 std::string* payload) {
+  char bytes[kFrameHeaderBytes];
+  HYDRA_RETURN_IF_ERROR(socket.RecvAll(bytes, sizeof(bytes)));
+  HYDRA_RETURN_IF_ERROR(DecodeFrameHeader(
+      std::span<const char>(bytes, sizeof(bytes)), header));
+  payload->resize(static_cast<size_t>(header->length));
+  if (header->length > 0) {
+    HYDRA_RETURN_IF_ERROR(socket.RecvAll(payload->data(), payload->size()));
+  }
+  return Status::OK();
+}
+
 void EncodeHello(const HelloFrame& msg, std::string* out) {
   std::string payload;
   ByteWriter w(&payload);

@@ -11,11 +11,12 @@
 #include "core/metrics.h"
 #include "exec/serving_backend.h"
 #include "index/index.h"
+#include "net/socket.h"
 
 namespace hydra {
 
 // ---------------------------------------------------------------------------
-// Hydra wire protocol, version 2.
+// Hydra wire protocol, version 3.
 //
 // Every message on the socket is one length-prefixed frame:
 //
@@ -35,26 +36,26 @@ namespace hydra {
 // typed kStatus frame and keeps the connection.
 //
 // Version negotiation: the client opens with kHello carrying the
-// [min, max] protocol range it speaks. The server speaks version 2
-// only: it answers kHelloAck(2) when the range contains 2 and a
+// [min, max] protocol range it speaks. The server speaks version 3
+// only: it answers kHelloAck(3) when the range contains 3 and a
 // connection-level kFailedPrecondition kStatus frame otherwise, so a
 // client of another version is refused rather than misread. All
 // subsequent frames carry the negotiated version in their header.
 //
-// Version 2's kSubmit payload is request_id (u64), then SearchParams
-// field by field — mode (u8), k, nprobe, efs (u64), epsilon, delta
-// (f64), num_threads, pin_budget, prefetch_depth (u64), deadline_ms
-// (f64) — then the query (u64 count + f32 each).
+// The kSubmit payload is request_id (u64), then SearchParams field by
+// field — mode (u8), k, nprobe, efs (u64), epsilon, delta (f64),
+// num_threads, pin_budget, prefetch_depth (u64), deadline_ms (f64) —
+// then the query (u64 count + f32 each).
 //
-// The response stream needs no sequencing of its own: each connection
-// is served by its own ServingSession, whose completion stream is
-// already ordered by submission — kResult frames simply come back in
-// the order the client's kSubmit frames arrived (the client matches
-// them up by the echoed request_id).
+// kResult frames leave in completion order (the client matches them up
+// by the echoed request_id); only the server's kFinish follows the
+// connection's last result. Version 3 exists for this alone: its frames
+// are version 2's, but version 2 promised submission order, and a
+// version-2 client hands results out in arrival order.
 // ---------------------------------------------------------------------------
 
 inline constexpr uint32_t kWireMagic = 0x48594452;  // "HYDR"
-inline constexpr uint16_t kProtocolVersion = 2;
+inline constexpr uint16_t kProtocolVersion = 3;
 inline constexpr size_t kFrameHeaderBytes = 16;
 inline constexpr uint64_t kMaxFramePayload = 64ull << 20;  // 64 MiB
 
@@ -86,6 +87,11 @@ void EncodeFrameHeader(const FrameHeader& header, std::string* out);
 // poison the STREAM and force a disconnect). Kind and version are
 // returned as-is for the caller to police per its negotiation state.
 Status DecodeFrameHeader(std::span<const char> bytes, FrameHeader* out);
+// Reads one whole frame: the header, then its payload. A header that
+// fails DecodeFrameHeader is its kInvalidArgument, and nothing more is
+// read; socket failures are typed as TcpSocket::RecvAll types them.
+Status RecvFrame(const TcpSocket& socket, FrameHeader* header,
+                 std::string* payload);
 
 // --- Payloads --------------------------------------------------------------
 

@@ -5,15 +5,20 @@
 // structured IoContext) surviving the wire, deadlines re-armed
 // server-side, malformed frames costing one request (or one connection)
 // but never the server, and an abruptly killed client leaking zero
-// pinned pages while the server keeps serving. The CI serving-stress
+// pinned pages while the server keeps serving. The server's one session
+// bounds every connection together, results leave in completion order,
+// and closed connections are reaped. The CI serving-stress
 // lane re-runs this suite under TSan at HYDRA_CONCURRENCY=8; the chaos
 // lane re-runs it with fault injection armed.
 #include <gtest/gtest.h>
+#include <sys/ioctl.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
@@ -27,6 +32,7 @@
 #include "common/rng.h"
 #include "core/generators.h"
 #include "exec/query_scheduler.h"
+#include "exec/thread_pool.h"
 #include "index/factory.h"
 #include "index/sharded/sharded_index.h"
 #include "net/client.h"
@@ -232,8 +238,8 @@ TEST(NetServingTest, LoopbackEquivalenceSharded) {
   }
 }
 
-// Two clients on one server, interleaved: each connection has its own
-// session, so each client's stream is its own submission order.
+// Two clients on one server, interleaved: both submit into the server's
+// one session, and each client's stream is its own submission order.
 TEST(NetServingTest, TwoClientsIndependentStreams) {
   Workload w;
   const SearchParams params = Exact();
@@ -259,19 +265,6 @@ TEST(NetServingTest, TwoClientsIndependentStreams) {
 
 // --- Raw-socket protocol policing ----------------------------------
 
-Status ReadFrame(const TcpSocket& socket, FrameHeader* header,
-                 std::string* payload) {
-  char bytes[kFrameHeaderBytes];
-  HYDRA_RETURN_IF_ERROR(socket.RecvAll(bytes, sizeof(bytes)));
-  HYDRA_RETURN_IF_ERROR(DecodeFrameHeader(
-      std::span<const char>(bytes, sizeof(bytes)), header));
-  payload->resize(static_cast<size_t>(header->length));
-  if (header->length > 0) {
-    HYDRA_RETURN_IF_ERROR(socket.RecvAll(payload->data(), payload->size()));
-  }
-  return Status::OK();
-}
-
 Result<TcpSocket> HandshakeRaw(uint16_t port) {
   HYDRA_ASSIGN_OR_RETURN(TcpSocket socket,
                          TcpSocket::Connect("127.0.0.1", port));
@@ -280,7 +273,7 @@ Result<TcpSocket> HandshakeRaw(uint16_t port) {
   HYDRA_RETURN_IF_ERROR(socket.SendAll(hello.data(), hello.size()));
   FrameHeader header;
   std::string payload;
-  HYDRA_RETURN_IF_ERROR(ReadFrame(socket, &header, &payload));
+  HYDRA_RETURN_IF_ERROR(RecvFrame(socket, &header, &payload));
   if (header.kind != MessageKind::kHelloAck) {
     return Status::FailedPrecondition("handshake refused");
   }
@@ -307,13 +300,14 @@ struct ServerFixture {
 };
 
 // A version range the server cannot satisfy gets a typed refusal frame:
-// one above it, and a version-1 client's {1, 1}.
+// one above it, a version-1 client's {1, 1} and a version-2 client's
+// {2, 2}.
 TEST(NetServingTest, VersionNegotiationRefusesDisjointRange) {
   ServerFixture fx;
-  EXPECT_EQ(kProtocolVersion, 2);
+  EXPECT_EQ(kProtocolVersion, 3);
   for (const auto& [min_version, max_version] :
        {std::pair<int, int>{kProtocolVersion + 5, kProtocolVersion + 9},
-        std::pair<int, int>{1, 1}}) {
+        std::pair<int, int>{1, 1}, std::pair<int, int>{2, 2}}) {
     const std::string what = "hello {" + std::to_string(min_version) +
                              ", " + std::to_string(max_version) + "}";
     auto socket = TcpSocket::Connect("127.0.0.1", fx.server->port());
@@ -326,7 +320,7 @@ TEST(NetServingTest, VersionNegotiationRefusesDisjointRange) {
     ASSERT_TRUE(socket.value().SendAll(frame.data(), frame.size()).ok());
     FrameHeader header;
     std::string payload;
-    ASSERT_TRUE(ReadFrame(socket.value(), &header, &payload).ok()) << what;
+    ASSERT_TRUE(RecvFrame(socket.value(), &header, &payload).ok()) << what;
     ASSERT_EQ(header.kind, MessageKind::kStatus) << what;
     StatusFrame refused;
     ASSERT_TRUE(DecodeStatusFrame(
@@ -353,12 +347,12 @@ TEST(NetServingTest, BadMagicGetsTypedErrorAndDisconnect) {
   ASSERT_TRUE(socket.value().SendAll(garbage.data(), garbage.size()).ok());
   FrameHeader header;
   std::string payload;
-  Status read = ReadFrame(socket.value(), &header, &payload);
+  Status read = RecvFrame(socket.value(), &header, &payload);
   if (read.ok()) {
     EXPECT_EQ(header.kind, MessageKind::kStatus);
-    // The pump's end-of-stream kFinish may land before the hangup; after
+    // At most an end-of-stream kFinish may land before the hangup; after
     // that the server is gone for this connection.
-    while ((read = ReadFrame(socket.value(), &header, &payload)).ok()) {
+    while ((read = RecvFrame(socket.value(), &header, &payload)).ok()) {
       EXPECT_EQ(header.kind, MessageKind::kFinish);
     }
   }
@@ -383,7 +377,7 @@ TEST(NetServingTest, OversizedDeclaredLengthRejected) {
   ASSERT_TRUE(socket.value().SendAll(frame.data(), frame.size()).ok());
   FrameHeader header;
   std::string payload;
-  Status read = ReadFrame(socket.value(), &header, &payload);
+  Status read = RecvFrame(socket.value(), &header, &payload);
   if (read.ok()) {
     EXPECT_EQ(header.kind, MessageKind::kStatus);
   }
@@ -406,7 +400,7 @@ TEST(NetServingTest, CorruptPayloadCostsOneRequestNotTheConnection) {
   ASSERT_TRUE(socket.value().SendAll(frame.data(), frame.size()).ok());
   FrameHeader header;
   std::string payload;
-  ASSERT_TRUE(ReadFrame(socket.value(), &header, &payload).ok());
+  ASSERT_TRUE(RecvFrame(socket.value(), &header, &payload).ok());
   EXPECT_EQ(header.kind, MessageKind::kStatus);
   StatusFrame rejected;
   ASSERT_TRUE(DecodeStatusFrame(
@@ -424,7 +418,7 @@ TEST(NetServingTest, CorruptPayloadCostsOneRequestNotTheConnection) {
   std::string ok_frame;
   EncodeSubmit(submit, &ok_frame);
   ASSERT_TRUE(socket.value().SendAll(ok_frame.data(), ok_frame.size()).ok());
-  ASSERT_TRUE(ReadFrame(socket.value(), &header, &payload).ok());
+  ASSERT_TRUE(RecvFrame(socket.value(), &header, &payload).ok());
   ASSERT_EQ(header.kind, MessageKind::kResult);
   ResultFrame result;
   ASSERT_TRUE(DecodeResult(
@@ -449,7 +443,7 @@ TEST(NetServingTest, UnknownKindGetsTypedUnimplemented) {
   ASSERT_TRUE(socket.value().SendAll(frame.data(), frame.size()).ok());
   FrameHeader header;
   std::string payload;
-  ASSERT_TRUE(ReadFrame(socket.value(), &header, &payload).ok());
+  ASSERT_TRUE(RecvFrame(socket.value(), &header, &payload).ok());
   EXPECT_EQ(header.kind, MessageKind::kStatus);
   StatusFrame rejected;
   ASSERT_TRUE(DecodeStatusFrame(
@@ -494,7 +488,7 @@ TEST(NetServingTest, ClientKillMidStreamLeaksNoPins) {
     // Read exactly one result, then die without Finish or drain.
     FrameHeader header;
     std::string payload;
-    ASSERT_TRUE(ReadFrame(socket.value(), &header, &payload).ok());
+    ASSERT_TRUE(RecvFrame(socket.value(), &header, &payload).ok());
     socket.value().Close();
   }
 
@@ -666,7 +660,7 @@ TEST(NetServingTest, DuplicateRequestIdRejectedTyped) {
   for (int i = 0; i < 2; ++i) {
     FrameHeader header;
     std::string payload;
-    ASSERT_TRUE(ReadFrame(socket.value(), &header, &payload).ok());
+    ASSERT_TRUE(RecvFrame(socket.value(), &header, &payload).ok());
     const std::span<const char> body(payload.data(), payload.size());
     if (header.kind == MessageKind::kResult) {
       ResultFrame result;
@@ -730,6 +724,309 @@ TEST(NetServingTest, ConcurrentSubmittersKeepIdOrder) {
     ++drained;
   }
   EXPECT_EQ(drained, kThreads * kPerThread);
+}
+
+// --- One session per server -------------------------------------------
+
+// Wraps an index: each Search is held ~2 ms, and the wrapper records the
+// most calls in flight at once. While gated, the Search of a query whose
+// first sample is the gate value waits for Release() (at most 5 s).
+class ProbeIndex : public Index {
+ public:
+  ProbeIndex(const Index& inner, bool concurrent)
+      : inner_(inner), concurrent_(concurrent) {}
+
+  std::string name() const override { return "probe"; }
+  IndexCapabilities capabilities() const override {
+    IndexCapabilities caps = inner_.capabilities();
+    caps.concurrent_queries = concurrent_;
+    caps.batched_queries = false;
+    return caps;
+  }
+  size_t MemoryBytes() const override { return inner_.MemoryBytes(); }
+
+  Result<KnnAnswer> Search(std::span<const float> query,
+                           const SearchParams& params,
+                           QueryCounters* counters) const override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      max_in_flight_ = std::max(max_in_flight_, ++in_flight_);
+      if (gated_ && query[0] == gate_value_) {
+        cv_.wait_for(lock, std::chrono::seconds(5), [this] { return !gated_; });
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    Result<KnnAnswer> answer = inner_.Search(query, params, counters);
+    std::lock_guard<std::mutex> lock(mu_);
+    --in_flight_;
+    return answer;
+  }
+
+  void Gate(float value) {
+    std::lock_guard<std::mutex> lock(mu_);
+    gated_ = true;
+    gate_value_ = value;
+  }
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      gated_ = false;
+    }
+    cv_.notify_all();
+  }
+  size_t max_in_flight() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return max_in_flight_;
+  }
+
+ private:
+  const Index& inner_;
+  const bool concurrent_;
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable size_t in_flight_ = 0;
+  mutable size_t max_in_flight_ = 0;
+  bool gated_ = false;
+  float gate_value_ = 0;
+};
+
+// Runs `clients` HydraClients at once against one server, each
+// submitting 12 queries, and returns the most Search calls that were in
+// flight together. An explicit 8-worker pool keeps the host's core
+// count out of the result.
+size_t MaxSearchesInFlight(bool concurrent_queries, size_t concurrency,
+                           size_t clients) {
+  Workload w(/*n=*/2000, /*len=*/64, /*num_queries=*/12);
+  BuildOptions build;
+  build.method = "scan";
+  auto built = BuildIndex(w.data, &w.provider, build);
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  if (!built.ok()) return 0;
+  const std::vector<KnnAnswer> reference =
+      SerialReference(*built.value(), w.queries, Exact());
+  ProbeIndex probe(*built.value(), concurrent_queries);
+  ThreadPool pool(8);
+  ServerOptions options;
+  options.serving.concurrency = concurrency;
+  options.serving.pool = &pool;
+  auto server = HydraServer::Start(probe, &w.provider, options);
+  EXPECT_TRUE(server.ok()) << server.status().ToString();
+  if (!server.ok()) return 0;
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < clients; ++c) {
+    threads.emplace_back([&, c] {
+      DriveLoopback(server.value()->port(), w.queries, Exact(), reference,
+                    "client " + std::to_string(c));
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  server.value()->Stop();
+  return probe.max_in_flight();
+}
+
+// An index whose queries must not overlap (ADS+ rewrites its tree) sees
+// one Search at a time however many clients the server has.
+TEST(NetServingTest, NonConcurrentIndexSeesOneSearchAcrossConnections) {
+  EXPECT_EQ(MaxSearchesInFlight(/*concurrent_queries=*/false,
+                                /*concurrency=*/4, /*clients=*/3),
+            1u);
+}
+
+// The session's admission limit covers all connections together.
+TEST(NetServingTest, ConcurrencyLimitCoversAllConnections) {
+  EXPECT_LE(MaxSearchesInFlight(/*concurrent_queries=*/true,
+                                /*concurrency=*/2, /*clients=*/4),
+            2u);
+}
+
+// Results leave in completion order: a held query is overtaken on the
+// wire by the three submitted after it. A HydraClient still hands the
+// four out of Next() in ticket order.
+TEST(NetServingTest, ResultsLeaveInCompletionOrderNextKeepsTicketOrder) {
+  Workload w(/*n=*/2000, /*len=*/64, /*num_queries=*/4);
+  BuildOptions build;
+  build.method = "scan";
+  auto built = BuildIndex(w.data, &w.provider, build);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const std::vector<KnnAnswer> reference =
+      SerialReference(*built.value(), w.queries, Exact());
+  ProbeIndex probe(*built.value(), /*concurrent=*/true);
+  ThreadPool pool(8);
+  ServerOptions options;
+  options.serving.concurrency = 4;
+  options.serving.pool = &pool;
+  auto server = HydraServer::Start(probe, &w.provider, options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const float gate = w.queries.series(0)[0];
+
+  probe.Gate(gate);
+  auto socket = HandshakeRaw(server.value()->port());
+  ASSERT_TRUE(socket.ok()) << socket.status().ToString();
+  for (uint64_t id = 1; id <= 4; ++id) {
+    SubmitFrame submit;
+    submit.request_id = id;
+    submit.params = Exact();
+    std::span<const float> q = w.queries.series(id - 1);
+    submit.query.assign(q.begin(), q.end());
+    std::string frame;
+    EncodeSubmit(submit, &frame);
+    ASSERT_TRUE(socket.value().SendAll(frame.data(), frame.size()).ok());
+  }
+  std::vector<uint64_t> order;
+  while (order.size() < 4) {
+    FrameHeader header;
+    std::string payload;
+    ASSERT_TRUE(RecvFrame(socket.value(), &header, &payload).ok());
+    ASSERT_EQ(header.kind, MessageKind::kResult);
+    ResultFrame result;
+    ASSERT_TRUE(DecodeResult(
+                    std::span<const char>(payload.data(), payload.size()),
+                    &result)
+                    .ok());
+    EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+    order.push_back(result.request_id);
+    if (order.size() == 3) probe.Release();
+  }
+  std::sort(order.begin(), order.begin() + 3);
+  EXPECT_EQ(order, (std::vector<uint64_t>{2, 3, 4, 1}));
+
+  probe.Gate(gate);
+  auto connected = HydraClient::Connect("127.0.0.1", server.value()->port());
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  std::unique_ptr<HydraClient> client = std::move(connected).value();
+  std::vector<QueryTicket> tickets;
+  for (size_t q = 0; q < 4; ++q) {
+    tickets.push_back(client->Submit(w.queries.series(q), Exact()));
+    ASSERT_TRUE(tickets.back().valid());
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!(tickets[1].done() && tickets[2].done() && tickets[3].done()) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_FALSE(tickets[0].done());
+  probe.Release();
+  client->Finish();
+  for (size_t q = 0; q < 4; ++q) {
+    std::optional<ServedQuery> served = client->Next();
+    ASSERT_TRUE(served.has_value());
+    EXPECT_EQ(served->ticket.id(), tickets[q].id());
+    ASSERT_TRUE(served->answer.ok()) << served->answer.status().ToString();
+    ExpectIdentical(reference[q], served->answer.value(),
+                    "query " + std::to_string(q));
+  }
+  EXPECT_FALSE(client->Next().has_value());
+  server.value()->Stop();
+}
+
+// A client that submits queries with ~32 KB answers and never reads
+// backs up far past the socket buffers, yet holds only its own
+// connection: another client gets every answer, and Stop() returns.
+TEST(NetServingTest, ClientThatStopsReadingDelaysNoOtherClient) {
+  ServerFixture fx(/*concurrency=*/4);
+  auto socket = HandshakeRaw(fx.server->port());
+  ASSERT_TRUE(socket.ok()) << socket.status().ToString();
+  const int small = 4096;
+  ASSERT_EQ(::setsockopt(socket.value().fd(), SOL_SOCKET, SO_RCVBUF, &small,
+                         sizeof(small)),
+            0);
+  std::string flood;
+  for (uint64_t id = 1; id <= 400; ++id) {
+    SubmitFrame submit;
+    submit.request_id = id;
+    submit.params = Exact(/*k=*/2000);
+    std::span<const float> q = fx.w.queries.series(id % fx.w.queries.size());
+    submit.query.assign(q.begin(), q.end());
+    EncodeSubmit(submit, &flood);
+  }
+  // The server reads nothing more from a client whose results back up,
+  // so the flood may not fit the socket buffers: a thread of its own
+  // sends it, and the shutdown below ends that send.
+  std::thread flooder([&] {
+    (void)socket.value().SendAll(flood.data(), flood.size());
+  });
+  // Results have started to back up before the second client connects.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  int unread = 0;
+  while (unread == 0 && std::chrono::steady_clock::now() < deadline) {
+    ASSERT_EQ(::ioctl(socket.value().fd(), FIONREAD, &unread), 0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(unread, 0);
+  std::vector<KnnAnswer> reference =
+      SerialReference(*fx.index, fx.w.queries, Exact());
+  DriveLoopback(fx.server->port(), fx.w.queries, Exact(), reference,
+                "beside a client that stopped reading");
+  fx.server->Stop();
+  socket.value().ShutdownBoth();
+  flooder.join();
+}
+
+// A client may stop reading while its own send is blocked: a replica
+// set submits under the lock its receive thread takes. So the server
+// keeps reading a client whose results wait to be sent; were it to stop,
+// that client's blocked send would never finish. A flood of ~12 MB of
+// submissions, far past the socket buffers, from a client that never
+// reads goes through.
+TEST(NetServingTest, ServerKeepsReadingWhileResultsWait) {
+  Workload w(/*n=*/200, /*len=*/1024, /*num_queries=*/10);
+  BuildOptions build;
+  build.method = "scan";
+  auto built = BuildIndex(w.data, &w.provider, build);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ServerOptions options;
+  options.serving.concurrency = 4;
+  auto server = HydraServer::Start(*built.value(), &w.provider, options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto socket = HandshakeRaw(server.value()->port());
+  ASSERT_TRUE(socket.ok()) << socket.status().ToString();
+  std::string flood;
+  for (uint64_t id = 1; id <= 3000; ++id) {
+    SubmitFrame submit;
+    submit.request_id = id;
+    submit.params = Exact(/*k=*/200);
+    std::span<const float> q = w.queries.series(id % w.queries.size());
+    submit.query.assign(q.begin(), q.end());
+    EncodeSubmit(submit, &flood);
+  }
+  std::atomic<bool> sent{false};
+  std::thread flooder([&] {
+    EXPECT_TRUE(socket.value().SendAll(flood.data(), flood.size()).ok());
+    sent.store(true);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!sent.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(sent.load()) << "the server stopped reading";
+  socket.value().ShutdownBoth();  // ends a send left blocked
+  flooder.join();
+  server.value()->Stop();
+}
+
+// A closed connection's thread is joined and its descriptors closed when
+// the server accepts a later one, so a long-running server does not run
+// out of descriptors.
+TEST(NetServingTest, ClosedConnectionsAreReaped) {
+  ServerFixture fx;
+  const auto open_fds = [] {
+    size_t n = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/fd")) {
+      (void)entry;
+      ++n;
+    }
+    return n;
+  };
+  const size_t before = open_fds();
+  for (int i = 0; i < 200; ++i) {
+    auto client = HydraClient::Connect("127.0.0.1", fx.server->port());
+    ASSERT_TRUE(client.ok()) << i << ": " << client.status().ToString();
+  }
+  EXPECT_LE(open_fds(), before + 4);
 }
 
 }  // namespace
