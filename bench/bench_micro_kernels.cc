@@ -1,6 +1,7 @@
 // Micro-benchmarks of the hot kernels (google-benchmark): distance
-// computations, summarization transforms, lower-bound evaluations, and
-// the CRC-32C that verifies every page read. These are the inner loops
+// computations, summarization transforms, lower-bound evaluations (the
+// tree search's member sieve among them), and the CRC-32C that verifies
+// every page read. These are the inner loops
 // whose cost the figure benches aggregate.
 
 #include <benchmark/benchmark.h>
@@ -139,6 +140,47 @@ void BM_SaxMinDist(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SaxMinDist);
+
+// The member sieve's two kernels at DSTree's shape: encoding one word (32
+// segments at 8 bits) from a PAA image, and bounding one leaf's members
+// (46, a DSTree leaf's typical fill at the default capacity) against a
+// query's PAA.
+void BM_SaxWordEncode(benchmark::State& state) {
+  const size_t len = 256;
+  Dataset ds = BenchData(1, len);
+  SaxEncoder enc(len, 32, 8);
+  const std::vector<double> paa = enc.paa().Transform(ds.series(0));
+  uint8_t word[32];
+  for (auto _ : state) {
+    for (size_t s = 0; s < 32; ++s) {
+      word[s] = static_cast<uint8_t>(enc.Symbol(paa[s]));
+    }
+    benchmark::DoNotOptimize(word);
+  }
+  state.SetItemsProcessed(state.iterations() * 32);
+}
+BENCHMARK(BM_SaxWordEncode);
+
+void BM_MemberBounds(benchmark::State& state) {
+  const size_t len = 256;
+  const size_t members = static_cast<size_t>(state.range(0));
+  Dataset ds = BenchData(members + 1, len);
+  SaxEncoder enc(len, 32, 8);
+  std::vector<uint8_t> words;
+  for (size_t i = 1; i <= members; ++i) {
+    for (uint16_t symbol : enc.Encode(ds.series(i))) {
+      words.push_back(static_cast<uint8_t>(symbol));
+    }
+  }
+  const std::vector<double> paa = enc.paa().Transform(ds.series(0));
+  std::vector<double> bounds(members);
+  for (auto _ : state) {
+    enc.MinDistSqPaaToWords(paa, words.data(), std::span<double>(bounds));
+    benchmark::DoNotOptimize(bounds.data());
+  }
+  state.SetItemsProcessed(state.iterations() * members);
+}
+BENCHMARK(BM_MemberBounds)->Arg(46);
 
 void BM_EapcaTransform(benchmark::State& state) {
   const size_t len = static_cast<size_t>(state.range(0));

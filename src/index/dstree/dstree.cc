@@ -6,6 +6,7 @@
 
 #include "common/codec.h"
 #include "common/rng.h"
+#include "index/leaf_sort.h"
 #include "index/tree_search.h"
 
 namespace hydra {
@@ -64,6 +65,8 @@ Result<std::unique_ptr<DSTreeIndex>> DSTreeIndex::Build(
   }
   std::unique_ptr<DSTreeIndex> index(new DSTreeIndex(provider, options));
   index->series_length_ = data.length();
+  index->word_encoder_ =
+      std::make_unique<SaxEncoder>(data.length(), kWordSegments, kWordBits);
 
   DSTreeNode root;
   root.segmentation =
@@ -73,15 +76,14 @@ Result<std::unique_ptr<DSTreeIndex>> DSTreeIndex::Build(
   for (size_t i = 0; i < data.size(); ++i) {
     index->Insert(data, static_cast<int64_t>(i));
   }
-  // Leaf ids sorted once at build time so consecutive ids coalesce into
-  // contiguous runs (batch kernel + sequential readahead; see
-  // index/leaf_scanner.h). Ascending bulk load plus order-preserving
-  // splits leave leaves sorted already, so this is a guarantee, not a
-  // pass.
+  // Leaf ids sorted once at build time, words alongside, so consecutive
+  // ids coalesce into contiguous runs (batch kernel + sequential
+  // readahead; see index/leaf_scanner.h). Ascending bulk load plus
+  // order-preserving splits leave leaves sorted already, so this is a
+  // guarantee, not a pass.
+  const size_t word_segments = index->word_encoder_->segments();
   for (DSTreeNode& node : index->nodes_) {
-    if (node.is_leaf) {
-      std::sort(node.series_ids.begin(), node.series_ids.end());
-    }
+    SortLeafPayloadByIds(&node.series_ids, &node.leaf_words, word_segments);
   }
 
   Rng rng(options.histogram_seed);
@@ -90,9 +92,20 @@ Result<std::unique_ptr<DSTreeIndex>> DSTreeIndex::Build(
   return index;
 }
 
+void DSTreeIndex::WordPaa(const std::vector<double>& ps, double* out) const {
+  const Paa& paa = word_encoder_->paa();
+  for (size_t s = 0; s < paa.segments(); ++s) {
+    const size_t start = paa.SegmentStart(s);
+    const size_t end = paa.SegmentStart(s + 1);
+    out[s] = (ps[end] - ps[start]) / static_cast<double>(end - start);
+  }
+}
+
 void DSTreeIndex::Insert(const Dataset& data, int64_t id) {
   std::vector<double> ps, ps2;
   BuildPrefixSums(data.series(static_cast<size_t>(id)), &ps, &ps2);
+  double paa[kWordSegments];
+  WordPaa(ps, paa);
 
   int32_t node_id = 0;
   while (true) {
@@ -103,8 +116,21 @@ void DSTreeIndex::Insert(const Dataset& data, int64_t id) {
     double v = node.split_on_std ? f.std : f.mean;
     node_id = v <= node.split_value ? node.left : node.right;
   }
-  nodes_[node_id].series_ids.push_back(id);
-  if (nodes_[node_id].series_ids.size() > options_.leaf_capacity) {
+  DSTreeNode& leaf = nodes_[node_id];
+  leaf.series_ids.push_back(id);
+  // Words grow by a quarter, not by doubling: at 32 bytes a series they
+  // are most of a leaf, and doubling left ~40% of their memory unused.
+  const size_t w = word_encoder_->segments();
+  std::vector<uint8_t>& words = leaf.leaf_words;
+  if (words.size() + w > words.capacity()) {
+    words.reserve(words.size() + w + words.size() / 4);
+  }
+  words.resize(words.size() + w);
+  uint8_t* word = words.data() + words.size() - w;
+  for (size_t s = 0; s < w; ++s) {
+    word[s] = static_cast<uint8_t>(word_encoder_->Symbol(paa[s]));
+  }
+  if (leaf.series_ids.size() > options_.leaf_capacity) {
     SplitLeaf(data, node_id);
   }
 }
@@ -207,12 +233,23 @@ void DSTreeIndex::SplitLeaf(const Dataset& data, int32_t node_id) {
   DSTreeNode left, right;
   left.segmentation = child_seg;
   right.segmentation = child_seg;
+  std::vector<bool> goes_left(ids.size());
+  size_t left_count = 0;
   for (size_t i = 0; i < ids.size(); ++i) {
     EapcaFeature f = RangeFeature(ps[i], ps2[i], best.start, best.end);
-    double v = best.on_std ? f.std : f.mean;
-    DSTreeNode& child = v <= best.threshold ? left : right;
+    goes_left[i] = (best.on_std ? f.std : f.mean) <= best.threshold;
+    left_count += goes_left[i] ? 1 : 0;
+  }
+  const size_t w = word_encoder_->segments();
+  left.leaf_words.reserve(left_count * w);
+  right.leaf_words.reserve((ids.size() - left_count) * w);
+  const auto words = nodes_[node_id].leaf_words.begin();
+  for (size_t i = 0; i < ids.size(); ++i) {
+    DSTreeNode& child = goes_left[i] ? left : right;
     child.UpdateSynopsis(FeaturesUnder(child_seg, ps[i], ps2[i]));
     child.series_ids.push_back(ids[i]);
+    child.leaf_words.insert(child.leaf_words.end(), words + i * w,
+                            words + (i + 1) * w);
   }
 
   int32_t left_id = static_cast<int32_t>(nodes_.size());
@@ -224,6 +261,8 @@ void DSTreeIndex::SplitLeaf(const Dataset& data, int32_t node_id) {
   parent.is_leaf = false;
   parent.series_ids.clear();
   parent.series_ids.shrink_to_fit();
+  parent.leaf_words.clear();
+  parent.leaf_words.shrink_to_fit();
   parent.split_start = best.start;
   parent.split_end = best.end;
   parent.split_on_std = best.on_std;
@@ -274,6 +313,8 @@ DSTreeIndex::QueryContext DSTreeIndex::MakeQueryContext(
     std::span<const float> query) const {
   QueryContext ctx;
   BuildPrefixSums(query, &ctx.prefix_sum, &ctx.prefix_sum2);
+  ctx.paa.resize(word_encoder_->segments());
+  WordPaa(ctx.prefix_sum, ctx.paa.data());
   return ctx;
 }
 
@@ -340,7 +381,8 @@ size_t DSTreeIndex::max_depth() const {
 
 namespace {
 constexpr uint32_t kDSTreeMagic = 0x44535452;  // "DSTR"
-constexpr uint32_t kDSTreeVersion = 2;  // 2: CRC-32C footer
+// 2: CRC-32C footer; 3: one iSAX word per leaf member.
+constexpr uint32_t kDSTreeVersion = 3;
 }  // namespace
 
 Status DSTreeIndex::Save(const std::string& path) const {
@@ -369,6 +411,7 @@ Status DSTreeIndex::Save(const std::string& path) const {
     w.I32(n.left);
     w.I32(n.right);
     w.I64Span(n.series_ids);
+    w.U8Span(n.leaf_words);
   }
   histogram_->Encode(&w);
   SealIndexFile(&bytes);
@@ -397,6 +440,9 @@ Result<std::unique_ptr<DSTreeIndex>> DSTreeIndex::Load(
 
   std::unique_ptr<DSTreeIndex> index(new DSTreeIndex(provider, options));
   index->series_length_ = series_length;
+  index->word_encoder_ =
+      std::make_unique<SaxEncoder>(series_length, kWordSegments, kWordBits);
+  const size_t word_segments = index->word_encoder_->segments();
   uint64_t num_nodes = 0;
   HYDRA_RETURN_IF_ERROR(r.U64(&num_nodes));
   for (uint64_t i = 0; i < num_nodes; ++i) {
@@ -417,6 +463,7 @@ Result<std::unique_ptr<DSTreeIndex>> DSTreeIndex::Load(
     HYDRA_RETURN_IF_ERROR(r.I32(&n.left));
     HYDRA_RETURN_IF_ERROR(r.I32(&n.right));
     HYDRA_RETURN_IF_ERROR(r.I64Vec(&n.series_ids));
+    HYDRA_RETURN_IF_ERROR(r.U8Vec(&n.leaf_words));
     n.is_leaf = is_leaf != 0;
     n.split_on_std = split_on_std != 0;
     // MinDistSq reads one envelope entry per segment, and the query's
@@ -433,7 +480,13 @@ Result<std::unique_ptr<DSTreeIndex>> DSTreeIndex::Load(
             "dstree segment ends past the series: " + path);
       }
     }
-    std::sort(n.series_ids.begin(), n.series_ids.end());  // run coalescing
+    // MemberBoundsSq reads one word per member.
+    if (n.leaf_words.size() != n.series_ids.size() * word_segments) {
+      return Status::InvalidArgument(
+          "dstree leaf words do not match its series: " + path);
+    }
+    // Run coalescing, words alongside.
+    SortLeafPayloadByIds(&n.series_ids, &n.leaf_words, word_segments);
     index->nodes_.push_back(std::move(n));
   }
   HYDRA_ASSIGN_OR_RETURN(DistanceHistogram histogram,

@@ -10,6 +10,7 @@
 #include "index/dstree/dstree_node.h"
 #include "index/index.h"
 #include "storage/buffer_manager.h"
+#include "transform/sax.h"
 
 namespace hydra {
 
@@ -84,6 +85,7 @@ class DSTreeIndex : public Index {
   struct QueryContext {
     std::vector<double> prefix_sum;   // prefix sums of the query
     std::vector<double> prefix_sum2;  // prefix sums of squares
+    std::vector<double> paa;  // segment means of the members' words
   };
   // Builds the per-query context consumed by the generic tree algorithms
   // (TreeKnnSearch, IncrementalKnnStream, ProgressiveKnnSearch).
@@ -97,6 +99,14 @@ class DSTreeIndex : public Index {
   std::span<const int64_t> LeafIds(int32_t id) const {
     return nodes_[id].series_ids;
   }
+  // The member sieve: an admissible LB² for each LeafIds member, from
+  // its word (MinDist of the query's PAA to its full-cardinality iSAX
+  // word).
+  void MemberBoundsSq(const QueryContext& ctx, int32_t leaf,
+                      std::span<double> out) const {
+    word_encoder_->MinDistSqPaaToWords(
+        ctx.paa, nodes_[leaf].leaf_words.data(), out);
+  }
   SeriesProvider* provider() const { return provider_; }
 
   // Introspection for tests and benches.
@@ -109,7 +119,14 @@ class DSTreeIndex : public Index {
   DSTreeIndex(SeriesProvider* provider, const DSTreeOptions& options)
       : provider_(provider), options_(options) {}
 
+  // Segments of a member's word (fewer for series shorter than this) and
+  // bits per symbol: 32 bytes a series.
+  static constexpr size_t kWordSegments = 32;
+  static constexpr size_t kWordBits = 8;
+
   void Insert(const Dataset& data, int64_t id);
+  // The means of the word segments of a series, from its prefix sums.
+  void WordPaa(const std::vector<double>& ps, double* out) const;
   void SplitLeaf(const Dataset& data, int32_t node_id);
   // Mean or std of series[start, end) from per-series prefix sums.
   static EapcaFeature RangeFeature(const std::vector<double>& ps,
@@ -119,6 +136,7 @@ class DSTreeIndex : public Index {
   SeriesProvider* provider_;  // not owned
   DSTreeOptions options_;
   std::vector<DSTreeNode> nodes_;  // nodes_[0] = root
+  std::unique_ptr<SaxEncoder> word_encoder_;
   std::unique_ptr<DistanceHistogram> histogram_;
   size_t series_length_ = 0;
 };

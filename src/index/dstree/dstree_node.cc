@@ -40,7 +40,7 @@ size_t DSTreeNode::ApproxBytes() const {
   return sizeof(DSTreeNode) +
          segmentation.size() * sizeof(size_t) +
          4 * min_mean.size() * sizeof(double) +
-         series_ids.size() * sizeof(int64_t);
+         series_ids.size() * sizeof(int64_t) + leaf_words.size();
 }
 
 }  // namespace hydra

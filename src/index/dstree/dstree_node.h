@@ -39,8 +39,12 @@ struct DSTreeNode {
   int32_t left = -1;
   int32_t right = -1;
 
-  // Leaf payload: dataset positions of the series stored here.
+  // Leaf payload: dataset positions of the series stored here, and one
+  // full-cardinality iSAX word per series (series_ids.size() × the
+  // index's word segments), whose bounds let a search skip members
+  // without fetching them (DSTreeIndex::MemberBoundsSq).
   std::vector<int64_t> series_ids;
+  std::vector<uint8_t> leaf_words;
 
   // Extends the envelope with one series' features (under this node's
   // segmentation) and bumps count.

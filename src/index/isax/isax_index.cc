@@ -328,12 +328,16 @@ Result<std::unique_ptr<IsaxIndex>> IsaxIndex::Load(const std::string& path,
     n.is_leaf = is_leaf != 0;
     n.split_segment = static_cast<uint8_t>(split_segment);
     // MinDistSq decodes one symbol per segment at no more than max_bits,
-    // and the leaf sort permutes one word per id.
+    // the leaf sort permutes one word per id, and MemberBoundsSq decodes
+    // every symbol of those words.
     bool valid = n.word.size() == segments && n.bits.size() == segments &&
                  n.leaf_words.size() == n.series_ids.size() * segments;
     for (size_t s = 0; valid && s < segments; ++s) {
       valid = n.bits[s] <= options.max_bits &&
               (n.word[s] >> options.max_bits) == 0;
+    }
+    for (size_t i = 0; valid && i < n.leaf_words.size(); ++i) {
+      valid = (n.leaf_words[i] >> options.max_bits) == 0;
     }
     if (!valid) {
       return Status::InvalidArgument(

@@ -92,6 +92,13 @@ class IsaxIndex : public Index {
   std::span<const int64_t> LeafIds(int32_t id) const {
     return nodes_[id].series_ids;
   }
+  // The member sieve: an admissible LB² for each LeafIds member, from the
+  // full-cardinality word the leaf keeps for it.
+  void MemberBoundsSq(const QueryContext& ctx, int32_t leaf,
+                      std::span<double> out) const {
+    encoder_->MinDistSqPaaToWords(ctx.paa, nodes_[leaf].leaf_words.data(),
+                                  out);
+  }
   SeriesProvider* provider() const { return provider_; }
 
   size_t num_nodes() const { return nodes_.size(); }

@@ -114,6 +114,11 @@ class LeafScanner {
   double KthDistanceSq(size_t slot) const {
     return slots_[slot].answers->KthDistanceSq();
   }
+  // Answers the slot still lacks: k minus what its answer set holds.
+  size_t MissingAnswers(size_t slot) const {
+    const AnswerSet& answers = *slots_[slot].answers;
+    return answers.k() - answers.size();
+  }
   // The slot's answers, or its failure.
   Result<KnnAnswer> Finish(size_t slot) {
     if (!alive(slot)) return slots_[slot].status;

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <numeric>
 #include <span>
 #include <string>
 #include <unordered_set>
@@ -31,6 +32,10 @@ namespace hydra {
 // or through a hook that feeds the scanner itself and wins when present
 // (ADS+ refines the leaf first):
 //   void ScanLeaf(NodeId, LeafScanner*, std::span<const size_t> slots) const;
+// A LeafIds tree may also bound its members, which lets TreeSearch skip
+// members without fetching them (SieveTreeLeaf):
+//   void MemberBoundsSq(const Ctx&, NodeId leaf, std::span<double> out) const;
+//     // out[i]: an admissible LB² of LeafIds(leaf)[i]
 // `Ctx` is the per-query precomputation (query PAA, prefix sums, ...).
 
 // Scans leaf `node` for `slots` of `scanner` (empty = every slot); a
@@ -44,6 +49,22 @@ void ScanTreeLeaf(const Tree& tree, NodeId node, LeafScanner* scanner,
     scanner->ScanIds(tree.provider(), tree.LeafIds(node), slots);
   }
 }
+
+// The member sieve's relative margin. A member is skipped only when its
+// bound exceeds every served query's k-th distance² by more than this:
+// the bound and the kernel both sum in double but in different orders,
+// so an exact tie must not be lost to rounding (~1e-13 relative).
+inline constexpr double kSieveMargin = 1e-9;
+
+// The sieve's buffers, reused from leaf to leaf: one search allocates
+// them once.
+struct SieveScratch {
+  std::vector<double> bounds;      // LB² per served query, then member
+  std::vector<double> key;         // each member's smallest LB²
+  std::vector<double> thresholds;  // per served query
+  std::vector<size_t> order;       // member positions
+  std::vector<int64_t> ids;        // the members one step scans
+};
 
 // One query of a tree search: its context, its stopping rules and the
 // driver's bookkeeping. Exact is δ = 1, ε = 0; ng-approximate visits at
@@ -72,6 +93,95 @@ struct TreeQuery {
   bool done = false;          // a stopping rule fired
 };
 
+// Scans leaf `node` of a MemberBoundsSq tree for the served slots `who`
+// (slot q is queries[q]), fetching only members that a served slot
+// could take. Every member's bound is computed for every served query
+// (each counted in its lb_distances), then the leaf is scanned in two
+// ScanIds calls:
+//   1. Fill: while a served slot holds fewer than k answers, the
+//      members with the smallest bounds (smallest over the served
+//      queries, ties by position) fill it — as many as the emptiest
+//      slot lacks — in id order.
+//   2. Sieve: of the other members, those whose bound is within some
+//      served slot's k-th distance² (times 1 + kSieveMargin) are
+//      scanned, in id order.
+// A skipped member is one the early-abandoning kernel could never have
+// offered: its distance² is at least its bound, which exceeds the k-th
+// distance² every served slot's kernel abandons at (the unshrunk one;
+// the ε-shrunk bound only prunes nodes), and that k-th only falls. So
+// the answers, and every later k-th and traversal decision, equal a
+// scan of the whole leaf. The fetched set is fixed before each call's
+// walk from state that every path shares, so the serial, fan-out,
+// prefetch and batch paths fetch the same members.
+template <typename Tree, typename Ctx, typename NodeId>
+void SieveTreeLeaf(const Tree& tree, std::span<const TreeQuery<Ctx>> queries,
+                   NodeId node, std::span<const size_t> who,
+                   LeafScanner* scanner, SieveScratch* scratch) {
+  const std::span<const int64_t> members = tree.LeafIds(node);
+  const size_t n = members.size();
+  const size_t nw = who.size();
+  if (n == 0 || nw == 0) return;
+  std::vector<double>& bounds = scratch->bounds;
+  bounds.resize(nw * n);
+  size_t fill = 0;
+  for (size_t i = 0; i < nw; ++i) {
+    const size_t q = who[i];
+    tree.MemberBoundsSq(*queries[q].ctx, node,
+                        std::span<double>(bounds.data() + i * n, n));
+    if (QueryCounters* c = scanner->counters(q)) c->lb_distances += n;
+    if (scanner->alive(q)) fill = std::max(fill, scanner->MissingAnswers(q));
+  }
+  fill = std::min(fill, n);
+  std::vector<int64_t>& ids = scratch->ids;
+  // The fill: its members are the `fill` smallest by (key, position),
+  // the largest of which is `last`.
+  const double* key = bounds.data();
+  auto before = [&key](size_t a, size_t b) {
+    return key[a] < key[b] || (key[a] == key[b] && a < b);
+  };
+  size_t last = 0;
+  if (fill > 0) {
+    if (nw > 1) {
+      scratch->key.assign(bounds.begin(), bounds.begin() + n);
+      for (size_t i = 1; i < nw; ++i) {
+        for (size_t m = 0; m < n; ++m) {
+          scratch->key[m] = std::min(scratch->key[m], bounds[i * n + m]);
+        }
+      }
+      key = scratch->key.data();
+    }
+    std::vector<size_t>& order = scratch->order;
+    order.resize(n);
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::nth_element(order.begin(), order.begin() + (fill - 1), order.end(),
+                     before);
+    last = order[fill - 1];
+    std::sort(order.begin(), order.begin() + fill);
+    ids.clear();
+    for (size_t j = 0; j < fill; ++j) ids.push_back(members[order[j]]);
+    scanner->ScanIds(tree.provider(), ids, who);
+  }
+  std::vector<double>& thresholds = scratch->thresholds;
+  thresholds.resize(nw);
+  for (size_t i = 0; i < nw; ++i) {
+    // A failed slot takes nothing more (bounds are never negative).
+    thresholds[i] = scanner->alive(who[i])
+                        ? scanner->KthDistanceSq(who[i]) * (1.0 + kSieveMargin)
+                        : -1.0;
+  }
+  ids.clear();
+  for (size_t m = 0; m < n; ++m) {
+    if (fill > 0 && !before(last, m)) continue;  // scanned by the fill
+    for (size_t i = 0; i < nw; ++i) {
+      if (bounds[i * n + m] <= thresholds[i]) {
+        ids.push_back(members[m]);
+        break;
+      }
+    }
+  }
+  if (!ids.empty()) scanner->ScanIds(tree.provider(), ids, who);
+}
+
 // Best-first k-NN over a hierarchical index for any number of queries:
 // the paper's Algorithm 1 (exact), its ng-approximate restriction and
 // Algorithm 2 (δ-ε) in one loop. Slot q of `scanner` is query q; its
@@ -96,6 +206,7 @@ struct TreeQuery {
 // the loop even when every remaining node is pruned. With prefetch on,
 // the best leaves still queued (up to prefetch_depth pages) are announced
 // while the current leaf scans; the hint never changes what is visited.
+// A tree with MemberBoundsSq has each leaf scanned through SieveTreeLeaf.
 template <typename Tree, typename Ctx>
 void TreeSearch(const Tree& tree, std::span<TreeQuery<Ctx>> queries,
                 LeafScanner* scanner) {
@@ -151,9 +262,17 @@ void TreeSearch(const Tree& tree, std::span<TreeQuery<Ctx>> queries,
     heap.push_back(e);
     std::push_heap(heap.begin(), heap.end(), std::greater<Entry>{});
   };
+  SieveScratch sieve;
   // Scans a leaf for `who`, counting the visit for the queries left alive.
   auto visit = [&](NodeId leaf) {
-    ScanTreeLeaf(tree, leaf, scanner, std::span<const size_t>(who));
+    if constexpr (requires(std::span<double> out) {
+                    tree.MemberBoundsSq(*queries[0].ctx, leaf, out);
+                  }) {
+      SieveTreeLeaf(tree, std::span<const TreeQuery<Ctx>>(queries), leaf,
+                    std::span<const size_t>(who), scanner, &sieve);
+    } else {
+      ScanTreeLeaf(tree, leaf, scanner, std::span<const size_t>(who));
+    }
     for (size_t q : who) {
       if (!scanner->alive(q)) continue;
       charge(q, &QueryCounters::leaves_visited);

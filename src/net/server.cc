@@ -4,6 +4,7 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <map>
 #include <string>
@@ -153,6 +154,14 @@ void HydraServer::AcceptLoop() {
     conn->thread = std::thread([this, conn] { Serve(conn); });
     conns_.push_back(std::move(conn));
   }
+}
+
+size_t HydraServer::open_connections() {
+  std::lock_guard<std::mutex> lock(conns_mu_);
+  return static_cast<size_t>(std::count_if(
+      conns_.begin(), conns_.end(), [](const std::shared_ptr<Connection>& c) {
+        return !c->exited.load(std::memory_order_acquire);
+      }));
 }
 
 void HydraServer::Reject(Connection& conn, uint64_t request_id,

@@ -84,6 +84,10 @@ class HydraServer {
   uint64_t frames_rejected() const {
     return frames_rejected_.load(std::memory_order_relaxed);
   }
+  // Connections whose thread has not returned. A dropped connection's
+  // thread returns after firing its queries' tokens, and reads no frame
+  // of it again.
+  size_t open_connections();
 
  private:
   struct Connection;

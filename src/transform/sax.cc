@@ -68,6 +68,25 @@ SaxEncoder::SaxEncoder(size_t series_length, size_t segments, size_t max_bits)
   for (size_t s = 0; s < paa_.segments(); ++s) {
     segment_weights_[s] = static_cast<double>(paa_.SegmentLength(s));
   }
+  const std::vector<double>& beta = breakpoints_[max_bits_ - 1];
+  edges_.reserve(beta.size() + 2);
+  edges_.push_back(-std::numeric_limits<double>::infinity());
+  edges_.insert(edges_.end(), beta.begin(), beta.end());
+  edges_.push_back(std::numeric_limits<double>::infinity());
+  // Four cells per breakpoint over [beta.front(), beta.back()]: the
+  // breakpoints are densest in the middle, where a cell is then narrower
+  // than their spacing, so no cell holds more than one or two.
+  const size_t cells = 4 * beta.size();
+  cell_origin_ = beta.front();
+  if (beta.back() > beta.front()) {
+    cell_scale_ = static_cast<double>(cells) / (beta.back() - beta.front());
+  }
+  cell_first_.assign(cells + 1, 0);
+  for (double b : beta) ++cell_first_[CellOf(b) + 1];
+  for (size_t c = 0; c < cells; ++c) {
+    cell_span_ = std::max<size_t>(cell_span_, cell_first_[c + 1]);
+    cell_first_[c + 1] += cell_first_[c];
+  }
 }
 
 std::vector<uint16_t> SaxEncoder::Encode(std::span<const float> series) const {
@@ -77,13 +96,8 @@ std::vector<uint16_t> SaxEncoder::Encode(std::span<const float> series) const {
 
 std::vector<uint16_t> SaxEncoder::EncodePaa(
     std::span<const double> paa) const {
-  const std::vector<double>& beta = breakpoints_[max_bits_ - 1];
   std::vector<uint16_t> word(paa.size());
-  for (size_t s = 0; s < paa.size(); ++s) {
-    // Symbol = number of breakpoints strictly below the value.
-    word[s] = static_cast<uint16_t>(
-        std::upper_bound(beta.begin(), beta.end(), paa[s]) - beta.begin());
-  }
+  for (size_t s = 0; s < paa.size(); ++s) word[s] = Symbol(paa[s]);
   return word;
 }
 

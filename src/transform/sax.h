@@ -1,6 +1,7 @@
 #ifndef HYDRA_TRANSFORM_SAX_H_
 #define HYDRA_TRANSFORM_SAX_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -43,12 +44,63 @@ class SaxEncoder {
   std::vector<uint16_t> Encode(std::span<const float> series) const;
   // Quantizes an already-computed PAA image.
   std::vector<uint16_t> EncodePaa(std::span<const double> paa) const;
+  // The full-cardinality symbol of one PAA value: the number of
+  // breakpoints b with !(v < b), which std::upper_bound over the
+  // breakpoints counts (NaN counts them all). A table of equal-width
+  // cells leaves only the breakpoints of v's cell to compare, at most
+  // cell_span_ (1 at 8 bits), without a branch.
+  uint16_t Symbol(double v) const {
+    const size_t cell = CellOf(v);
+    size_t symbol = cell_first_[cell];
+    const size_t end = cell_first_[cell + 1];
+    const double* beta = edges_.data() + 1;  // beta[end] is in bounds
+    for (size_t j = 0; j < cell_span_; ++j) {
+      symbol += static_cast<size_t>(symbol < end) &
+                static_cast<size_t>(!(v < beta[symbol]));
+    }
+    return static_cast<uint16_t>(symbol);
+  }
 
   // Squared MinDist from a query PAA image to an iSAX word whose segment s
   // uses bits[s] leading bits of word[s]. Lower-bounds squared Euclidean.
   double MinDistSqPaaToSax(std::span<const double> query_paa,
                            std::span<const uint16_t> word,
                            std::span<const uint8_t> bits) const;
+
+  // Squared MinDist from a query PAA image to each of `out.size()`
+  // full-cardinality words stored back to back at `words` (one Symbol per
+  // segment, every segment at max_bits): MinDistSqPaaToSax with all bits
+  // used, for the per-member words of a tree leaf. Lower-bounds each
+  // member's squared Euclidean distance; 0 for a member whose PAA equals
+  // the query's.
+  template <typename Sym>
+  void MinDistSqPaaToWords(std::span<const double> query_paa,
+                           const Sym* words, std::span<double> out) const {
+    const size_t n = query_paa.size();
+    const double* q = query_paa.data();
+    const double* w = segment_weights_.data();
+    const double* e = edges_.data();
+    // w·d² of segment s, d the distance from the query to its region.
+    auto term = [&](const Sym* word, size_t s) {
+      const double d = std::max(
+          std::max(e[word[s]] - q[s], q[s] - e[word[s] + 1]), 0.0);
+      return w[s] * d * d;
+    };
+    for (size_t m = 0; m < out.size(); ++m, words += n) {
+      // Four partial sums: one running sum would make every segment
+      // wait on the previous one's addition.
+      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+      size_t s = 0;
+      for (; s + 4 <= n; s += 4) {
+        s0 += term(words, s);
+        s1 += term(words, s + 1);
+        s2 += term(words, s + 2);
+        s3 += term(words, s + 3);
+      }
+      for (; s < n; ++s) s0 += term(words, s);
+      out[m] = (s0 + s1) + (s2 + s3);
+    }
+  }
 
   // Breakpoint interval [lo, hi] covered by the `used_bits` leading bits
   // of `symbol` (full-cardinality symbol).
@@ -64,6 +116,27 @@ class SaxEncoder {
   // Per-segment PAA lengths as doubles: the weights of the MinDist sum,
   // laid out for the dispatched clamped-distance kernel.
   std::vector<double> segment_weights_;
+  // The full-cardinality breakpoints between -inf and +inf: symbol s
+  // covers [edges_[s], edges_[s + 1]].
+  std::vector<double> edges_;
+  // Symbol's cells: cell c holds the breakpoints [cell_first_[c],
+  // cell_first_[c + 1]), at most cell_span_ of them.
+  std::vector<uint16_t> cell_first_;
+  size_t cell_span_ = 0;
+  double cell_origin_ = 0.0;
+  double cell_scale_ = 1.0;
+
+  // The cell of `v`: floor((v - cell_origin_) * cell_scale_), clamped to
+  // the table (NaN to the last cell). Monotone in v, so a breakpoint in
+  // an earlier cell is <= v and one in a later cell is > v: only v's own
+  // cell needs comparing.
+  size_t CellOf(double v) const {
+    const double last = static_cast<double>(cell_first_.size() - 2);
+    double pos = (v - cell_origin_) * cell_scale_;
+    pos = pos < last ? pos : last;
+    pos = pos > 0.0 ? pos : 0.0;
+    return static_cast<size_t>(pos);
+  }
 };
 
 }  // namespace hydra

@@ -99,6 +99,18 @@ struct DiskWorkload {
   ~DiskWorkload() { std::filesystem::remove_all(dir); }
 };
 
+// Polls `done` every millisecond until it holds or `timeout` passes;
+// returns whether it held.
+template <typename Cond>
+bool WaitUntil(Cond done, std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
 SearchParams Exact(size_t k = 10) {
   SearchParams p;
   p.mode = SearchMode::kExact;
@@ -209,6 +221,8 @@ TEST(NetServingTest, LoopbackEquivalenceOnDisk) {
                     std::string(method) + " disk c" +
                         std::to_string(concurrency));
       server.value()->Stop();
+      // A readahead worker may still hold its loader pin.
+      w.bm->DrainPrefetches();
       EXPECT_EQ(w.bm->PinnedPages(), 0u) << method;
     }
   }
@@ -493,12 +507,21 @@ TEST(NetServingTest, ClientKillMidStreamLeaksNoPins) {
   }
 
   // The disconnect cancels in-flight queries and releases every pin.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (w.bm->PinnedPages() != 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  // No pin is also what a running scan shows between two fetches, so
+  // wait for what proves the dead connection's queries resolved: its
+  // thread has returned (none of its frames is read again), then the
+  // server's session has nothing in flight, and readahead is idle.
+  ASSERT_TRUE(
+      WaitUntil([&] { return server.value()->open_connections() == 0; },
+                std::chrono::seconds(10)));
+  {
+    auto probe = HydraClient::Connect("127.0.0.1", server.value()->port());
+    ASSERT_TRUE(probe.ok());
+    ASSERT_TRUE(
+        WaitUntil([&] { return probe.value()->stats().in_flight == 0; },
+                  std::chrono::seconds(10)));
   }
+  w.bm->DrainPrefetches();
   EXPECT_EQ(w.bm->PinnedPages(), 0u);
 
   // And the server still serves a full workload to a fresh client.
@@ -507,6 +530,7 @@ TEST(NetServingTest, ClientKillMidStreamLeaksNoPins) {
   DriveLoopback(server.value()->port(), w.queries, Exact(), reference,
                 "after client kill");
   server.value()->Stop();
+  w.bm->DrainPrefetches();  // a readahead worker may hold its loader pin
   EXPECT_EQ(w.bm->PinnedPages(), 0u);
 }
 

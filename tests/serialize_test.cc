@@ -2,6 +2,8 @@
 
 #include <filesystem>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/codec.h"
 #include "common/rng.h"
@@ -34,6 +36,38 @@ std::string Reseal(std::string bytes) {
   bytes.resize(bytes.size() - 4);
   SealIndexFile(&bytes);
   return bytes;
+}
+
+// The bytes a ByteWriter writes for `words`: its u64 length, then the
+// symbols at their own width.
+template <typename Word>
+std::string EncodedWords(const std::vector<Word>& words) {
+  std::string out;
+  ByteWriter w(&out);
+  if constexpr (sizeof(Word) == 1) {
+    w.U8Span(words);
+  } else {
+    w.U16Span(words);
+  }
+  return out;
+}
+
+// Where each leaf's word array (length prefix included) sits in a saved
+// DSTree file, found by its bytes, in node order.
+std::vector<std::pair<size_t, size_t>> DSTreeWordRanges(
+    const DSTreeIndex& index, const std::string& bytes) {
+  std::vector<std::pair<size_t, size_t>> ranges;
+  size_t from = 0;
+  for (size_t i = 0; i < index.num_nodes(); ++i) {
+    if (!index.node(i).is_leaf) continue;
+    const std::string encoded = EncodedWords(index.node(i).leaf_words);
+    const size_t at = bytes.find(encoded, from);
+    EXPECT_NE(at, std::string::npos) << "node " << i;
+    if (at == std::string::npos) break;
+    ranges.push_back({at, at + encoded.size()});
+    from = at + encoded.size();
+  }
+  return ranges;
 }
 
 TEST_F(SerializeTest, PrimitivesRoundTrip) {
@@ -231,6 +265,134 @@ TEST_F(SerializeTest, IsaxSaveLoadPreservesAnswers) {
   }
 }
 
+// Format v3 keeps each leaf's member words: a round trip restores them,
+// and every mode's answers are bit-identical, distances included.
+TEST_F(SerializeTest, DSTreeV3RoundTripIsBitIdentical) {
+  TreeFixture f;
+  DSTreeOptions opts;
+  opts.leaf_capacity = 16;
+  opts.histogram_pairs = 500;
+  auto original = DSTreeIndex::Build(f.data, &f.provider, opts);
+  ASSERT_TRUE(original.ok());
+  std::string path = Path("dstree_v3.idx");
+  ASSERT_TRUE(original.value()->Save(path).ok());
+  auto loaded = DSTreeIndex::Load(path, &f.provider);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded.value()->num_nodes(), original.value()->num_nodes());
+  for (size_t i = 0; i < original.value()->num_nodes(); ++i) {
+    EXPECT_EQ(loaded.value()->node(i).leaf_words,
+              original.value()->node(i).leaf_words)
+        << "node " << i;
+  }
+  for (SearchMode mode : {SearchMode::kExact, SearchMode::kNgApproximate,
+                          SearchMode::kDeltaEpsilon}) {
+    SearchParams params;
+    params.mode = mode;
+    params.k = 5;
+    params.nprobe = 3;
+    params.epsilon = mode == SearchMode::kDeltaEpsilon ? 1.0 : 0.0;
+    for (size_t q = 0; q < f.queries.size(); ++q) {
+      auto a = original.value()->Search(f.queries.series(q), params, nullptr);
+      auto b = loaded.value()->Search(f.queries.series(q), params, nullptr);
+      ASSERT_TRUE(a.ok());
+      ASSERT_TRUE(b.ok());
+      EXPECT_EQ(a.value().ids, b.value().ids);
+      ASSERT_EQ(a.value().distances.size(), b.value().distances.size());
+      for (size_t r = 0; r < a.value().size(); ++r) {
+        EXPECT_EQ(a.value().distances[r], b.value().distances[r]);
+      }
+    }
+  }
+}
+
+// A sealed v2 file (no member words) is refused as an unsupported
+// version, not misread.
+TEST_F(SerializeTest, DSTreeV2FileRefusedAsUnsupported) {
+  TreeFixture f;
+  DSTreeOptions opts;
+  opts.histogram_pairs = 200;
+  auto dstree = DSTreeIndex::Build(f.data, &f.provider, opts);
+  ASSERT_TRUE(dstree.ok());
+  std::string path = Path("dstree_v2.idx");
+  ASSERT_TRUE(dstree.value()->Save(path).ok());
+  auto bytes = ReadFileBytes(path);
+  ASSERT_TRUE(bytes.ok());
+  std::string v2 = bytes.value();
+  ASSERT_EQ(v2[4], 3);  // the u32 version after the u32 magic
+  v2[4] = 2;
+  ASSERT_TRUE(WriteFileBytes(path, Reseal(v2)).ok());
+  auto loaded = DSTreeIndex::Load(path, &f.provider);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("unsupported"), std::string::npos)
+      << loaded.status().ToString();
+}
+
+// A leaf whose word array holds one byte fewer than one word per member
+// is refused typed.
+TEST_F(SerializeTest, DSTreeWordArrayOfWrongLengthRejected) {
+  TreeFixture f;
+  DSTreeOptions opts;
+  opts.leaf_capacity = 16;
+  opts.histogram_pairs = 200;
+  auto dstree = DSTreeIndex::Build(f.data, &f.provider, opts);
+  ASSERT_TRUE(dstree.ok());
+  std::string path = Path("dstree_words.idx");
+  ASSERT_TRUE(dstree.value()->Save(path).ok());
+  auto bytes = ReadFileBytes(path);
+  ASSERT_TRUE(bytes.ok());
+  const auto ranges = DSTreeWordRanges(*dstree.value(), bytes.value());
+  ASSERT_FALSE(ranges.empty());
+  size_t leaf = 0;
+  while (!dstree.value()->node(leaf).is_leaf) ++leaf;
+  std::vector<uint8_t> shorter = dstree.value()->node(leaf).leaf_words;
+  ASSERT_FALSE(shorter.empty());
+  shorter.pop_back();
+  std::string corrupt = bytes.value();
+  corrupt.replace(ranges[0].first, ranges[0].second - ranges[0].first,
+                  EncodedWords(shorter));
+  ASSERT_TRUE(WriteFileBytes(path, Reseal(corrupt)).ok());
+  auto loaded = DSTreeIndex::Load(path, &f.provider);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("words"), std::string::npos)
+      << loaded.status().ToString();
+}
+
+// An iSAX2+ leaf word whose symbol needs more than max_bits bits would
+// index past the breakpoints when the search bounds that member: Load
+// refuses it.
+TEST_F(SerializeTest, IsaxLeafSymbolBeyondCardinalityRejected) {
+  TreeFixture f;
+  IsaxOptions opts;
+  opts.segments = 8;
+  opts.leaf_capacity = 16;
+  opts.histogram_pairs = 200;
+  auto isax = IsaxIndex::Build(f.data, &f.provider, opts);
+  ASSERT_TRUE(isax.ok());
+  std::string path = Path("isax_words.idx");
+  ASSERT_TRUE(isax.value()->Save(path).ok());
+  auto bytes = ReadFileBytes(path);
+  ASSERT_TRUE(bytes.ok());
+  int32_t leaf = 0;
+  while (!isax.value()->IsLeaf(leaf)) ++leaf;
+  std::vector<uint16_t> words;
+  for (int64_t id : isax.value()->LeafIds(leaf)) {
+    const auto word =
+        isax.value()->encoder().Encode(f.data.series(static_cast<size_t>(id)));
+    words.insert(words.end(), word.begin(), word.end());
+  }
+  const std::string encoded = EncodedWords(words);
+  const size_t at = bytes.value().find(encoded);
+  ASSERT_NE(at, std::string::npos);
+  std::string corrupt = bytes.value();
+  corrupt[at + 8 + 1] = 1;  // the high byte of the first symbol: >= 256
+  ASSERT_TRUE(WriteFileBytes(path, Reseal(corrupt)).ok());
+  auto loaded = IsaxIndex::Load(path, &f.provider);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(SerializeTest, LoadIntoWrongIndexTypeFails) {
   TreeFixture f;
   DSTreeOptions opts;
@@ -364,9 +526,13 @@ void ExpectCorruptFileStatus(const Status& st) {
 // index whose exact search returns — the loader is fuzzed the way
 // net_wire_test fuzzes frames. Each mutated file is resealed, so these
 // cases test the structural checks behind the CRC-32C footer.
+//
+// `watched` lists byte ranges [begin, end) of the file that the random
+// flips must reach at least once (a new field, say).
 template <typename TreeIndex>
 void FuzzIndexFile(const TreeIndex& index, const std::string& path,
-                   const Dataset& queries, SeriesProvider* provider) {
+                   const Dataset& queries, SeriesProvider* provider,
+                   const std::vector<std::pair<size_t, size_t>>& watched = {}) {
   ASSERT_TRUE(index.Save(path).ok());
   auto saved = ReadFileBytes(path);
   ASSERT_TRUE(saved.ok());
@@ -386,10 +552,14 @@ void FuzzIndexFile(const TreeIndex& index, const std::string& path,
   params.k = 3;
   Rng rng(0x1DE5);
   size_t loaded_count = 0;
+  size_t watched_hits = 0;
   for (int trial = 0; trial < 2000; ++trial) {
     std::string mutated = bytes;
-    mutated[rng.NextUint64(mutated.size())] ^=
-        static_cast<char>(1 + rng.NextUint64(255));
+    const size_t at = rng.NextUint64(mutated.size());
+    mutated[at] ^= static_cast<char>(1 + rng.NextUint64(255));
+    for (const auto& [begin, end] : watched) {
+      watched_hits += at >= begin && at < end ? 1 : 0;
+    }
     SealIndexFile(&mutated);
     ASSERT_TRUE(WriteFileBytes(path, mutated).ok());
     auto loaded = TreeIndex::Load(path, provider);
@@ -405,6 +575,7 @@ void FuzzIndexFile(const TreeIndex& index, const std::string& path,
   // Many flips land in envelopes, words and the histogram, which no
   // structural check can judge; these loads are the searches that ran.
   EXPECT_GT(loaded_count, 0u);
+  if (!watched.empty()) EXPECT_GT(watched_hits, 0u);
 }
 
 TEST_F(SerializeTest, CorruptIndexFilesFailTypedOrSearch) {
@@ -419,8 +590,13 @@ TEST_F(SerializeTest, CorruptIndexFilesFailTypedOrSearch) {
   dopts.histogram_bins = 8;
   auto dstree = DSTreeIndex::Build(data, &provider, dopts);
   ASSERT_TRUE(dstree.ok());
+  ASSERT_TRUE(dstree.value()->Save(Path("fuzz_dstree.idx")).ok());
+  auto saved = ReadFileBytes(Path("fuzz_dstree.idx"));
+  ASSERT_TRUE(saved.ok());
+  const auto word_ranges = DSTreeWordRanges(*dstree.value(), saved.value());
+  ASSERT_EQ(word_ranges.size(), dstree.value()->num_leaves());
   FuzzIndexFile(*dstree.value(), Path("fuzz_dstree.idx"), queries,
-                &provider);
+                &provider, word_ranges);
 
   IsaxOptions iopts;
   iopts.segments = 4;

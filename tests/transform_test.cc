@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 #include "common/rng.h"
@@ -252,6 +253,65 @@ TEST(SaxEncoder, MinDistLowerBoundsTrueDistance) {
     double true_sq = SquaredEuclidean(ds.series(0), ds.series(1));
     EXPECT_LE(lb_sq, true_sq + 1e-6);
   }
+}
+
+// Symbol's cell table returns what a binary search of the breakpoints
+// returns, at every cardinality: at the breakpoints, one ULP either side
+// of them, at random values inside and beyond the outermost ones, and at
+// ±inf and NaN.
+TEST(SaxEncoder, SymbolEqualsBinarySearch) {
+  Rng rng(12);
+  for (size_t bits = 1; bits <= 16; ++bits) {
+    SaxEncoder enc(64, 8, bits);
+    const std::vector<double> beta = SaxBreakpoints(size_t{1} << bits);
+    std::vector<double> values = {
+        0.0, -0.0, std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::max(),
+        -std::numeric_limits<double>::max()};
+    for (size_t j = 0; j < beta.size(); j += 1 + beta.size() / 512) {
+      values.push_back(beta[j]);
+      values.push_back(std::nextafter(beta[j], -1e9));
+      values.push_back(std::nextafter(beta[j], 1e9));
+    }
+    for (int i = 0; i < 2000; ++i) values.push_back(6.0 * rng.NextGaussian());
+    for (double v : values) {
+      const auto want =
+          std::upper_bound(beta.begin(), beta.end(), v) - beta.begin();
+      ASSERT_EQ(enc.Symbol(v), want) << bits << " bits, v = " << v;
+    }
+  }
+}
+
+// The full-cardinality word bound equals MinDistSqPaaToSax with every
+// bit used, to rounding, for 8- and 16-bit words.
+TEST(SaxEncoder, WordBoundEqualsFullBitsMinDist) {
+  SaxEncoder enc(100, 16, 8);
+  Rng rng(13);
+  Dataset ds = MakeRandomWalk(40, 100, rng);
+  const std::vector<uint8_t> full_bits(16, 8);
+  const auto q_paa = enc.paa().Transform(ds.series(0));
+  std::vector<uint16_t> words;
+  std::vector<uint8_t> narrow;
+  for (size_t i = 0; i < ds.size(); ++i) {
+    const auto word = enc.Encode(ds.series(i));
+    words.insert(words.end(), word.begin(), word.end());
+    narrow.insert(narrow.end(), word.begin(), word.end());
+  }
+  std::vector<double> wide_out(ds.size());
+  std::vector<double> narrow_out(ds.size());
+  enc.MinDistSqPaaToWords(q_paa, words.data(), std::span<double>(wide_out));
+  enc.MinDistSqPaaToWords(q_paa, narrow.data(),
+                          std::span<double>(narrow_out));
+  for (size_t i = 0; i < ds.size(); ++i) {
+    const double want = enc.MinDistSqPaaToSax(
+        q_paa, std::span<const uint16_t>(words).subspan(i * 16, 16),
+        full_bits);
+    EXPECT_NEAR(wide_out[i], want, 1e-9 * (1.0 + want)) << i;
+    EXPECT_EQ(wide_out[i], narrow_out[i]) << i;
+  }
+  EXPECT_EQ(wide_out[0], 0.0);
 }
 
 TEST(SaxEncoder, CoarserCardinalityLoosensMinDist) {
