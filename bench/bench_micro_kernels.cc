@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <limits>
 #include <string>
 #include <vector>
@@ -141,46 +142,113 @@ void BM_SaxMinDist(benchmark::State& state) {
 }
 BENCHMARK(BM_SaxMinDist);
 
-// The member sieve's two kernels at DSTree's shape: encoding one word (32
-// segments at 8 bits) from a PAA image, and bounding one leaf's members
-// (46, a DSTree leaf's typical fill at the default capacity) against a
-// query's PAA.
-void BM_SaxWordEncode(benchmark::State& state) {
+// The member sieve's two kernels at the shapes its trees run over a
+// 256-point series: DSTree's words (64 segments of 8-bit symbols) and
+// iSAX2+'s (16 segments of 16-bit symbols, at the default 8-bit
+// cardinality). Encoding one word from a PAA image, and bounding one
+// leaf's members (46, a DSTree leaf's typical fill at the default
+// capacity) against a query's PAA, dispatched and pinned to the scalar
+// reference; the argument is the cutoff, 0 for none or the rank of the
+// member bound it is set to (10: a k-th distance at k = 10).
+struct WordShape {
+  size_t segments;
+  size_t symbol_bytes;
+};
+constexpr WordShape kDSTreeWords{64, 1};
+constexpr WordShape kIsaxWords{16, 2};
+
+void BM_SaxWordEncode(benchmark::State& state, WordShape shape) {
   const size_t len = 256;
   Dataset ds = BenchData(1, len);
-  SaxEncoder enc(len, 32, 8);
+  SaxEncoder enc(len, shape.segments, 8);
   const std::vector<double> paa = enc.paa().Transform(ds.series(0));
-  uint8_t word[32];
+  std::vector<uint8_t> narrow(shape.segments);
+  std::vector<uint16_t> wide(shape.segments);
   for (auto _ : state) {
-    for (size_t s = 0; s < 32; ++s) {
-      word[s] = static_cast<uint8_t>(enc.Symbol(paa[s]));
+    if (shape.symbol_bytes == 1) {
+      for (size_t s = 0; s < shape.segments; ++s) {
+        narrow[s] = static_cast<uint8_t>(enc.Symbol(paa[s]));
+      }
+      benchmark::DoNotOptimize(narrow.data());
+    } else {
+      for (size_t s = 0; s < shape.segments; ++s) wide[s] = enc.Symbol(paa[s]);
+      benchmark::DoNotOptimize(wide.data());
     }
-    benchmark::DoNotOptimize(word);
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * 32);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(shape.segments));
 }
-BENCHMARK(BM_SaxWordEncode);
+BENCHMARK_CAPTURE(BM_SaxWordEncode, dstree_64x8, kDSTreeWords);
+BENCHMARK_CAPTURE(BM_SaxWordEncode, isax_16x16, kIsaxWords);
 
-void BM_MemberBounds(benchmark::State& state) {
+void BM_MemberBounds(benchmark::State& state, WordShape shape,
+                     SimdTarget target) {
+  if (!SimdTargetSupported(target)) {
+    state.SkipWithError("target not supported on this CPU");
+    return;
+  }
   const size_t len = 256;
-  const size_t members = static_cast<size_t>(state.range(0));
+  const size_t members = 46;
   Dataset ds = BenchData(members + 1, len);
-  SaxEncoder enc(len, 32, 8);
-  std::vector<uint8_t> words;
+  SaxEncoder enc(len, shape.segments, 8);
+  std::vector<uint8_t> narrow;
+  std::vector<uint16_t> wide;
   for (size_t i = 1; i <= members; ++i) {
     for (uint16_t symbol : enc.Encode(ds.series(i))) {
-      words.push_back(static_cast<uint8_t>(symbol));
+      narrow.push_back(static_cast<uint8_t>(symbol));
+      wide.push_back(symbol);
     }
   }
-  const std::vector<double> paa = enc.paa().Transform(ds.series(0));
-  std::vector<double> bounds(members);
-  for (auto _ : state) {
-    enc.MinDistSqPaaToWords(paa, words.data(), std::span<double>(bounds));
-    benchmark::DoNotOptimize(bounds.data());
+  const void* words = shape.symbol_bytes == 1
+                          ? static_cast<const void*>(narrow.data())
+                          : static_cast<const void*>(wide.data());
+  // The encoder's tables: segment weights, and the breakpoints between
+  // -inf and +inf.
+  std::vector<double> w(shape.segments);
+  for (size_t s = 0; s < shape.segments; ++s) {
+    w[s] = static_cast<double>(enc.paa().SegmentLength(s));
   }
-  state.SetItemsProcessed(state.iterations() * members);
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> edges = {-inf};
+  for (double b : SaxBreakpoints(256)) edges.push_back(b);
+  edges.push_back(inf);
+  const std::vector<double> paa = enc.paa().Transform(ds.series(0));
+  const DistanceKernels& k = KernelsFor(target);
+  std::vector<double> bounds(members);
+  double cutoff = inf;
+  if (state.range(0) > 0) {
+    k.sax_word_bounds_sq(paa.data(), w.data(), edges.data(), shape.segments,
+                         words, shape.symbol_bytes, members, inf,
+                         bounds.data());
+    std::sort(bounds.begin(), bounds.end());
+    cutoff = bounds[static_cast<size_t>(state.range(0)) - 1];
+  }
+  for (auto _ : state) {
+    k.sax_word_bounds_sq(paa.data(), w.data(), edges.data(), shape.segments,
+                         words, shape.symbol_bytes, members, cutoff,
+                         bounds.data());
+    benchmark::DoNotOptimize(bounds.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(members));
+  state.SetLabel(SimdTargetName(target));
 }
-BENCHMARK(BM_MemberBounds)->Arg(46);
+BENCHMARK_CAPTURE(BM_MemberBounds, dstree_64x8_dispatched, kDSTreeWords,
+                  ActiveSimdTarget())
+    ->Arg(0)
+    ->Arg(10);
+BENCHMARK_CAPTURE(BM_MemberBounds, dstree_64x8_scalar, kDSTreeWords,
+                  SimdTarget::kScalar)
+    ->Arg(0)
+    ->Arg(10);
+BENCHMARK_CAPTURE(BM_MemberBounds, isax_16x16_dispatched, kIsaxWords,
+                  ActiveSimdTarget())
+    ->Arg(0);
+BENCHMARK_CAPTURE(BM_MemberBounds, isax_16x16_scalar, kIsaxWords,
+                  SimdTarget::kScalar)
+    ->Arg(0);
 
 void BM_EapcaTransform(benchmark::State& state) {
   const size_t len = static_cast<size_t>(state.range(0));

@@ -92,6 +92,10 @@ size_t ScalarSquaredEuclideanMulti(const float* const* queries,
 double ScalarWeightedClampedDistSq(const double* x, const double* lo,
                                    const double* hi, const double* w,
                                    size_t n);
+void ScalarSaxWordBoundsSq(const double* paa, const double* w,
+                           const double* edges, size_t segments,
+                           const void* words, size_t symbol_bytes,
+                           size_t count, double cutoff, double* out);
 void ScalarLutAccumulate(const double* lut, const uint32_t* cells,
                          size_t count, size_t stride, double* acc);
 

@@ -1,5 +1,8 @@
 #include "distance/kernel_tables.h"
 
+#include <algorithm>
+#include <cstdint>
+
 namespace hydra {
 namespace detail {
 
@@ -93,6 +96,55 @@ double ScalarWeightedClampedDistSq(const double* x, const double* lo,
   return sum;
 }
 
+namespace {
+
+template <typename Sym>
+void SaxWordBounds(const double* q, const double* w, const double* e,
+                   size_t n, const Sym* words, size_t count, double cutoff,
+                   double* out) {
+  // w·d² of segment s, d the distance from the query to its region.
+  auto term = [&](const Sym* word, size_t s) {
+    const double d = std::max(
+        std::max(e[word[s]] - q[s], q[s] - e[word[s] + 1]), 0.0);
+    return w[s] * d * d;
+  };
+  const size_t body = n & ~size_t{3};  // whole groups of four segments
+  for (size_t m = 0; m < count; ++m, words += n) {
+    // Four partial sums: one running sum would make every segment wait
+    // on the previous one's addition.
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    size_t s = 0;
+    bool passed = false;
+    while (s < body && !passed) {
+      const size_t stop = std::min(body, s + kSaxBoundBlock);
+      for (; s < stop; s += 4) {
+        s0 += term(words, s);
+        s1 += term(words, s + 1);
+        s2 += term(words, s + 2);
+        s3 += term(words, s + 3);
+      }
+      passed = s < n && (s0 + s1) + (s2 + s3) > cutoff;
+    }
+    for (; s < n && !passed; ++s) s0 += term(words, s);
+    out[m] = (s0 + s1) + (s2 + s3);
+  }
+}
+
+}  // namespace
+
+void ScalarSaxWordBoundsSq(const double* paa, const double* w,
+                           const double* edges, size_t segments,
+                           const void* words, size_t symbol_bytes,
+                           size_t count, double cutoff, double* out) {
+  if (symbol_bytes == 1) {
+    SaxWordBounds(paa, w, edges, segments,
+                  static_cast<const uint8_t*>(words), count, cutoff, out);
+  } else {
+    SaxWordBounds(paa, w, edges, segments,
+                  static_cast<const uint16_t*>(words), count, cutoff, out);
+  }
+}
+
 void ScalarLutAccumulate(const double* lut, const uint32_t* cells,
                          size_t count, size_t stride, double* acc) {
   size_t i = 0;
@@ -110,7 +162,7 @@ void ScalarLutAccumulate(const double* lut, const uint32_t* cells,
 const DistanceKernels kScalarKernels = {
     ScalarSquaredEuclidean,  ScalarSquaredEuclideanEa,
     ScalarSquaredEuclideanBatch, ScalarSquaredEuclideanMulti,
-    ScalarWeightedClampedDistSq,
+    ScalarWeightedClampedDistSq, ScalarSaxWordBoundsSq,
     ScalarLutAccumulate,     "scalar",
 };
 

@@ -125,8 +125,9 @@ const DistanceKernels kSse2Kernels = {
     Sse2SquaredEuclidean,  Sse2SquaredEuclideanEa, Sse2SquaredEuclideanBatch,
     Sse2SquaredEuclideanMulti,
     Sse2WeightedClampedDistSq,
-    // No gather below AVX2; the unrolled scalar loop is already bound by
-    // the cell-id loads.
+    // No gather below AVX2: the bound and the table lookups run the
+    // scalar loops, already bound by their symbol and cell-id loads.
+    ScalarSaxWordBoundsSq,
     ScalarLutAccumulate,   "sse2",
 };
 const bool kSse2CompiledWithSimd = true;
@@ -142,7 +143,7 @@ namespace detail {
 const DistanceKernels kSse2Kernels = {
     ScalarSquaredEuclidean,  ScalarSquaredEuclideanEa,
     ScalarSquaredEuclideanBatch, ScalarSquaredEuclideanMulti,
-    ScalarWeightedClampedDistSq,
+    ScalarWeightedClampedDistSq, ScalarSaxWordBoundsSq,
     ScalarLutAccumulate,     "sse2-unavailable",
 };
 const bool kSse2CompiledWithSimd = false;

@@ -43,6 +43,19 @@ inline constexpr int kNumSimdTargets = 3;
 //    shared inner loop of the SAX/EAPCA-style envelope lower bounds;
 //    lo = -inf / hi = +inf encode unbounded sides.
 //
+//  * sax_word_bounds_sq: the tree search's member bound. For each of
+//    `count` full-cardinality iSAX words stored back to back at `words`
+//    (`segments` symbols each, `symbol_bytes` = 1 or 2 bytes a symbol),
+//    out[m] = sum over s of w[s] * d_s^2, d_s the distance from paa[s]
+//    to the symbol's region [edges[sym], edges[sym + 1]] (0 inside;
+//    edges[0] = -inf and the last edge +inf). The sum runs as four
+//    partial sums (segment s into sum s % 4) and is compared with
+//    `cutoff` after every kSaxBoundBlock segments while segments remain;
+//    once it exceeds it, out[m] is that partial sum: > cutoff and, the
+//    terms being non-negative, still <= the full bound. Every target
+//    rounds each term and sum as the scalar reference does, so results
+//    and stopping points agree across targets and symbol widths.
+//
 //  * lut_accumulate: acc[i] += lut[cells[i * stride]] for i in [0, count).
 //    The asymmetric-distance trick used by the VA+file phase-1 scan: per
 //    query, per dimension, cell -> min-distance contributions are
@@ -77,10 +90,17 @@ struct DistanceKernels {
   double (*weighted_clamped_dist_sq)(const double* x, const double* lo,
                                      const double* hi, const double* w,
                                      size_t n);
+  void (*sax_word_bounds_sq)(const double* paa, const double* w,
+                             const double* edges, size_t segments,
+                             const void* words, size_t symbol_bytes,
+                             size_t count, double cutoff, double* out);
   void (*lut_accumulate)(const double* lut, const uint32_t* cells,
                          size_t count, size_t stride, double* acc);
   const char* name;
 };
+
+// Segments between two of sax_word_bounds_sq's cutoff checks.
+inline constexpr size_t kSaxBoundBlock = 16;
 
 // The kernel table of the dispatched target. Selected on first call from
 // the best supported target, overridable with HYDRA_SIMD=scalar|sse2|avx2

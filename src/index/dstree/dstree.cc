@@ -118,7 +118,7 @@ void DSTreeIndex::Insert(const Dataset& data, int64_t id) {
   }
   DSTreeNode& leaf = nodes_[node_id];
   leaf.series_ids.push_back(id);
-  // Words grow by a quarter, not by doubling: at 32 bytes a series they
+  // Words grow by a quarter, not by doubling: at 64 bytes a series they
   // are most of a leaf, and doubling left ~40% of their memory unused.
   const size_t w = word_encoder_->segments();
   std::vector<uint8_t>& words = leaf.leaf_words;
@@ -381,8 +381,9 @@ size_t DSTreeIndex::max_depth() const {
 
 namespace {
 constexpr uint32_t kDSTreeMagic = 0x44535452;  // "DSTR"
-// 2: CRC-32C footer; 3: one iSAX word per leaf member.
-constexpr uint32_t kDSTreeVersion = 3;
+// 2: CRC-32C footer; 3: one 32-segment iSAX word per leaf member;
+// 4: 64-segment words.
+constexpr uint32_t kDSTreeVersion = 4;
 }  // namespace
 
 Status DSTreeIndex::Save(const std::string& path) const {

@@ -1,6 +1,7 @@
 #ifndef HYDRA_INDEX_DSTREE_DSTREE_H_
 #define HYDRA_INDEX_DSTREE_DSTREE_H_
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -101,11 +102,12 @@ class DSTreeIndex : public Index {
   }
   // The member sieve: an admissible LB² for each LeafIds member, from
   // its word (MinDist of the query's PAA to its full-cardinality iSAX
-  // word).
-  void MemberBoundsSq(const QueryContext& ctx, int32_t leaf,
-                      std::span<double> out) const {
+  // word), or the partial sum that passed `cutoff`.
+  void MemberBoundsSq(
+      const QueryContext& ctx, int32_t leaf, std::span<double> out,
+      double cutoff = std::numeric_limits<double>::infinity()) const {
     word_encoder_->MinDistSqPaaToWords(
-        ctx.paa, nodes_[leaf].leaf_words.data(), out);
+        ctx.paa, nodes_[leaf].leaf_words.data(), out, cutoff);
   }
   SeriesProvider* provider() const { return provider_; }
 
@@ -120,8 +122,8 @@ class DSTreeIndex : public Index {
       : provider_(provider), options_(options) {}
 
   // Segments of a member's word (fewer for series shorter than this) and
-  // bits per symbol: 32 bytes a series.
-  static constexpr size_t kWordSegments = 32;
+  // bits per symbol: 64 bytes a series.
+  static constexpr size_t kWordSegments = 64;
   static constexpr size_t kWordBits = 8;
 
   void Insert(const Dataset& data, int64_t id);

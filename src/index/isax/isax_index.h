@@ -1,6 +1,7 @@
 #ifndef HYDRA_INDEX_ISAX_ISAX_INDEX_H_
 #define HYDRA_INDEX_ISAX_ISAX_INDEX_H_
 
+#include <limits>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -93,11 +94,13 @@ class IsaxIndex : public Index {
     return nodes_[id].series_ids;
   }
   // The member sieve: an admissible LB² for each LeafIds member, from the
-  // full-cardinality word the leaf keeps for it.
-  void MemberBoundsSq(const QueryContext& ctx, int32_t leaf,
-                      std::span<double> out) const {
+  // full-cardinality word the leaf keeps for it, or the partial sum that
+  // passed `cutoff`.
+  void MemberBoundsSq(
+      const QueryContext& ctx, int32_t leaf, std::span<double> out,
+      double cutoff = std::numeric_limits<double>::infinity()) const {
     encoder_->MinDistSqPaaToWords(ctx.paa, nodes_[leaf].leaf_words.data(),
-                                  out);
+                                  out, cutoff);
   }
   SeriesProvider* provider() const { return provider_; }
 

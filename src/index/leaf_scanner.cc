@@ -347,14 +347,97 @@ Result<size_t> LeafScanner::RefineOrdered(
     const std::function<int64_t(size_t)>& id_at,
     const std::function<bool(size_t)>& before,
     const std::function<bool(size_t)>& after) {
-  Slot& slot = slots_[0];
+  return RefineOrdered(
+      provider, count, id_at,
+      [&before](size_t i) {
+        return before(i) ? RefineStep::kTake : RefineStep::kStop;
+      },
+      after);
+}
+
+Result<size_t> LeafScanner::RefineOrdered(
+    SeriesProvider* provider, size_t count,
+    const std::function<int64_t(size_t)>& id_at,
+    const std::function<RefineStep(size_t)>& step,
+    const std::function<bool(size_t)>& after,
+    std::span<const size_t> slots) {
+  const size_t n = slots.empty() ? slots_.size() : slots.size();
+  if (n == 0) return size_t{0};
+  lane_.clear();
+  for (size_t i = 0; i < n; ++i) {
+    lane_.push_back(&slots_[slots.empty() ? i : slots[i]]);
+  }
+  const Slot& first = *lane_[0];
+  // Readahead: the next `prefetch_depth_` candidates the walk would take
+  // on the current state, in walk order.
+  auto announce = [&](size_t from) {
+    ahead_.clear();
+    for (size_t j = from; j < count && ahead_.size() < prefetch_depth_;
+         ++j) {
+      const RefineStep next = step(j);
+      if (next == RefineStep::kStop) break;
+      if (next == RefineStep::kTake) ahead_.push_back(id_at(j));
+    }
+    PrefetchIds(provider, ahead_, prefetch_depth_);
+  };
+  const bool prefetch =
+      prefetch_depth_ > 0 && provider->MaxPrefetchPages() > 0;
   const size_t shards = Shards({.provider = provider, .size = count});
-  // Serial refinement evaluates one candidate at a time; a fan-out
-  // evaluates blocks of kRefineGrain candidates per worker.
-  const size_t block = shards == 1 ? 1 : shards * kRefineGrain;
+  if (shards > 1) {
+    return RefineFannedOut(provider, count, shards, id_at, step, after,
+                           prefetch ? announce
+                                    : std::function<void(size_t)>());
+  }
+  // Serially, one candidate at a time, for every served slot: the same
+  // pin, kernel and offer as a scan's walk.
+  std::span<Slot*> lane(lane_);
+  const size_t announce_every = std::max<size_t>(1, prefetch_depth_ / 2);
+  size_t since_announce = announce_every - 1;  // the first fetch announces
+  size_t committed = 0;
+  for (size_t i = 0; i < count; ++i) {
+    // Cancellation point per candidate: drop the slots that died or whose
+    // token fired.
+    size_t live = 0;
+    for (Slot* slot : lane) {
+      if (slot->Live()) lane[live++] = slot;
+    }
+    lane = lane.first(live);
+    if (lane.empty()) return first.status;
+    const RefineStep next = step(i);
+    if (next == RefineStep::kStop) break;
+    if (next == RefineStep::kSkip) continue;
+    const Slot& leader = *lane[0];  // charged with the shared I/O
+    const int64_t id = id_at(i);
+    Result<PinnedRun> run =
+        provider->PinSeriesChecked(static_cast<uint64_t>(id), leader.counters);
+    if (!run.ok()) {
+      for (Slot* slot : lane) slot->status = run.status();
+      return run.status();
+    }
+    if (prefetch && ++since_announce >= announce_every) {
+      announce(i + 1);
+      since_announce = 0;
+    }
+    Evaluate(lane, scratch_, run.value().span().data(), 1,
+             leader.query.size(), id);
+    ++committed;
+    if (!after(i)) break;
+  }
+  return committed;
+}
+
+Result<size_t> LeafScanner::RefineFannedOut(
+    SeriesProvider* provider, size_t count, size_t shards,
+    const std::function<int64_t(size_t)>& id_at,
+    const std::function<RefineStep(size_t)>& step,
+    const std::function<bool(size_t)>& after,
+    const std::function<void(size_t)>& announce) {
+  Slot& slot = slots_[0];
+  // Each worker evaluates kRefineGrain candidates of a block.
+  const size_t block = shards * kRefineGrain;
   // One evaluation: its distance, or the typed status of its failed fetch
   // or fired token — reported when (and only when) the commit loop
-  // reaches it; speculative failures past a stop point are discarded.
+  // takes it; speculative failures that are not taken are discarded.
   struct Eval {
     double dist = 0.0;
     bool abandoned = false;
@@ -370,8 +453,10 @@ Result<size_t> LeafScanner::RefineOrdered(
     // is also what latches a deadline expiry so the workers' cheap
     // Fired() polls below observe it.
     if (!slot.Live()) return slot.status;
-    if (!before(base)) break;
+    const RefineStep first = step(base);
+    if (first == RefineStep::kStop) break;
     const size_t b = std::min(block, count - base);
+    if (announce) announce(base + b);
     // One threshold per block, read before any commit of the block: it is
     // the serial loop's threshold or looser, so abandons here imply serial
     // abandons and every serial keeper completes exactly.
@@ -402,10 +487,12 @@ Result<size_t> LeafScanner::RefineOrdered(
       if (slot.counters != nullptr) *slot.counters += w;
       w.Reset();
     }
-    // Commit strictly in candidate order; speculative evaluations past a
-    // stop point are discarded without touching answers or counters.
+    // Commit strictly in candidate order; speculative evaluations that
+    // are not taken are discarded without touching answers or counters.
     for (size_t j = 0; j < b; ++j) {
-      if (j > 0 && !before(base + j)) return committed;
+      const RefineStep next = j == 0 ? first : step(base + j);
+      if (next == RefineStep::kStop) return committed;
+      if (next == RefineStep::kSkip) continue;
       const Eval& e = evals[j];
       if (!e.error.ok()) {
         slot.status = e.error;

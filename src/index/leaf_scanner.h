@@ -143,27 +143,43 @@ class LeafScanner {
   size_t ScanContiguous(const float* block, size_t count, size_t stride,
                         int64_t first_id, std::span<const size_t> slots = {});
 
-  // Ordered refinement of slot 0 for the candidate-list methods (VA+file,
-  // SRS): reproduces the serial loop
+  // What an ordered walk does with a candidate, decided just before its
+  // fetch: evaluate it, pass over it, or end the walk.
+  enum class RefineStep : uint8_t { kTake, kSkip, kStop };
+
+  // Ordered refinement of the live members of `slots` (empty = every
+  // slot), for the candidate-list methods (VA+file, SRS) and the tree
+  // search's member sieve: reproduces the serial loop
   //
   //   for i in [0, count):
-  //     if (!before(i)) stop;
-  //     evaluate id_at(i), offer to the answer set;
+  //     switch (step(i)): kStop: stop; kSkip: continue; kTake: go on
+  //     evaluate id_at(i) for every served slot, offer to its answers;
   //     if (!after(i)) stop;
   //
-  // exactly — `before`/`after` observe the answer set with candidates
+  // exactly — `step`/`after` observe the answer sets with candidates
   // 0..i-1 (resp. 0..i) applied, so adaptive stopping rules (lower-bound
   // cutoffs, chi-squared termination, δ-radius stops) decide on the same
-  // state as at num_threads = 1 — while a fan-out evaluates the upcoming
-  // kRefineGrain candidates per worker speculatively. Speculative
-  // evaluations past a stop point are discarded and uncounted: logical
-  // counters (series_accessed, distance splits) reflect committed
-  // candidates only, while physical I/O (bytes_read, random_ios, pool
-  // attribution) is charged as incurred. `id_at` maps a position to its
-  // series id (typically a view into the caller's sorted lower-bound
-  // order, so no id array is materialized); it must be pure and safe to
-  // call from any worker. Returns the committed count, or the typed
-  // status of a committed candidate's failed fetch or a fired token.
+  // state as at num_threads = 1 — while a fan-out (one slot, see the
+  // class comment) evaluates the upcoming kRefineGrain candidates per
+  // worker speculatively. Speculative evaluations that are not taken are
+  // discarded and uncounted: logical counters (series_accessed, distance
+  // splits) reflect taken candidates only, while physical I/O
+  // (bytes_read, random_ios, pool attribution) is charged as incurred.
+  // With prefetch on, each fetch announces the next candidates `step`
+  // takes on the current state, in walk order, through PrefetchIds
+  // (re-announcing once half the window is consumed), so `step` must be
+  // pure. `id_at` maps a position to its series id (typically a view
+  // into the caller's sorted lower-bound order, so no id array is
+  // materialized); it must be pure and safe to call from any worker.
+  // Returns the taken count, or — when no served slot survives — the
+  // typed status of the first served slot (a taken candidate's failed
+  // fetch or a fired token).
+  Result<size_t> RefineOrdered(SeriesProvider* provider, size_t count,
+                               const std::function<int64_t(size_t)>& id_at,
+                               const std::function<RefineStep(size_t)>& step,
+                               const std::function<bool(size_t)>& after,
+                               std::span<const size_t> slots = {});
+  // The same walk over every slot, where `before(i)` false stops it.
   Result<size_t> RefineOrdered(SeriesProvider* provider, size_t count,
                                const std::function<int64_t(size_t)>& id_at,
                                const std::function<bool(size_t)>& before,
@@ -245,6 +261,13 @@ class LeafScanner {
   // pages, charged to `leader`; returns the pages announced.
   size_t Announce(const Stream& s, size_t from, size_t max_pages,
                   const Slot& leader) const;
+  // RefineOrdered's fan-out of slot 0 over `shards` workers.
+  Result<size_t> RefineFannedOut(
+      SeriesProvider* provider, size_t count, size_t shards,
+      const std::function<int64_t(size_t)>& id_at,
+      const std::function<RefineStep(size_t)>& step,
+      const std::function<bool(size_t)>& after,
+      const std::function<void(size_t)>& announce);
 
   std::vector<Slot> slots_;
   size_t num_threads_ = 1;
@@ -257,6 +280,7 @@ class LeafScanner {
   std::vector<Slot*> lane_;
   Slot* solo_ = nullptr;
   Scratch scratch_;
+  std::vector<int64_t> ahead_;  // an ordered walk's readahead window
 };
 
 }  // namespace hydra

@@ -34,8 +34,10 @@ namespace hydra {
 //   void ScanLeaf(NodeId, LeafScanner*, std::span<const size_t> slots) const;
 // A LeafIds tree may also bound its members, which lets TreeSearch skip
 // members without fetching them (SieveTreeLeaf):
-//   void MemberBoundsSq(const Ctx&, NodeId leaf, std::span<double> out) const;
-//     // out[i]: an admissible LB² of LeafIds(leaf)[i]
+//   void MemberBoundsSq(const Ctx&, NodeId leaf, std::span<double> out,
+//                       double cutoff) const;
+//     // out[i]: an admissible LB² of LeafIds(leaf)[i]; once a partial
+//     // sum of it passes `cutoff`, that partial sum may stand instead
 // `Ctx` is the per-query precomputation (query PAA, prefix sums, ...).
 
 // Scans leaf `node` for `slots` of `scanner` (empty = every slot); a
@@ -59,11 +61,10 @@ inline constexpr double kSieveMargin = 1e-9;
 // The sieve's buffers, reused from leaf to leaf: one search allocates
 // them once.
 struct SieveScratch {
-  std::vector<double> bounds;      // LB² per served query, then member
-  std::vector<double> key;         // each member's smallest LB²
-  std::vector<double> thresholds;  // per served query
-  std::vector<size_t> order;       // member positions
-  std::vector<int64_t> ids;        // the members one step scans
+  std::vector<double> bounds;  // LB² per served query, then member
+  std::vector<double> key;     // each member's fill key, then walk key
+  std::vector<size_t> order;   // member positions
+  std::vector<int64_t> ids;    // the members one step scans, in order
 };
 
 // One query of a tree search: its context, its stopping rules and the
@@ -96,90 +97,118 @@ struct TreeQuery {
 // Scans leaf `node` of a MemberBoundsSq tree for the served slots `who`
 // (slot q is queries[q]), fetching only members that a served slot
 // could take. Every member's bound is computed for every served query
-// (each counted in its lb_distances), then the leaf is scanned in two
-// ScanIds calls:
+// (each counted in its lb_distances; the kernel stops summing a member
+// once it passes that slot's threshold, below), then:
 //   1. Fill: while a served slot holds fewer than k answers, the
 //      members with the smallest bounds (smallest over the served
 //      queries, ties by position) fill it — as many as the emptiest
-//      slot lacks — in id order.
-//   2. Sieve: of the other members, those whose bound is within some
-//      served slot's k-th distance² (times 1 + kSieveMargin) are
-//      scanned, in id order.
-// A skipped member is one the early-abandoning kernel could never have
+//      slot lacks — in one ScanIds call, in id order.
+//   2. Walk: the other members some served slot admits — its bound
+//      within the slot's threshold, its k-th distance² times
+//      1 + kSieveMargin — are sorted by their smallest admitting bound
+//      (ties by position) and walked in that order (RefineOrdered).
+//      Before each fetch every served slot's threshold is read again:
+//      the walk stops at the first member whose bound exceeds every
+//      threshold, and passes over one that no slot admits.
+// A member left out is one the early-abandoning kernel could never have
 // offered: its distance² is at least its bound, which exceeds the k-th
 // distance² every served slot's kernel abandons at (the unshrunk one;
-// the ε-shrunk bound only prunes nodes), and that k-th only falls. So
+// the ε-shrunk bound only prunes nodes), and that k-th only falls; a
+// bound the kernel stopped summing is a partial sum already past it. So
 // the answers, and every later k-th and traversal decision, equal a
-// scan of the whole leaf. The fetched set is fixed before each call's
-// walk from state that every path shares, so the serial, fan-out,
-// prefetch and batch paths fetch the same members.
+// scan of the whole leaf. What is fetched depends only on the bounds and
+// the served slots' answer sets before each step, which every path
+// shares, so the serial, fan-out, prefetch and batch paths fetch the
+// same members; a fan-out's speculative evaluations count only where
+// the walk takes them.
 template <typename Tree, typename Ctx, typename NodeId>
 void SieveTreeLeaf(const Tree& tree, std::span<const TreeQuery<Ctx>> queries,
                    NodeId node, std::span<const size_t> who,
                    LeafScanner* scanner, SieveScratch* scratch) {
+  using RefineStep = LeafScanner::RefineStep;
   const std::span<const int64_t> members = tree.LeafIds(node);
   const size_t n = members.size();
   const size_t nw = who.size();
   if (n == 0 || nw == 0) return;
+  // Served slot i's threshold; a failed slot takes nothing (bounds are
+  // never negative).
+  auto threshold = [&](size_t i) {
+    return scanner->alive(who[i])
+               ? scanner->KthDistanceSq(who[i]) * (1.0 + kSieveMargin)
+               : -1.0;
+  };
   std::vector<double>& bounds = scratch->bounds;
   bounds.resize(nw * n);
   size_t fill = 0;
   for (size_t i = 0; i < nw; ++i) {
     const size_t q = who[i];
     tree.MemberBoundsSq(*queries[q].ctx, node,
-                        std::span<double>(bounds.data() + i * n, n));
+                        std::span<double>(bounds.data() + i * n, n),
+                        threshold(i));
     if (QueryCounters* c = scanner->counters(q)) c->lb_distances += n;
     if (scanner->alive(q)) fill = std::max(fill, scanner->MissingAnswers(q));
   }
   fill = std::min(fill, n);
+  std::vector<size_t>& order = scratch->order;
   std::vector<int64_t>& ids = scratch->ids;
-  // The fill: its members are the `fill` smallest by (key, position),
-  // the largest of which is `last`.
-  const double* key = bounds.data();
-  auto before = [&key](size_t a, size_t b) {
+  std::vector<double>& key = scratch->key;
+  auto by_key = [&key](size_t a, size_t b) {
     return key[a] < key[b] || (key[a] == key[b] && a < b);
   };
-  size_t last = 0;
+  // The fill: its members are the `fill` smallest by (key, position),
+  // marked by a key of -1 once scanned.
   if (fill > 0) {
-    if (nw > 1) {
-      scratch->key.assign(bounds.begin(), bounds.begin() + n);
-      for (size_t i = 1; i < nw; ++i) {
-        for (size_t m = 0; m < n; ++m) {
-          scratch->key[m] = std::min(scratch->key[m], bounds[i * n + m]);
-        }
+    key.assign(bounds.begin(), bounds.begin() + n);
+    for (size_t i = 1; i < nw; ++i) {
+      for (size_t m = 0; m < n; ++m) {
+        key[m] = std::min(key[m], bounds[i * n + m]);
       }
-      key = scratch->key.data();
     }
-    std::vector<size_t>& order = scratch->order;
     order.resize(n);
     std::iota(order.begin(), order.end(), size_t{0});
     std::nth_element(order.begin(), order.begin() + (fill - 1), order.end(),
-                     before);
-    last = order[fill - 1];
+                     by_key);
     std::sort(order.begin(), order.begin() + fill);
     ids.clear();
-    for (size_t j = 0; j < fill; ++j) ids.push_back(members[order[j]]);
+    for (size_t j = 0; j < fill; ++j) {
+      ids.push_back(members[order[j]]);
+      key[order[j]] = -1.0;
+    }
     scanner->ScanIds(tree.provider(), ids, who);
+  } else {
+    key.assign(n, 0.0);
   }
-  std::vector<double>& thresholds = scratch->thresholds;
-  thresholds.resize(nw);
-  for (size_t i = 0; i < nw; ++i) {
-    // A failed slot takes nothing more (bounds are never negative).
-    thresholds[i] = scanner->alive(who[i])
-                        ? scanner->KthDistanceSq(who[i]) * (1.0 + kSieveMargin)
-                        : -1.0;
-  }
-  ids.clear();
+  // The walk: each other member keyed by its smallest admitting bound.
+  order.clear();
   for (size_t m = 0; m < n; ++m) {
-    if (fill > 0 && !before(last, m)) continue;  // scanned by the fill
+    if (key[m] < 0.0) continue;  // scanned by the fill
+    bool admitted = false;
     for (size_t i = 0; i < nw; ++i) {
-      if (bounds[i * n + m] <= thresholds[i]) {
-        ids.push_back(members[m]);
-        break;
+      const double b = bounds[i * n + m];
+      if (b <= threshold(i) && (!admitted || b < key[m])) {
+        key[m] = b;
+        admitted = true;
       }
     }
+    if (admitted) order.push_back(m);
   }
-  if (!ids.empty()) scanner->ScanIds(tree.provider(), ids, who);
+  if (order.empty()) return;
+  std::sort(order.begin(), order.end(), by_key);
+  ids.clear();
+  for (size_t m : order) ids.push_back(members[m]);
+  scanner->RefineOrdered(
+      tree.provider(), ids.size(), [&ids](size_t j) { return ids[j]; },
+      [&](size_t j) {
+        const size_t m = order[j];
+        RefineStep next = RefineStep::kStop;
+        for (size_t i = 0; i < nw; ++i) {
+          const double t = threshold(i);
+          if (bounds[i * n + m] <= t) return RefineStep::kTake;
+          if (key[m] <= t) next = RefineStep::kSkip;
+        }
+        return next;
+      },
+      [](size_t) { return true; }, who);
 }
 
 // Best-first k-NN over a hierarchical index for any number of queries:
@@ -266,7 +295,7 @@ void TreeSearch(const Tree& tree, std::span<TreeQuery<Ctx>> queries,
   // Scans a leaf for `who`, counting the visit for the queries left alive.
   auto visit = [&](NodeId leaf) {
     if constexpr (requires(std::span<double> out) {
-                    tree.MemberBoundsSq(*queries[0].ctx, leaf, out);
+                    tree.MemberBoundsSq(*queries[0].ctx, leaf, out, 0.0);
                   }) {
       SieveTreeLeaf(tree, std::span<const TreeQuery<Ctx>>(queries), leaf,
                     std::span<const size_t>(who), scanner, &sieve);

@@ -3,9 +3,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
+#include "distance/simd_dispatch.h"
 #include "transform/paa.h"
 
 namespace hydra {
@@ -70,36 +72,21 @@ class SaxEncoder {
   // Squared MinDist from a query PAA image to each of `out.size()`
   // full-cardinality words stored back to back at `words` (one Symbol per
   // segment, every segment at max_bits): MinDistSqPaaToSax with all bits
-  // used, for the per-member words of a tree leaf. Lower-bounds each
-  // member's squared Euclidean distance; 0 for a member whose PAA equals
-  // the query's.
+  // used, for the per-member words of a tree leaf, through the dispatched
+  // sax_word_bounds_sq kernel. Lower-bounds each member's squared
+  // Euclidean distance; 0 for a member whose PAA equals the query's. A
+  // member whose partial sum passes `cutoff` gets that partial sum: above
+  // `cutoff`, and still a lower bound.
   template <typename Sym>
-  void MinDistSqPaaToWords(std::span<const double> query_paa,
-                           const Sym* words, std::span<double> out) const {
-    const size_t n = query_paa.size();
-    const double* q = query_paa.data();
-    const double* w = segment_weights_.data();
-    const double* e = edges_.data();
-    // w·d² of segment s, d the distance from the query to its region.
-    auto term = [&](const Sym* word, size_t s) {
-      const double d = std::max(
-          std::max(e[word[s]] - q[s], q[s] - e[word[s] + 1]), 0.0);
-      return w[s] * d * d;
-    };
-    for (size_t m = 0; m < out.size(); ++m, words += n) {
-      // Four partial sums: one running sum would make every segment
-      // wait on the previous one's addition.
-      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-      size_t s = 0;
-      for (; s + 4 <= n; s += 4) {
-        s0 += term(words, s);
-        s1 += term(words, s + 1);
-        s2 += term(words, s + 2);
-        s3 += term(words, s + 3);
-      }
-      for (; s < n; ++s) s0 += term(words, s);
-      out[m] = (s0 + s1) + (s2 + s3);
-    }
+  void MinDistSqPaaToWords(
+      std::span<const double> query_paa, const Sym* words,
+      std::span<double> out,
+      double cutoff = std::numeric_limits<double>::infinity()) const {
+    static_assert(sizeof(Sym) == 1 || sizeof(Sym) == 2);
+    ActiveKernels().sax_word_bounds_sq(
+        query_paa.data(), segment_weights_.data(), edges_.data(),
+        query_paa.size(), words, sizeof(Sym), out.size(), cutoff,
+        out.data());
   }
 
   // Breakpoint interval [lo, hi] covered by the `used_bits` leading bits
@@ -114,7 +101,7 @@ class SaxEncoder {
   // b in [0, max_bits).
   std::vector<std::vector<double>> breakpoints_;
   // Per-segment PAA lengths as doubles: the weights of the MinDist sum,
-  // laid out for the dispatched clamped-distance kernel.
+  // laid out for the dispatched clamped-distance and word-bound kernels.
   std::vector<double> segment_weights_;
   // The full-cardinality breakpoints between -inf and +inf: symbol s
   // covers [edges_[s], edges_[s + 1]].

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -313,6 +314,95 @@ TEST(KernelEquivalence, WeightedClampedDistSqMatchesScalar) {
                                             w.data(), n);
     EXPECT_LT(RelDiff(expected, got), 1e-9) << SimdTargetName(target);
   }
+}
+
+// The member bound row, for DSTree's 8-bit and iSAX2+'s 16-bit words, at
+// word lengths with and without a tail of fewer than four segments:
+// every target equals the scalar reference, with or without a cutoff;
+// a result the cutoff stopped is above it and at most the full bound.
+TEST(KernelEquivalence, SaxWordBoundsMatchScalar) {
+  const double inf = std::numeric_limits<double>::infinity();
+  auto edges_for = [inf](size_t cardinality) {
+    std::vector<double> edges = {-inf};
+    for (size_t i = 1; i < cardinality; ++i) {
+      // Standard-normal-like spacing; only the order matters here.
+      const double p = static_cast<double>(i) / cardinality;
+      edges.push_back(std::log(p / (1.0 - p)));
+    }
+    edges.push_back(inf);
+    return edges;
+  };
+  const std::vector<double> edges8 = edges_for(256);
+  const std::vector<double> edges16 = edges_for(1024);
+  const DistanceKernels& ref = KernelsFor(SimdTarget::kScalar);
+  Rng rng(29);
+  size_t stopped = 0;
+  for (size_t segments : {size_t{3}, size_t{16}, size_t{20}, size_t{64},
+                          size_t{67}}) {
+    const size_t count = 37;
+    std::vector<double> paa(segments), w(segments);
+    for (size_t s = 0; s < segments; ++s) {
+      // Some segment means lie beyond the outermost edges.
+      paa[s] = (s % 5 == 0 ? 4.0 : 1.5) * rng.NextGaussian();
+      w[s] = 1.0 + static_cast<double>(s % 5);
+    }
+    std::vector<uint8_t> narrow(count * segments);
+    std::vector<uint16_t> wide(count * segments);
+    for (size_t i = 0; i < narrow.size(); ++i) {
+      narrow[i] = static_cast<uint8_t>(rng.NextUint64(256));
+      wide[i] = static_cast<uint16_t>(rng.NextUint64(1024));
+    }
+    // Symbols whose region is unbounded on one side (an edge at ±inf).
+    narrow[0] = 0;
+    narrow[1] = 255;
+    wide[0] = 0;
+    wide[1] = 1023;
+    struct Words {
+      const void* data;
+      size_t bytes;
+      const std::vector<double>& edges;
+    };
+    for (const Words& words : {Words{narrow.data(), 1, edges8},
+                               Words{wide.data(), 2, edges16}}) {
+      std::vector<double> full(count);
+      ref.sax_word_bounds_sq(paa.data(), w.data(), words.edges.data(),
+                             segments, words.data, words.bytes, count, inf,
+                             full.data());
+      for (double b : full) ASSERT_GE(b, 0.0);
+      const double median = [&] {
+        std::vector<double> sorted = full;
+        std::sort(sorted.begin(), sorted.end());
+        return sorted[count / 2];
+      }();
+      for (double cutoff : {inf, median, 0.25 * median, 0.0, -1.0}) {
+        std::vector<double> expected(count);
+        ref.sax_word_bounds_sq(paa.data(), w.data(), words.edges.data(),
+                               segments, words.data, words.bytes, count,
+                               cutoff, expected.data());
+        for (SimdTarget target : SupportedTargets()) {
+          std::vector<double> got(count, -1.0);
+          KernelsFor(target).sax_word_bounds_sq(
+              paa.data(), w.data(), words.edges.data(), segments,
+              words.data, words.bytes, count, cutoff, got.data());
+          for (size_t m = 0; m < count; ++m) {
+            const std::string what = std::string(SimdTargetName(target)) +
+                                     " segments " + std::to_string(segments) +
+                                     " bytes " + std::to_string(words.bytes) +
+                                     " cutoff " + std::to_string(cutoff) +
+                                     " member " + std::to_string(m);
+            ASSERT_LT(RelDiff(expected[m], got[m]), 1e-9) << what;
+            if (RelDiff(got[m], full[m]) >= 1e-9) {
+              // Stopped early: past the cutoff, never past the full bound.
+              ASSERT_GT(got[m], cutoff) << what;
+              ASSERT_LE(got[m], full[m]) << what;
+              stopped += target == SimdTarget::kScalar ? 1 : 0;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(stopped, 0u);
 }
 
 TEST(KernelEquivalence, LutAccumulateMatchesScalar) {

@@ -371,6 +371,107 @@ TEST(MemberSieve, AnswersEqualScanningWholeLeaves) {
   ExpectSameAsWholeLeaves(*isax, queries, "isax");
 }
 
+// A whole-leaf view that logs the leaves its search scans, in order
+// (with prefetch off, LeafIds is read once per scan).
+template <typename Tree>
+struct LoggedLeaves : WholeLeaves<Tree> {
+  std::vector<int32_t>* log;
+
+  std::span<const int64_t> LeafIds(int32_t id) const {
+    log->push_back(id);
+    return this->tree.LeafIds(id);
+  }
+};
+
+// The members a sieved search fetches, simulated over the leaves a
+// whole-leaf search visits: in each leaf, members in (bound, position)
+// order from full bounds; the first fill the answer set (as many as it
+// lacks), then each next one is fetched unless its bound exceeds the
+// current k-th distance² (times 1 + kSieveMargin), which ends the leaf.
+// Distances are brute force. Returns the fetch count; `answer` gets the
+// answers.
+template <typename Tree>
+uint64_t SimulatedSieveFetches(const Tree& tree, const Dataset& data,
+                               std::span<const float> query,
+                               const SearchParams& params,
+                               KnnAnswer* answer) {
+  const auto ctx = tree.MakeQueryContext(query);
+  std::vector<int32_t> visits;
+  SearchParams whole_params = params;
+  whole_params.prefetch_depth = SearchParams::kPrefetchOff;
+  auto whole = TreeKnnSearch(LoggedLeaves<Tree>{{tree}, &visits}, ctx, query,
+                             whole_params, 0.0, nullptr);
+  EXPECT_TRUE(whole.ok());
+  AnswerSet answers(params.k);
+  uint64_t fetched = 0;
+  std::vector<double> bounds;
+  for (int32_t leaf : visits) {
+    const std::span<const int64_t> ids = tree.LeafIds(leaf);
+    bounds.assign(ids.size(), -1.0);
+    tree.MemberBoundsSq(ctx, leaf, bounds);
+    std::vector<size_t> order(ids.size());
+    for (size_t m = 0; m < order.size(); ++m) order[m] = m;
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return bounds[a] < bounds[b] || (bounds[a] == bounds[b] && a < b);
+    });
+    const size_t fill = answers.k() - answers.size();
+    for (size_t j = 0; j < order.size(); ++j) {
+      const size_t m = order[j];
+      if (j >= fill &&
+          bounds[m] > answers.KthDistanceSq() * (1.0 + kSieveMargin)) {
+        break;
+      }
+      answers.Offer(KernelDistanceSq(query, data.series(ids[m])), ids[m]);
+      ++fetched;
+    }
+  }
+  *answer = answers.Finish();
+  return fetched;
+}
+
+// The fetched set, member for member in count: after the fill, a leaf's
+// members are fetched in bound order against the k-th distance as it
+// falls, so a member whose bound passes the k-th distance the fill left
+// but not the one its predecessors left is not read.
+template <typename Tree>
+void ExpectFetchesFollowBoundOrder(const Tree& tree, const Dataset& data,
+                                   const Dataset& queries,
+                                   const std::string& name) {
+  for (const SearchParams& p : {Params(SearchMode::kExact, 10),
+                                Params(SearchMode::kNgApproximate, 10, 1),
+                                Params(SearchMode::kExact, 1)}) {
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const std::string what = name + " mode " +
+                               std::to_string(static_cast<int>(p.mode)) +
+                               " k " + std::to_string(p.k) + " query " +
+                               std::to_string(q);
+      KnnAnswer want;
+      const uint64_t fetched =
+          SimulatedSieveFetches(tree, data, queries.series(q), p, &want);
+      QueryCounters c;
+      const auto ctx = tree.MakeQueryContext(queries.series(q));
+      auto got = TreeKnnSearch(tree, ctx, queries.series(q), p, 0.0, &c);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectSame(want, got.value(), what);
+      EXPECT_EQ(c.series_accessed, fetched) << what;
+    }
+  }
+}
+
+TEST(MemberSieve, FetchesFollowTheBoundOrder) {
+  Rng rng(97);
+  Dataset data = MakeRandomWalk(2000, 128, rng);
+  ZNormalizeDataset(data);
+  Dataset queries = MakeNoiseQueries(data, 10, 0.3, rng);
+  InMemoryProvider provider(&data);
+  auto dstree = BuildDSTree(data, &provider, 48);
+  ASSERT_NE(dstree, nullptr);
+  ExpectFetchesFollowBoundOrder(*dstree, data, queries, "dstree");
+  auto isax = BuildIsax(data, &provider, 48);
+  ASSERT_NE(isax, nullptr);
+  ExpectFetchesFollowBoundOrder(*isax, data, queries, "isax");
+}
+
 // (c) On disk, a DSTree at nprobe 4 fetches fewer series than the
 // leaves it visits hold — the unsieved search fetches all of them — and
 // misses fewer pages, with the same answers.

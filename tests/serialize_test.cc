@@ -265,17 +265,21 @@ TEST_F(SerializeTest, IsaxSaveLoadPreservesAnswers) {
   }
 }
 
-// Format v3 keeps each leaf's member words: a round trip restores them,
-// and every mode's answers are bit-identical, distances included.
-TEST_F(SerializeTest, DSTreeV3RoundTripIsBitIdentical) {
+// Format v4 keeps each leaf's 64-segment member words: a round trip
+// restores them, and every mode's answers are bit-identical, distances
+// included.
+TEST_F(SerializeTest, DSTreeV4RoundTripIsBitIdentical) {
   TreeFixture f;
   DSTreeOptions opts;
   opts.leaf_capacity = 16;
   opts.histogram_pairs = 500;
   auto original = DSTreeIndex::Build(f.data, &f.provider, opts);
   ASSERT_TRUE(original.ok());
-  std::string path = Path("dstree_v3.idx");
+  std::string path = Path("dstree_v4.idx");
   ASSERT_TRUE(original.value()->Save(path).ok());
+  auto bytes = ReadFileBytes(path);
+  ASSERT_TRUE(bytes.ok());
+  ASSERT_EQ(bytes.value()[4], 4);  // the u32 version after the u32 magic
   auto loaded = DSTreeIndex::Load(path, &f.provider);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded.value()->num_nodes(), original.value()->num_nodes());
@@ -305,31 +309,34 @@ TEST_F(SerializeTest, DSTreeV3RoundTripIsBitIdentical) {
   }
 }
 
-// A sealed v2 file (no member words) is refused as an unsupported
-// version, not misread.
-TEST_F(SerializeTest, DSTreeV2FileRefusedAsUnsupported) {
+// A sealed v2 file (no member words) and a sealed v3 file (32-segment
+// words) are refused as unsupported versions, not misread.
+TEST_F(SerializeTest, DSTreeV2AndV3FilesRefusedAsUnsupported) {
   TreeFixture f;
   DSTreeOptions opts;
   opts.histogram_pairs = 200;
   auto dstree = DSTreeIndex::Build(f.data, &f.provider, opts);
   ASSERT_TRUE(dstree.ok());
-  std::string path = Path("dstree_v2.idx");
+  std::string path = Path("dstree_old.idx");
   ASSERT_TRUE(dstree.value()->Save(path).ok());
   auto bytes = ReadFileBytes(path);
   ASSERT_TRUE(bytes.ok());
-  std::string v2 = bytes.value();
-  ASSERT_EQ(v2[4], 3);  // the u32 version after the u32 magic
-  v2[4] = 2;
-  ASSERT_TRUE(WriteFileBytes(path, Reseal(v2)).ok());
-  auto loaded = DSTreeIndex::Load(path, &f.provider);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(loaded.status().message().find("unsupported"), std::string::npos)
-      << loaded.status().ToString();
+  ASSERT_EQ(bytes.value()[4], 4);  // the u32 version after the u32 magic
+  for (char version : {2, 3}) {
+    std::string old = bytes.value();
+    old[4] = version;
+    ASSERT_TRUE(WriteFileBytes(path, Reseal(old)).ok());
+    auto loaded = DSTreeIndex::Load(path, &f.provider);
+    ASSERT_FALSE(loaded.ok()) << "v" << int{version};
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find("unsupported"),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
 }
 
-// A leaf whose word array holds one byte fewer than one word per member
-// is refused typed.
+// A leaf whose word array holds one byte fewer than one 64-segment word
+// per member is refused typed.
 TEST_F(SerializeTest, DSTreeWordArrayOfWrongLengthRejected) {
   TreeFixture f;
   DSTreeOptions opts;
@@ -347,6 +354,8 @@ TEST_F(SerializeTest, DSTreeWordArrayOfWrongLengthRejected) {
   while (!dstree.value()->node(leaf).is_leaf) ++leaf;
   std::vector<uint8_t> shorter = dstree.value()->node(leaf).leaf_words;
   ASSERT_FALSE(shorter.empty());
+  ASSERT_EQ(shorter.size(),
+            dstree.value()->node(leaf).series_ids.size() * 64);
   shorter.pop_back();
   std::string corrupt = bytes.value();
   corrupt.replace(ranges[0].first, ranges[0].second - ranges[0].first,
