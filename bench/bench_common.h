@@ -7,10 +7,14 @@
 // paper figure; absolute numbers differ from the paper (simulated scale)
 // but the shapes are comparable — see EXPERIMENTS.md.
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -25,6 +29,31 @@
 #include "storage/buffer_manager.h"
 
 namespace hydra::bench {
+
+// A directory of this process's own under the system temp directory,
+// `hydra_bench_<name>_<pid>`, created empty and removed with its files
+// when the object goes out of scope, so that two bench runs at once
+// (say a parent and a change side by side) never share files.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& name)
+      : path_(std::filesystem::temp_directory_path() /
+              ("hydra_bench_" + name + "_" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~ScratchDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  const std::filesystem::path& path() const { return path_; }
+
+ private:
+  std::filesystem::path path_;
+};
 
 // Bench-scale stand-ins for the paper's datasets (see DESIGN.md §3).
 struct NamedDataset {

@@ -145,8 +145,8 @@ void RunPrefetchPipeline(const std::filesystem::path& dir) {
 
 void Run() {
   namespace fs = std::filesystem;
-  fs::path dir = fs::temp_directory_path() / "hydra_bench_fig4";
-  fs::create_directories(dir);
+  const ScratchDir scratch("fig4");
+  const fs::path& dir = scratch.path();
 
   Table table(ResultHeaders());
   RunDataset("rand", 8000, 128, dir, &table);
@@ -164,7 +164,6 @@ void Run() {
   std::printf(
       "\n# prefetch pipeline (exact 100-NN, rand, cold 16-page pool)\n");
   RunPrefetchPipeline(dir);
-  fs::remove_all(dir);
 }
 
 }  // namespace

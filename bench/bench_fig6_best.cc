@@ -39,8 +39,8 @@ void RunDataset(const std::string& kind, size_t n, size_t len,
 
 void Run() {
   namespace fs = std::filesystem;
-  fs::path dir = fs::temp_directory_path() / "hydra_bench_fig6";
-  fs::create_directories(dir);
+  const ScratchDir scratch("fig6");
+  const fs::path& dir = scratch.path();
 
   Table table({"dataset", "method", "setting", "MAP", "qrs_per_min",
                "data_accessed", "rand_io_per_q"});
@@ -57,7 +57,6 @@ void Run() {
       "\nPaper shape check: data accessed and random I/O grow as MAP→1;\n"
       "iSAX2+ incurs more random I/O (more, emptier leaves); SALD-like\n"
       "data reaches high MAP with minimal data access.\n");
-  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -32,8 +32,8 @@ void RunRegime(const std::string& regime, const std::string& kind, size_t n,
 
 void Run() {
   namespace fs = std::filesystem;
-  fs::path dir = fs::temp_directory_path() / "hydra_bench_fig7";
-  fs::create_directories(dir);
+  const ScratchDir scratch("fig7");
+  const fs::path& dir = scratch.path();
 
   Table table(
       {"regime", "dataset", "method", "k", "total_seconds", "MAP"});
@@ -59,7 +59,6 @@ void Run() {
   std::printf(
       "\nPaper shape check: time grows sub-linearly in k — finding the\n"
       "first neighbor costs the most, the rest are nearly free.\n");
-  fs::remove_all(dir);
 }
 
 }  // namespace

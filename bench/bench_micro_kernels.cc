@@ -1,7 +1,7 @@
 // Micro-benchmarks of the hot kernels (google-benchmark): distance
 // computations, summarization transforms, lower-bound evaluations (the
-// tree search's member sieve among them), and the CRC-32C that verifies
-// every page read. These are the inner loops
+// tree search's member sieve among them), the CRC-32C that verifies
+// every page read, and one DSTree build. These are the inner loops
 // whose cost the figure benches aggregate.
 
 #include <benchmark/benchmark.h>
@@ -16,6 +16,8 @@
 #include "core/generators.h"
 #include "distance/euclidean.h"
 #include "distance/simd_dispatch.h"
+#include "index/dstree/dstree.h"
+#include "storage/buffer_manager.h"
 #include "transform/dft.h"
 #include "transform/eapca.h"
 #include "transform/paa.h"
@@ -313,6 +315,25 @@ void BM_Crc32cBlocks(benchmark::State& state, Crc32cBlocksFn crc) {
 }
 BENCHMARK_CAPTURE(BM_Crc32cBlocks, dispatched, &Crc32cBlocks);
 BENCHMARK_CAPTURE(BM_Crc32cBlocks, table, &Crc32cBlocksTable);
+
+// One DSTree build over 20,000 random walks of 256 points with the
+// default options: the inserts, every split's candidate scoring, and the
+// δ-histogram. Items are series.
+void BM_DSTreeBuild(benchmark::State& state) {
+  const Dataset ds = BenchData(20000, 256);
+  InMemoryProvider provider(&ds);
+  for (auto _ : state) {
+    auto built = DSTreeIndex::Build(ds, &provider);
+    if (!built.ok()) {
+      state.SkipWithError(built.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(built.value()->num_nodes());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(ds.size()));
+}
+BENCHMARK(BM_DSTreeBuild)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace hydra

@@ -80,6 +80,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "common/rng.h"
 #include "core/generators.h"
 #include "core/ground_truth.h"
@@ -186,8 +187,8 @@ int main(int argc, char** argv) {
   params.k = kK;
 
   namespace fs = std::filesystem;
-  fs::path dir = fs::temp_directory_path() / "hydra_bench_serving";
-  fs::create_directories(dir);
+  const hydra::bench::ScratchDir scratch("serving");
+  const fs::path& dir = scratch.path();
   std::string path = (dir / "data.hsf").string();
   if (!hydra::WriteSeriesFile(path, data).ok()) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -505,6 +506,5 @@ int main(int argc, char** argv) {
     for (auto& server : servers) server->Stop();
   }
 
-  fs::remove_all(dir);
   return ok ? 0 : 1;
 }

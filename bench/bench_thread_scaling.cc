@@ -95,8 +95,8 @@ int main() {
   // On-disk: the same scan against the page-pinning buffer pool with a
   // deliberately small budget, so refinement pays real (counted) I/O.
   namespace fs = std::filesystem;
-  fs::path dir = fs::temp_directory_path() / "hydra_bench_thread_scaling";
-  fs::create_directories(dir);
+  const hydra::bench::ScratchDir scratch("thread_scaling");
+  const fs::path& dir = scratch.path();
   std::string path = (dir / "data.hsf").string();
   if (!hydra::WriteSeriesFile(path, data).ok()) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -141,6 +141,5 @@ int main() {
         static_cast<unsigned long long>(bm.value()->prefetch_issued()),
         static_cast<unsigned long long>(bm.value()->prefetch_useful()));
   }
-  fs::remove_all(dir);
   return ok ? 0 : 1;
 }

@@ -126,14 +126,14 @@ class DSTreeIndex : public Index {
   static constexpr size_t kWordSegments = 64;
   static constexpr size_t kWordBits = 8;
 
-  void Insert(const Dataset& data, int64_t id);
+  // Build scratch and the leaves whose last split failed (dstree.cc).
+  struct BuildState;
+  // Inserts series `id`, whose prefix sums are `ps` and `ps2`.
+  void Insert(const Dataset& data, int64_t id, const double* ps,
+              const double* ps2, BuildState* state);
   // The means of the word segments of a series, from its prefix sums.
-  void WordPaa(const std::vector<double>& ps, double* out) const;
-  void SplitLeaf(const Dataset& data, int32_t node_id);
-  // Mean or std of series[start, end) from per-series prefix sums.
-  static EapcaFeature RangeFeature(const std::vector<double>& ps,
-                                   const std::vector<double>& ps2,
-                                   size_t start, size_t end);
+  void WordPaa(const double* ps, double* out) const;
+  void SplitLeaf(const Dataset& data, int32_t node_id, BuildState* state);
 
   SeriesProvider* provider_;  // not owned
   DSTreeOptions options_;

@@ -5,7 +5,7 @@
 
 namespace hydra {
 
-void DSTreeNode::UpdateSynopsis(const std::vector<EapcaFeature>& features) {
+void DSTreeNode::UpdateSynopsis(std::span<const EapcaFeature> features) {
   if (min_mean.empty()) {
     size_t s = segmentation.size();
     min_mean.assign(s, std::numeric_limits<double>::infinity());

@@ -2,6 +2,7 @@
 #define HYDRA_INDEX_DSTREE_DSTREE_NODE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "transform/eapca.h"
@@ -48,7 +49,7 @@ struct DSTreeNode {
 
   // Extends the envelope with one series' features (under this node's
   // segmentation) and bumps count.
-  void UpdateSynopsis(const std::vector<EapcaFeature>& features);
+  void UpdateSynopsis(std::span<const EapcaFeature> features);
 
   // Σ_s w_s·((Δμ_s)² + (Δσ_s)²): the squared EAPCA-envelope diameter,
   // the QoS measure minimized when choosing splits.

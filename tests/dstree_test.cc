@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "core/generators.h"
 #include "core/ground_truth.h"
@@ -302,6 +305,82 @@ TEST(DSTree, VerticalSplitsRefineSegmentation) {
     }
   }
   EXPECT_TRUE(refined);
+}
+
+// A CRC-32C of every node as DSTreeIndex::node(i) shows it: segmentation,
+// synopsis, split rule, children, ids and words. The saved file is not
+// digested: its δ-histogram comes from the dispatched distance kernel,
+// so its bytes differ between SIMD targets; the nodes do not.
+uint32_t TreeDigest(const DSTreeIndex& index) {
+  uint32_t crc = 0;
+  auto add = [&crc](const void* data, size_t bytes) {
+    crc = Crc32c(data, bytes, crc);
+  };
+  auto add_span = [&add](const auto& v) {
+    const uint64_t size = v.size();
+    add(&size, sizeof(size));
+    add(v.data(), v.size() * sizeof(v[0]));
+  };
+  for (size_t i = 0; i < index.num_nodes(); ++i) {
+    const DSTreeNode& n = index.node(i);
+    add_span(n.segmentation);
+    add_span(n.min_mean);
+    add_span(n.max_mean);
+    add_span(n.min_std);
+    add_span(n.max_std);
+    const uint64_t fields[] = {n.count, n.is_leaf ? 1u : 0u, n.split_start,
+                               n.split_end, n.split_on_std ? 1u : 0u};
+    add(fields, sizeof(fields));
+    add(&n.split_value, sizeof(n.split_value));
+    const int32_t children[] = {n.left, n.right};
+    add(children, sizeof(children));
+    add_span(n.series_ids);
+    add_span(n.leaf_words);
+  }
+  return crc;
+}
+
+struct DigestCase {
+  const char* name;
+  size_t n, len, leaf;
+  size_t initial_segments = 4;
+  size_t min_segment_length = 2;
+  size_t copies = 0;  // series that repeat series 0: the last ones, or
+  bool interleaved = false;  // every other one
+  uint32_t digest;
+};
+
+// The build is deterministic and its trees are pinned: a faster build
+// must reproduce every node bit for bit, on every SIMD target.
+TEST(DSTree, BuiltTreesDoNotDrift) {
+  const DigestCase cases[] = {
+      {"400x64_leaf16", 400, 64, 16, 4, 2, 0, false, 3868807745u},
+      {"3000x256_leaf64", 3000, 256, 64, 4, 2, 0, false, 4191004480u},
+      {"length20", 600, 20, 16, 4, 2, 0, false, 2117476753u},
+      {"one_initial_segment", 800, 64, 16, 1, 2, 0, false, 1341417577u},
+      {"no_vertical_splits", 800, 64, 16, 4, 1000, 0, false, 4062395496u},
+      {"half_copies", 800, 64, 16, 4, 2, 400, false, 3605640077u},
+      {"interleaved_copies", 800, 64, 16, 4, 2, 400, true, 3181662646u},
+  };
+  for (const DigestCase& c : cases) {
+    Rng rng(99);
+    Dataset ds = MakeRandomWalk(c.n, c.len, rng);
+    for (size_t j = 0; j < c.copies; ++j) {
+      const size_t i = c.interleaved ? 2 * j + 1 : c.n - c.copies + j;
+      std::copy(ds.series(0).begin(), ds.series(0).end(),
+                ds.mutable_series(i).begin());
+    }
+    InMemoryProvider provider(&ds);
+    DSTreeOptions opts;
+    opts.leaf_capacity = c.leaf;
+    opts.initial_segments = c.initial_segments;
+    opts.min_segment_length = c.min_segment_length;
+    opts.histogram_pairs = 100;
+    auto built = DSTreeIndex::Build(ds, &provider, opts);
+    ASSERT_TRUE(built.ok()) << c.name << ": " << built.status().ToString();
+    EXPECT_EQ(TreeDigest(*built.value()), c.digest)
+        << c.name << " (" << built.value()->num_nodes() << " nodes)";
+  }
 }
 
 TEST(DSTree, MemoryBytesGrowsWithDataset) {
