@@ -1,5 +1,7 @@
 #include "common/options.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 
@@ -11,14 +13,24 @@ const char* RawEnv(const char* name) {
   return (v != nullptr && *v != '\0') ? v : nullptr;
 }
 
+// A whole decimal count, or false. strtoull alone would also take leading
+// spaces or a sign, and negate "-1" into 2^64 - 1.
+bool ParseCount(const char* text, uint64_t* out) {
+  if (!std::isdigit(static_cast<unsigned char>(*text))) return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE) return false;
+  *out = static_cast<uint64_t>(parsed);
+  return true;
+}
+
 }  // namespace
 
 uint64_t EnvOrU64(const char* name, uint64_t fallback) {
   const char* v = RawEnv(name);
-  if (v == nullptr) return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  return (end != v && *end == '\0') ? static_cast<uint64_t>(parsed) : fallback;
+  uint64_t parsed = 0;
+  return (v != nullptr && ParseCount(v, &parsed)) ? parsed : fallback;
 }
 
 size_t EnvOrSize(const char* name, size_t fallback) {
@@ -56,9 +68,8 @@ std::vector<size_t> ParseCountList(const char* text,
     size_t comma = s.find(',', pos);
     if (comma == std::string::npos) comma = s.size();
     const std::string token = s.substr(pos, comma - pos);
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(token.c_str(), &end, 10);
-    if (end != token.c_str() && *end == '\0' && parsed > 0) {
+    uint64_t parsed = 0;
+    if (ParseCount(token.c_str(), &parsed) && parsed > 0) {
       counts.push_back(static_cast<size_t>(parsed));
     }
     pos = comma + 1;
@@ -71,7 +82,7 @@ const std::vector<KnobInfo>& KnobTable() {
   static const std::vector<KnobInfo> kKnobs = {
       // Execution.
       {"HYDRA_THREADS", "hardware_concurrency", "exec",
-       "Worker count of the process-wide work-stealing pool "
+       "Worker count of the process-wide thread pool "
        "(read once at first use)."},
       {"HYDRA_SIMD", "auto-detect", "distance",
        "Force the distance-kernel target: scalar | sse2 | avx2; scalar also "
@@ -107,12 +118,6 @@ const std::vector<KnobInfo>& KnobTable() {
        "HYDRA_FAULT_LATENCY_US emulates a slow device)."},
       {"HYDRA_FAULT_LATENCY_US", "0", "faults",
        "Injected delay in microseconds for delayed attempts."},
-      // Test stress levels (the CI lanes raise them).
-      {"HYDRA_CONCURRENCY", "none", "tests",
-       "Extra concurrency levels for the serving and sharded suites "
-       "(comma-separated)."},
-      {"HYDRA_SERVING_POOL_PAGES", "16", "tests",
-       "Pool capacity of the serving/chaos test suites."},
   };
   return kKnobs;
 }

@@ -21,11 +21,13 @@ namespace hydra {
 //
 // Parsing is strict — a value that does not fully parse falls back to the
 // default rather than half-applying (matching the historical behavior of
-// the strictest call sites). Env lookups are NOT cached here; call sites
-// that want parse-once semantics keep their own `static` (the historical
-// contract, e.g. HYDRA_PREFETCH) and call sites that re-read per call
-// (e.g. the HYDRA_FAULT_* knobs, read at every file open so benches can
-// flip them between sections) simply call again.
+// the strictest call sites). A count is decimal digits only: a sign, a
+// leading space or a value past 2^64 - 1 does not parse. Env lookups are
+// NOT cached here; call sites that want parse-once semantics keep their
+// own `static` (the historical contract, e.g. HYDRA_PREFETCH) and call
+// sites that re-read per call (e.g. the HYDRA_FAULT_* knobs, read at
+// every file open so benches can flip them between sections) simply call
+// again.
 
 // Environment layer: HYDRA_* value if set and fully parseable, else
 // `fallback`.
@@ -38,19 +40,21 @@ double EnvOrRate(const char* name, double fallback);
 // Raw string (nullptr-safe): the env value if set and non-empty, else
 // `fallback` (which may be nullptr).
 const char* EnvOrString(const char* name, const char* fallback);
-// Comma-separated count list ("1,2,8"), e.g. HYDRA_CONCURRENCY; entries
-// that do not parse to a positive integer are skipped, and `fallback` is
-// returned when nothing survives (or text == nullptr).
+// Comma-separated count list ("1,2,8"); entries that do not parse to a
+// positive count are skipped, and `fallback` is returned when nothing
+// survives (or text == nullptr).
 std::vector<size_t> ParseCountList(const char* text,
                                    std::vector<size_t> fallback);
 
 // ---- Knob registry ----
 //
-// Every HYDRA_* knob the system reads, with its default and one-line
-// description. The table is the generated source of the README "Runtime
-// knobs" section (`hydra_cli knobs` prints it); keeping it next to the
-// resolution helpers means a knob cannot be added without becoming
-// visible.
+// Every HYDRA_* knob the library reads, with its default and one-line
+// description. The table is the generated source of the README
+// "Environment knobs" section (`hydra_cli knobs` prints it); keeping it
+// next to the resolution helpers means a knob cannot be added without
+// becoming visible. The test suites' own stress settings
+// (HYDRA_CONCURRENCY, HYDRA_SERVING_POOL_PAGES) are not knobs of the
+// library and are not listed.
 struct KnobInfo {
   const char* name;         // environment variable
   const char* fallback;     // built-in default, rendered as text

@@ -1,7 +1,7 @@
 #include "exec/thread_pool.h"
 
-#include <cstdlib>
-#include <string>
+#include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "common/options.h"
@@ -10,176 +10,108 @@ namespace hydra {
 
 ThreadPool::ThreadPool(size_t num_threads) {
   const size_t n = num_threads == 0 ? 1 : num_threads;
-  queues_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    queues_.push_back(std::make_unique<Queue>());
-  }
   threads_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
+    threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(wake_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  wake_cv_.notify_all();
+  cv_.notify_all();
   for (std::thread& t : threads_) t.join();
 }
 
 void ThreadPool::Submit(std::function<void()> task, const void* tag) {
-  size_t worker;
   {
-    std::lock_guard<std::mutex> lock(wake_mu_);
-    worker = next_;
-    next_ = (next_ + 1) % queues_.size();
+    std::lock_guard<std::mutex> lock(mu_);
+    tasks_.emplace_back(std::move(task), tag);
   }
-  SubmitTo(worker, std::move(task), tag);
-}
-
-void ThreadPool::SubmitTo(size_t worker, std::function<void()> task,
-                          const void* tag) {
-  Queue& q = *queues_[worker % queues_.size()];
-  // pending_ rises before the task is visible in the queue: a worker that
-  // sees pending_ > 0 with empty queues simply retries its pop, while the
-  // reverse order could pop-then-decrement a count that was never raised.
-  {
-    std::lock_guard<std::mutex> lock(wake_mu_);
-    ++pending_;
-  }
-  {
-    std::lock_guard<std::mutex> lock(q.mu);
-    q.tasks.emplace_back(std::move(task), tag);
-  }
-  wake_cv_.notify_one();
+  cv_.notify_one();
 }
 
 bool ThreadPool::TryRunOne(const void* tag) {
   std::function<void()> task;
-  const size_t n = queues_.size();
-  for (size_t i = 0; i < n && !task; ++i) {
-    Queue& q = *queues_[i];
-    std::lock_guard<std::mutex> lock(q.mu);
-    if (tag == nullptr) {
-      if (q.tasks.empty()) continue;
-      // Back of the queue, like a worker's steal: the front stays with
-      // the worker the task was routed to.
-      task = std::move(q.tasks.back().first);
-      q.tasks.pop_back();
-    } else {
-      // Targeted help: take the newest task carrying the caller's tag,
-      // leaving everything else in place.
-      for (auto it = q.tasks.rbegin(); it != q.tasks.rend(); ++it) {
-        if (it->second != tag) continue;
-        task = std::move(it->first);
-        q.tasks.erase(std::next(it).base());
-        break;
-      }
-    }
-  }
-  if (!task) return false;
   {
-    std::lock_guard<std::mutex> lock(wake_mu_);
-    --pending_;
+    std::lock_guard<std::mutex> lock(mu_);
+    // From the back: a group's tasks are usually the newest in the queue,
+    // and the front stays with the workers.
+    const auto it = std::find_if(
+        tasks_.rbegin(), tasks_.rend(),
+        [tag](const auto& queued) { return queued.second == tag; });
+    if (it == tasks_.rend()) return false;
+    task = std::move(it->first);
+    tasks_.erase(std::next(it).base());
   }
   task();
   return true;
 }
 
-std::function<void()> ThreadPool::TryPop(size_t self) {
-  const size_t n = queues_.size();
-  for (size_t offset = 0; offset < n; ++offset) {
-    Queue& q = *queues_[(self + offset) % n];
-    std::lock_guard<std::mutex> lock(q.mu);
-    if (q.tasks.empty()) continue;
-    std::function<void()> task;
-    if (offset == 0) {
-      task = std::move(q.tasks.front().first);
-      q.tasks.pop_front();
-    } else {
-      task = std::move(q.tasks.back().first);
-      q.tasks.pop_back();
-    }
-    return task;
-  }
-  return {};
-}
-
-void ThreadPool::WorkerLoop(size_t self) {
+void ThreadPool::WorkerLoop() {
   for (;;) {
-    std::function<void()> task = TryPop(self);
-    if (task) {
-      {
-        std::lock_guard<std::mutex> lock(wake_mu_);
-        --pending_;
-      }
-      task();
-      continue;
+    std::function<void()> task;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
+      if (tasks_.empty()) return;  // shutdown begun and the queue drained
+      task = std::move(tasks_.front().first);
+      tasks_.pop_front();
     }
-    std::unique_lock<std::mutex> lock(wake_mu_);
-    if (pending_ > 0) continue;  // raced with a submit; retry the pop
-    if (stop_) return;           // all queues drained and shutdown begun
-    wake_cv_.wait(lock, [this] { return pending_ > 0 || stop_; });
+    // Run, and release the task's captures, outside the lock: either may
+    // submit to this pool.
+    task();
   }
 }
 
 ThreadPool& ThreadPool::Global() {
-  static ThreadPool pool([] {
-    const unsigned hw = std::thread::hardware_concurrency();
-    const size_t v =
-        EnvOrSize("HYDRA_THREADS", static_cast<size_t>(hw == 0 ? 1 : hw));
-    return v == 0 ? size_t{1} : v;
-  }());
+  // The constructor turns 0 (HYDRA_THREADS=0, or a core count the
+  // platform cannot tell) into one worker.
+  static ThreadPool pool(
+      EnvOrSize("HYDRA_THREADS", std::thread::hardware_concurrency()));
   return pool;
 }
 
 void TaskGroup::HelpUntilDrained() {
   for (;;) {
     {
-      std::unique_lock<std::mutex> lock(mu_);
+      std::lock_guard<std::mutex> lock(mu_);
       if (pending_ == 0) return;
     }
     // Help instead of sleeping — but only with THIS group's tasks: an
     // arbitrary queued task (another serving query, say) could run for
     // this waiter's entire latency budget.
-    if (pool_ != nullptr && pool_->TryRunOne(this)) continue;
-    // None of this group's tasks are queued, and only the owner thread
-    // (which is here, waiting) can enqueue more: the remaining pending
-    // tasks are all mid-execution on workers, so blocking is safe — each
-    // completion notifies this group's cv.
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return pending_ == 0; });
-    return;
+    if (!pool_->TryRunOne(this)) break;
   }
+  // None of this group's tasks are queued, and only the owner thread
+  // (which is here, waiting) can enqueue more: the remaining pending
+  // tasks are all mid-execution on workers, so blocking is safe — each
+  // completion notifies this group's cv.
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [this] { return pending_ == 0; });
 }
 
 TaskGroup::~TaskGroup() { HelpUntilDrained(); }
 
 void TaskGroup::Run(std::function<void()> task) {
-  pool_->Submit(Wrap(std::move(task)), this);
-}
-
-void TaskGroup::RunOn(size_t worker, std::function<void()> task) {
-  pool_->SubmitTo(worker, Wrap(std::move(task)), this);
-}
-
-std::function<void()> TaskGroup::Wrap(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++pending_;
   }
-  return [this, task = std::move(task)] {
-    try {
-      task();
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    if (--pending_ == 0) cv_.notify_all();
-  };
+  pool_->Submit(
+      [this, task = std::move(task)] {
+        try {
+          task();
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(mu_);
+          if (!first_error_) first_error_ = std::current_exception();
+        }
+        std::lock_guard<std::mutex> lock(mu_);
+        if (--pending_ == 0) cv_.notify_all();
+      },
+      this);
 }
 
 void TaskGroup::Wait() {

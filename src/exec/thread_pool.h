@@ -6,7 +6,6 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -14,13 +13,15 @@
 
 namespace hydra {
 
-// Work-stealing thread pool behind every parallel query path (see the
-// fan-out of index/leaf_scanner.h). One deque per worker: a worker pops its own
-// queue from the front and, when empty, steals from the back of the other
-// queues, so a queue loaded with skewed work drains across the whole pool.
+// The thread pool behind every parallel path: one FIFO queue under one
+// mutex, popped front-first by every worker. Its callers hand it only
+// coarse tasks — one per admitted query or coalesced batch (serving), one
+// per shard (ShardedIndex), at most num_threads - 1 per leaf fan-out (see
+// index/leaf_scanner.h) — and work stealing only pays off for floods of
+// tiny fork-join tasks, so a single shared queue carries this work.
 //
-// Thread safety: Submit/SubmitTo may be called from any thread, including
-// from inside a running task. The destructor drains every queued task and
+// Thread safety: Submit may be called from any thread, including from
+// inside a running task. The destructor drains every queued task and
 // then joins the workers; tasks submitted during shutdown still run.
 // Tasks MAY block waiting for other tasks of the same pool through
 // TaskGroup::Wait: the wait helps — it pops and runs queued tasks OF ITS
@@ -38,24 +39,17 @@ class ThreadPool {
 
   size_t num_threads() const { return threads_.size(); }
 
-  // Enqueues a task on the next queue, round-robin. `tag` identifies the
-  // submitter's task group for targeted helping (see TryRunOne); nullptr
-  // = untagged.
+  // Enqueues a task at the back of the queue. `tag` identifies the
+  // submitter's task group for targeted helping (see TryRunOne).
   void Submit(std::function<void()> task, const void* tag = nullptr);
 
-  // Enqueues a task on a specific worker's queue (tests use this to force
-  // skew; the task may still be stolen by any idle worker).
-  void SubmitTo(size_t worker, std::function<void()> task,
-                const void* tag = nullptr);
-
-  // Pops one queued task and runs it on the calling thread; false when
-  // nothing eligible was queued at the scan. With a tag, only tasks
-  // submitted under that tag are eligible — the helping primitive behind
-  // TaskGroup::Wait, which must run its OWN shards while waiting, not an
-  // arbitrary queued task (inlining, say, a whole other serving query
-  // would bloat the waiter's latency by that query's full runtime).
-  // With tag == nullptr any task is eligible (generic cycle donation).
-  bool TryRunOne(const void* tag = nullptr);
+  // Takes the newest queued task submitted under `tag` and runs it on the
+  // calling thread; false when none is queued. This is the helping
+  // primitive behind TaskGroup::Wait, which must run its OWN shards while
+  // waiting, not an arbitrary queued task (inlining, say, a whole other
+  // serving query would bloat the waiter's latency by that query's full
+  // runtime).
+  bool TryRunOne(const void* tag);
 
   // Process-wide pool shared by every query. Sized once, on first use, to
   // HYDRA_THREADS if set, else std::thread::hardware_concurrency().
@@ -64,28 +58,15 @@ class ThreadPool {
   static ThreadPool& Global();
 
  private:
-  struct Queue {
-    std::mutex mu;
-    // Each task carries its submitter's helping tag (nullptr: untagged).
-    std::deque<std::pair<std::function<void()>, const void*>> tasks;
-  };
+  void WorkerLoop();
 
-  void WorkerLoop(size_t self);
-  // Pops own queue front, else steals another queue's back. Returns an
-  // empty function when every queue is empty.
-  std::function<void()> TryPop(size_t self);
-
-  std::vector<std::unique_ptr<Queue>> queues_;
-  std::vector<std::thread> threads_;
-
-  // wake_mu_ guards stop_ and pairs with wake_cv_; pending_ counts queued
-  // tasks and is only advanced before the matching notify, so a worker
-  // that checks it under wake_mu_ cannot miss a wakeup.
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
+  // mu_ guards tasks_ and stop_; workers sleep on cv_.
+  std::mutex mu_;
+  std::condition_variable cv_;
+  // Each task carries its submitter's helping tag (nullptr: untagged).
+  std::deque<std::pair<std::function<void()>, const void*>> tasks_;
   bool stop_ = false;
-  size_t pending_ = 0;
-  size_t next_ = 0;
+  std::vector<std::thread> threads_;
 };
 
 // Tracks a batch of tasks submitted to a pool and lets the caller block
@@ -117,18 +98,15 @@ class TaskGroup {
   TaskGroup& operator=(const TaskGroup&) = delete;
 
   void Run(std::function<void()> task);
-  // Skew-aware variant routed to one worker's queue (see SubmitTo).
-  void RunOn(size_t worker, std::function<void()> task);
 
   // Blocks until every Run() task completed; rethrows the first captured
   // exception. Safe to call repeatedly (later calls return immediately).
   void Wait();
 
  private:
-  std::function<void()> Wrap(std::function<void()> task);
-  // The helping drain shared by Wait() and the destructor: runs queued
-  // pool tasks until pending_ reaches 0, then returns (without touching
-  // first_error_).
+  // The helping drain shared by Wait() and the destructor: runs this
+  // group's queued tasks until none is left, then sleeps until pending_
+  // reaches 0 (without touching first_error_).
   void HelpUntilDrained();
 
   ThreadPool* pool_;

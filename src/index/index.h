@@ -153,8 +153,9 @@ class Index {
   // in-memory copy, per BuildOptions), builds the index named by
   // `options.method` over it, and returns ONE owning object — no caller
   // juggles {reader, pool, dataset, index} lifetimes or special-cases
-  // construction per method anymore. Implemented in index/factory.cc;
-  // generic layers (ShardedIndex, harness, CLI) build through this.
+  // construction per method anymore. Implemented in index/factory.cc.
+  // ShardedIndex and hydra_cli assemble their own storage and call
+  // BuildIndex (index/factory.h) instead; the harness takes built indexes.
   static Result<std::unique_ptr<Index>> Open(const std::string& path,
                                              const BuildOptions& options);
 

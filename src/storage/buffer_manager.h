@@ -376,9 +376,8 @@ class InMemoryProvider : public SeriesProvider {
 // time and a single query's fan-out is clamped to capacity_pages, but
 // the clamp is per scan — queries running concurrently on one pool
 // should size capacity_pages >= their combined thread counts (plus any
-// long-lived caller pins), or transient fetch failures surface as
-// skipped candidates under the scan layers' tree-leaf semantics
-// (ROADMAP tracks propagating them as errors instead).
+// long-lived caller pins), or a fetch that finds every frame pinned
+// fails, and LeafScanner fails the query with that fetch's typed status.
 class BufferManager : public SeriesProvider {
  public:
   // page_series: series per page; capacity_pages: max pooled pages.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
@@ -8,6 +9,7 @@
 #include "common/backoff.h"
 #include "common/counters.h"
 #include "common/crc32.h"
+#include "common/options.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/timer.h"
@@ -247,6 +249,30 @@ TEST(Backoff, DelaysArePinned) {
   EXPECT_EQ(BackoffDelayUs(0, 20000, 3, 2), 0u);         // no base, no wait
   EXPECT_EQ(BackoffDelayUs(2000, 16000, 0, 1), 5868u);
   EXPECT_EQ(BackoffDelayUs(1000, 250000, 1, 9), 73099u);  // pool defaults
+}
+
+// A count is decimal digits only. strtoull alone would negate "-1" into
+// 2^64 - 1: an unbounded HYDRA_IO_RETRIES budget, or a HYDRA_THREADS pool
+// of 2^64 - 1 workers. Only the parsers run here.
+TEST(Options, CountsAreDigitsOnly) {
+  const char* kVar = "HYDRA_OPTIONS_TEST_COUNT";
+  for (const char* bad : {"-1", "-0", "+3", " 3", "3 ", "0x10", "abc",
+                          "18446744073709551616"}) {
+    ::setenv(kVar, bad, 1);
+    EXPECT_EQ(EnvOrU64(kVar, 7), 7u) << bad;
+    EXPECT_EQ(EnvOrSize(kVar, 7), 7u) << bad;
+  }
+  ::setenv(kVar, "0", 1);
+  EXPECT_EQ(EnvOrU64(kVar, 7), 0u);
+  ::setenv(kVar, "18446744073709551615", 1);
+  EXPECT_EQ(EnvOrU64(kVar, 7), UINT64_MAX);
+  ::unsetenv(kVar);
+  EXPECT_EQ(EnvOrSize(kVar, 7), 7u);
+
+  EXPECT_EQ(ParseCountList("2,-1", {9}), std::vector<size_t>({2}));
+  EXPECT_EQ(ParseCountList("-1", {9}), std::vector<size_t>({9}));
+  EXPECT_EQ(ParseCountList("1, 2,+3,0,4", {}), std::vector<size_t>({1, 4}));
+  EXPECT_EQ(ParseCountList(nullptr, {9}), std::vector<size_t>({9}));
 }
 
 // Every CRC-32C implementation this CPU can run: the table, the SSE4.2

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <chrono>
+#include <future>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -84,16 +85,16 @@ TEST(ThreadPool, OnlyFirstExceptionIsReported) {
   group.Wait();
 }
 
-TEST(ThreadPool, StealsFromSkewedQueue) {
+TEST(ThreadPool, SpreadsOneGroupAcrossThreads) {
   ThreadPool pool(4);
   TaskGroup group(&pool);
   std::mutex mu;
   std::set<std::thread::id> executors;
-  // All tasks land on worker 0's queue; each is slow enough that idle
-  // workers 1..3 must steal to finish the batch in time. Seeing more
-  // than one executing thread proves stealing happened.
+  // Each task is slow enough that idle workers take the next ones from
+  // the queue while the first still run. Seeing more than one executing
+  // thread proves the batch spread.
   for (int i = 0; i < 32; ++i) {
-    group.RunOn(0, [&mu, &executors] {
+    group.Run([&mu, &executors] {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
       std::lock_guard<std::mutex> lock(mu);
       executors.insert(std::this_thread::get_id());
@@ -101,6 +102,59 @@ TEST(ThreadPool, StealsFromSkewedQueue) {
   }
   group.Wait();
   EXPECT_GE(executors.size(), 2u);
+}
+
+TEST(ThreadPool, NestedWaitsDrainOnOneWorker) {
+  ThreadPool pool(1);
+  TaskGroup outer(&pool);
+  std::atomic<int> inner_ran{0};
+  // Each outer task blocks on inner tasks of the same one-worker pool; the
+  // helping waits run them, so neither the worker nor this thread hangs.
+  for (int i = 0; i < 4; ++i) {
+    outer.Run([&pool, &inner_ran] {
+      TaskGroup inner(&pool);
+      for (int j = 0; j < 8; ++j) {
+        inner.Run([&inner_ran] { inner_ran.fetch_add(1); });
+      }
+      inner.Wait();
+    });
+  }
+  outer.Wait();
+  EXPECT_EQ(inner_ran.load(), 32);
+}
+
+TEST(ThreadPool, WaitHelpsOnlyItsOwnGroup) {
+  std::atomic<int> foreign_ran{0};
+  std::promise<void> held;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  {
+    ThreadPool pool(1);
+    pool.Submit([&held, released] {
+      held.set_value();
+      released.wait();
+    });
+    held.get_future().wait();  // the only worker is busy from here on
+
+    // Queued ahead of the group: an untagged task and another group's.
+    pool.Submit([&foreign_ran] { foreign_ran.fetch_add(1); });
+    TaskGroup other(&pool);
+    other.Run([&foreign_ran] { foreign_ran.fetch_add(1); });
+
+    TaskGroup group(&pool);
+    const std::thread::id waiter = std::this_thread::get_id();
+    std::atomic<int> ran_by_waiter{0};
+    for (int i = 0; i < 8; ++i) {
+      group.Run([&ran_by_waiter, waiter] {
+        if (std::this_thread::get_id() == waiter) ran_by_waiter.fetch_add(1);
+      });
+    }
+    group.Wait();
+    EXPECT_EQ(ran_by_waiter.load(), 8);
+    EXPECT_EQ(foreign_ran.load(), 0);
+    release.set_value();
+  }  // the groups drain, then ~ThreadPool drains what is left
+  EXPECT_EQ(foreign_ran.load(), 2);
 }
 
 TEST(ThreadPool, GlobalPoolIsUsable) {
