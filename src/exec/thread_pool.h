@@ -14,11 +14,17 @@
 namespace hydra {
 
 // The thread pool behind every parallel path: one FIFO queue under one
-// mutex, popped front-first by every worker. Its callers hand it only
-// coarse tasks — one per admitted query or coalesced batch (serving), one
-// per shard (ShardedIndex), at most num_threads - 1 per leaf fan-out (see
-// index/leaf_scanner.h) — and work stealing only pays off for floods of
-// tiny fork-join tasks, so a single shared queue carries this work.
+// mutex, popped front-first by every worker. Serving hands it one task
+// per admitted query or coalesced batch, ShardedIndex one per shard. Its
+// finest tasks come from a refine's fan-out (LeafScanner::RefineFannedOut
+// in index/leaf_scanner.h, behind every tree index's leaf refine, VA+file
+// and SRS): each block of num_threads * 16 candidates forks
+// num_threads - 1 tasks of about 16 candidates and joins them before the
+// next block forks, tens to a hundred rounds a query for an exact DSTree
+// search over 1,000-series leaves. So a refine never has more than
+// num_threads - 1 tasks queued, and whichever worker is idle takes the
+// next one: there is no per-worker backlog for stealing to balance
+// (docs/ARCHITECTURE.md, "Thread pool", times these rounds).
 //
 // Thread safety: Submit may be called from any thread, including from
 // inside a running task. The destructor drains every queued task and

@@ -252,8 +252,10 @@ TEST(Backoff, DelaysArePinned) {
 }
 
 // A count is decimal digits only. strtoull alone would negate "-1" into
-// 2^64 - 1: an unbounded HYDRA_IO_RETRIES budget, or a HYDRA_THREADS pool
-// of 2^64 - 1 workers. Only the parsers run here.
+// 2^64 - 1, so HYDRA_IO_RETRIES=-1 read as an unbounded retry budget; a
+// sign, a space or a value past 2^64 - 1 now falls back instead. Digits
+// up to 2^64 - 1 are still taken as written: the parsers bound no count.
+// Only the parsers run here.
 TEST(Options, CountsAreDigitsOnly) {
   const char* kVar = "HYDRA_OPTIONS_TEST_COUNT";
   for (const char* bad : {"-1", "-0", "+3", " 3", "3 ", "0x10", "abc",
